@@ -10,15 +10,18 @@ with the centroid-sampled source; with the centroid-rule loads these agree
 to solver tolerance, so the H_div column coincides with the L2 column.
 
 Exact-solution norms (denominators of the relative errors) are continuous
-L2/H1/H_div norms computed with a high-order triangle rule.  Relative
-errors follow the h-scaled convention of the constant-flux study:
-100 * error * h / exact-norm.
+L2/H1/H_div norms.  They do not depend on the mesh, so they are integrated
+once per (case, degree) with a tensor Gauss rule on each unit quadrant and
+cached.  Relative errors follow the h-scaled convention of the
+constant-flux study: 100 * error * h / exact-norm.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -114,19 +117,57 @@ def u1_cell_values(sol: SolutionFields, m: BipartiteMesh) -> np.ndarray:
     return (stot[:, None] * centroid - sp_) / (2.0 * areas[:, None])
 
 
+# Lower-left corners of the unit quadrants Q1..Q4.
+_QUADRANT_CORNERS = {1: (0.0, 0.0), 2: (-1.0, 0.0), 3: (-1.0, -1.0), 4: (0.0, -1.0)}
+
+
+@lru_cache(maxsize=64)
+def _exact_norms(case: ManufacturedCase, degree: int) -> MappingProxyType:
+    """Continuous exact-solution norms, keyed on the case's fields and ``degree``.
+
+    The key is the whole case (dataclass equality), not its name, so
+    variants of one example with other coefficients get their own entry.
+    Each field is integrated quadrant by quadrant with a tensor Gauss rule
+    exact for per-direction degree ``2 * degree`` (the square of a degree
+    ``degree`` field), evaluating the closed forms of that quadrant.
+    """
+    rule = segment_rule(2 * degree)
+    tx, ty = (t.ravel() for t in np.meshgrid(rule.points, rule.points, indexing="ij"))
+    w = np.outer(rule.weights, rule.weights).ravel()
+
+    def l2(field, quadrants):
+        total = 0.0
+        for q in quadrants:
+            ox, oy = _QUADRANT_CORNERS[q]
+            values = np.asarray(field(ox + tx, oy + ty, q), dtype=float) ** 2
+            total += float(w @ values.reshape(len(w), -1).sum(axis=1))
+        return math.sqrt(total)
+
+    norm_u1 = l2(case.u, (1, 3))
+    norm_p2 = l2(case.p, (2, 4))
+    return MappingProxyType({
+        "norm_p1": l2(case.p, (1, 3)),
+        "norm_p2_l2": norm_p2,
+        "norm_p2_h1": math.hypot(norm_p2, l2(case.grad_p, (2, 4))),
+        "norm_u1_l2": norm_u1,
+        "norm_u1_hdiv": math.hypot(norm_u1, l2(case.F, (1, 3))),
+        "norm_u2": l2(case.u, (2, 4)),
+    })
+
+
 def error_norms(sol: SolutionFields, case: ManufacturedCase, m: BipartiteMesh,
                 degree: int = 10) -> ErrorReport:
     """Cell-sampled error norms against the exact fields.
 
     ``degree`` controls only the rule used for the exact-solution norms;
     the error columns themselves are centroid-sampled discrete norms and
-    carry no quadrature degree.
+    carry no quadrature degree.  The exact norms do not depend on the mesh:
+    they are computed once per (case, degree) with a per-quadrant Gauss
+    rule and reused at every level.
     """
     layout = sol.layout
     if len(layout.tri_to_p1) != m.n_triangles or layout.n_p1 != len(sol.p1):
         raise ValueError("solution fields do not belong to this mesh")
-    rule = triangle_rule(degree)
-    w = rule.weights
 
     # Region 1: cell pressure, flux and its divergence at centroids.
     tris = layout.p1_triangles
@@ -166,24 +207,6 @@ def error_norms(sol: SolutionFields, case: ManufacturedCase, m: BipartiteMesh,
         areas2 @ ((sol.u2 - case.u(c2[:, 0], c2[:, 1], qc2)) ** 2).sum(axis=-1)
     ))
 
-    # Continuous norms of the exact solution (relative-error denominators).
-    pts = np.einsum("qi,tid->tqd", rule.points, coords)
-    x, y = pts[..., 0], pts[..., 1]
-    q = quadrants_of(x, y)
-    two_a = 2.0 * areas
-    norm_p1 = math.sqrt(float(two_a @ ((case.p(x, y, q) ** 2) @ w)))
-    norm_u1 = math.sqrt(float(two_a @ ((case.u(x, y, q) ** 2).sum(axis=-1) @ w)))
-    norm_f = math.sqrt(float(two_a @ ((case.F(x, y, q) ** 2) @ w)))
-
-    coords2 = m.vertices[m.triangles[tris2]]
-    pts2 = np.einsum("qi,tid->tqd", rule.points, coords2)
-    x2, y2 = pts2[..., 0], pts2[..., 1]
-    q2 = quadrants_of(x2, y2)
-    two_a2 = 2.0 * areas2
-    norm_p2 = math.sqrt(float(two_a2 @ ((case.p(x2, y2, q2) ** 2) @ w)))
-    norm_g2 = math.sqrt(float(two_a2 @ ((case.grad_p(x2, y2, q2) ** 2).sum(axis=-1) @ w)))
-    norm_u2 = math.sqrt(float(two_a2 @ ((case.u(x2, y2, q2) ** 2).sum(axis=-1) @ w)))
-
     return ErrorReport(
         level_inv=m.level_inv,
         e_p1=e_p1,
@@ -192,12 +215,7 @@ def error_norms(sol: SolutionFields, case: ManufacturedCase, m: BipartiteMesh,
         e_u1_l2=e_u1,
         e_u1_hdiv=math.hypot(e_u1, e_div),
         e_u2=e_u2,
-        norm_p1=norm_p1,
-        norm_p2_l2=norm_p2,
-        norm_p2_h1=math.hypot(norm_p2, norm_g2),
-        norm_u1_l2=norm_u1,
-        norm_u1_hdiv=math.hypot(norm_u1, norm_f),
-        norm_u2=norm_u2,
+        **_exact_norms(case, degree),
     )
 
 

@@ -58,8 +58,8 @@ class AdmissibilityError(ValueError):
 class CoefficientSet:
     """Flow resistance ``a(x, y, region)`` and interface storage ``beta(x, y)``.
 
-    ``a`` must be strictly positive; ``beta`` nonnegative with a positive
-    line integral over the interface.
+    ``a`` must be strictly positive; ``beta`` finite and nonnegative with a
+    positive line integral over the interface.
     """
 
     a: Callable
@@ -87,8 +87,8 @@ class CoefficientSet:
             seg = m.vertices[m.edges[e]]
             x = seg[0] + np.outer(LINE_RULE.points, seg[1] - seg[0])
             b_vals = np.asarray(self.beta(x[:, 0], x[:, 1]), dtype=float)
-            if np.any(b_vals < 0.0):
-                raise AdmissibilityError("interface storage beta must be nonnegative")
+            if np.any(~np.isfinite(b_vals)) or np.any(b_vals < 0.0):
+                raise AdmissibilityError("interface storage beta must be nonnegative and finite")
             total += m.edge_lengths[e] * float(LINE_RULE.weights @ b_vals)
         if total <= 0.0:
             raise AdmissibilityError("interface storage beta must have a positive line integral")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -52,8 +53,8 @@ class RunConfig:
             raise ConfigError("paper_literal interface mode is valid only with examples 2 and 3")
         if self.interface_mode not in ("derived", "paper_literal", "constant_projection"):
             raise ConfigError(f"unknown interface mode {self.interface_mode!r}")
-        if self.beta is not None and self.beta <= 0:
-            raise ConfigError("beta override must be positive")
+        if self.beta is not None and not (math.isfinite(self.beta) and self.beta > 0):
+            raise ConfigError("beta override must be positive and finite")
 
 
 def _dump_fields(fields_dir, level, m, layout, sol):

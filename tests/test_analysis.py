@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from twodarcy import analysis
 from twodarcy.analysis import (
     ConvergenceReport,
     convergence_study,
@@ -15,8 +16,9 @@ from twodarcy.analysis import (
     write_csv,
 )
 from twodarcy.assembly import assemble_system
-from twodarcy.manufactured import example1, example2
+from twodarcy.manufactured import example1, example2, example3, example4, quadrants_of
 from twodarcy.mesh import build_cartesian_mesh
+from twodarcy.quadrature import triangle_rule
 from twodarcy.solver import SolutionFields, solve
 from twodarcy.spaces import build_dof_layout, potential_to_velocity
 
@@ -158,6 +160,63 @@ def test_quadrature_saturation_level8():
         list(high.errors().values()) + list(high.relative().values()),
     ):
         assert abs(a - b) <= 1e-6 * max(abs(a), 1e-30)
+
+
+def _triangle_rule_norms(case, m):
+    """Exact-solution norms integrated triangle by triangle (degree-10 rule)."""
+    rule = triangle_rule(10)
+
+    def l2(field, region):
+        tris = np.flatnonzero(m.tri_region == region)
+        pts = np.einsum("qi,tid->tqd", rule.points, m.vertices[m.triangles[tris]])
+        x, y = pts[..., 0], pts[..., 1]
+        values = np.asarray(field(x, y, quadrants_of(x, y)), dtype=float) ** 2
+        if values.ndim == 3:
+            values = values.sum(axis=-1)
+        return math.sqrt(float(2.0 * m.areas[tris] @ (values @ rule.weights)))
+
+    return {
+        "norm_p1": l2(case.p, 1),
+        "norm_p2_l2": l2(case.p, 2),
+        "norm_p2_h1": math.hypot(l2(case.p, 2), l2(case.grad_p, 2)),
+        "norm_u1_l2": l2(case.u, 1),
+        "norm_u1_hdiv": math.hypot(l2(case.u, 1), l2(case.F, 1)),
+        "norm_u2": l2(case.u, 2),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    example1(),
+    example2("derived"),
+    example2("paper_literal"),
+    example3("derived"),
+    example3("paper_literal"),
+    example4("derived"),
+    example4("constant_projection"),
+], ids=lambda c: f"{c.name}-{c.interface_mode}")
+def test_exact_norms_match_triangle_rule_level8(case):
+    m = build_cartesian_mesh(8)
+    layout = build_dof_layout(m)
+    report = error_norms(solve(assemble_system(m, layout, case)), case, m)
+    for name, expected in _triangle_rule_norms(case, m).items():
+        assert abs(getattr(report, name) - expected) <= 1e-9 * expected, name
+
+
+def test_study_integrates_exact_norms_once():
+    before = analysis._exact_norms.cache_info()
+    convergence_study(example1(), [1, 2, 4])
+    after = analysis._exact_norms.cache_info()
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == 2
+
+
+def test_exact_norms_follow_case_coefficients():
+    base = example1()
+    variant = dataclasses.replace(base, a2=5.0)
+    m = build_cartesian_mesh(1)
+    sol = solve(assemble_system(m, build_dof_layout(m), base))
+    norm_u2 = error_norms(sol, base, m).norm_u2
+    assert math.isclose(error_norms(sol, variant, m).norm_u2, norm_u2 / 5.0, rel_tol=1e-12)
 
 
 def test_interface_flux_residuals_decrease():

@@ -209,6 +209,14 @@ def test_admissibility_checks():
         assemble_A(m, layout, negative_beta)
 
 
+@pytest.mark.parametrize("beta", [np.nan, np.inf])
+def test_admissibility_rejects_non_finite_beta(beta):
+    m = build_cartesian_mesh(1)
+    layout = build_dof_layout(m)
+    with pytest.raises(AdmissibilityError, match="finite"):
+        assemble_A(m, layout, CoefficientSet.region_constants(1.0, 1.0, beta))
+
+
 def test_patch_case_residual(patch_case):
     m = build_cartesian_mesh(2)
     layout = build_dof_layout(m)

@@ -17,6 +17,13 @@ def test_invalid_configs_rejected():
         RunConfig(example=7).validate()
 
 
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+def test_main_rejects_non_finite_beta(beta, capsys):
+    code = main(["--example", "1", "--max-level", "1", "--beta", beta])
+    assert code == 2
+    assert "beta override must be positive and finite" in capsys.readouterr().err
+
+
 def test_main_reports_config_error(capsys):
     code = main(["--example", "4", "--interface-mode", "paper_literal"])
     assert code == 2
