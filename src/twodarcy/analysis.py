@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import assemble_system
+from .assembly import LINE_RULE, _LINE_HAT, _edge_points, _interface_quadrature, assemble_system
 from .manufactured import ManufacturedCase, quadrants_of
 from .mesh import BipartiteMesh, build_cartesian_mesh
 from .quadrature import segment_rule, triangle_rule
@@ -288,31 +288,24 @@ def interface_flux_residuals(sol: SolutionFields, case: ManufacturedCase,
                              m: BipartiteMesh) -> np.ndarray:
     """Weak normal-flux balance defect, integrated per interface edge."""
     layout = sol.layout
-    rule = segment_rule(11)
-    hat = np.column_stack([1.0 - rule.points, rule.points])
-    out = np.empty(len(m.interface_edges))
-    for pos, e in enumerate(m.interface_edges):
-        seg = m.vertices[m.edges[e]]
-        length = m.edge_lengths[e]
-        n = m.interface_normals[pos]
-        s_e = 1.0 if float(np.dot(m.edge_normals[e], n)) > 0 else -1.0
-        u1n = s_e * sol.u1[layout.edge_to_u1[e]] / length
-        u2n = float(sol.u2[layout.tri_to_u2[m.interface_tri2[pos]]] @ n)
-        p2h = hat @ sol.p2[layout.vert_to_p2[m.edges[e]]]
-        x = seg[0] + np.outer(rule.points, seg[1] - seg[0])
-        f_n = np.asarray(case.f_n(x[:, 0], x[:, 1]), dtype=float)
-        defect = u1n - u2n - case.beta * p2h - f_n
-        out[pos] = length * float(rule.weights @ defect)
-    return out
+    e = m.interface_edges
+    length = m.edge_lengths[e]
+    n = m.interface_normals
+    x, s_e = _interface_quadrature(m, LINE_RULE)
+    u1n = s_e * sol.u1[layout.edge_to_u1[e]] / length
+    u2n = np.einsum("id,id->i", sol.u2[layout.tri_to_u2[m.interface_tri2]], n)
+    p2h = sol.p2[layout.vert_to_p2[m.edges[e]]] @ _LINE_HAT.T
+    f_n = np.asarray(case.f_n(x[..., 0], x[..., 1]), dtype=float)
+    defect = (u1n - u2n)[:, None] - case.beta * p2h - f_n
+    return length * (defect @ LINE_RULE.weights)
 
 
-def _omega2_quadrant_of_vertex(x: float, y: float) -> int:
-    """Region-2 quadrant whose closure contains the vertex."""
-    if abs(x) < 1e-14:
-        return 2 if y > 0 else 4
-    if abs(y) < 1e-14:
-        return 2 if x < 0 else 4
-    return int(quadrants_of(x, y))
+def _omega2_quadrants(x, y):
+    """Region-2 quadrant whose closure contains each vertex."""
+    on_v = np.abs(x) < 1e-14
+    on_h = np.abs(y) < 1e-14
+    return np.where(on_v, np.where(y > 0, 2, 4),
+                    np.where(on_h, np.where(x < 0, 2, 4), quadrants_of(x, y)))
 
 
 def interpolate_exact(case: ManufacturedCase, m: BipartiteMesh,
@@ -325,32 +318,26 @@ def interpolate_exact(case: ManufacturedCase, m: BipartiteMesh,
     of the case's velocity potential shifted to vanish at the pinned
     vertex.
     """
-    rule = segment_rule(11)
     x = np.zeros(layout.size)
 
-    interface_pos = {int(e): pos for pos, e in enumerate(m.interface_edges)}
-    for idx, e in enumerate(layout.u1_edges):
-        pos = interface_pos.get(int(e))
-        if pos is not None:
-            quadrant = int(m.tri_quadrant[m.interface_tri1[pos]])
-        else:
-            quadrant = int(m.tri_quadrant[m.edge_tris[e, 0]])
-        seg = m.vertices[m.edges[e]]
-        pts = seg[0] + np.outer(rule.points, seg[1] - seg[0])
-        u = case.u(pts[:, 0], pts[:, 1], quadrant)
-        x[idx] = m.edge_lengths[e] * float(rule.weights @ (u @ m.edge_normals[e]))
+    # Flux of the region-1 side: interface edges take their region-1
+    # neighbour's quadrant, every other edge its first triangle's.
+    owner = m.edge_tris[:, 0].copy()
+    owner[m.interface_edges] = m.interface_tri1
+    edges = layout.u1_edges
+    pts = _edge_points(m, edges, LINE_RULE)
+    u = case.u(pts[..., 0], pts[..., 1], m.tri_quadrant[owner[edges]][:, None])
+    un = np.einsum("eqd,ed->eq", u, m.edge_normals[edges])
+    x[:layout.n_u1] = m.edge_lengths[edges] * (un @ LINE_RULE.weights)
 
-    pin = layout.pinned_vertex
-    px, py = m.vertices[pin]
-    pin_value = float(case.potential_at(px, py, _omega2_quadrant_of_vertex(px, py)))
-    for v in layout.p2_vertices:
-        vx, vy = m.vertices[v]
-        quadrant = _omega2_quadrant_of_vertex(vx, vy)
-        x[layout.offset_p2 + layout.vert_to_p2[v]] = float(case.p(vx, vy, quadrant))
-        if v != pin:
-            x[layout.offset_phi + layout.vert_to_phi[v]] = (
-                float(case.potential_at(vx, vy, quadrant)) - pin_value
-            )
+    vx, vy = m.vertices[layout.p2_vertices].T
+    quadrant = _omega2_quadrants(vx, vy)
+    x[layout.offset_p2:layout.offset_phi] = case.p(vx, vy, quadrant)
+    potential = case.potential_at(vx, vy, quadrant)
+    free = layout.p2_vertices != layout.pinned_vertex
+    x[layout.offset_phi:layout.offset_p1] = (
+        potential[free] - potential[layout.vert_to_p2[layout.pinned_vertex]]
+    )
 
     # cell means of the exact pressure (its L2 projection onto constants)
     tris1 = layout.p1_triangles

@@ -48,6 +48,7 @@ BLOCK_RULE = triangle_rule(2)
 TRACE_RULE = segment_rule(2)
 LOAD_RULE = triangle_rule(10)
 LINE_RULE = segment_rule(11)  # 6-point Gauss
+_LINE_HAT = np.column_stack([1.0 - LINE_RULE.points, LINE_RULE.points])
 
 
 class AdmissibilityError(ValueError):
@@ -82,14 +83,11 @@ class CoefficientSet:
             a_vals = self.a(pts[sel, :, 0], pts[sel, :, 1], region)
             if np.any(~np.isfinite(a_vals)) or np.any(a_vals <= 0.0):
                 raise AdmissibilityError("flow resistance a must be positive and finite")
-        total = 0.0
-        for e in m.interface_edges:
-            seg = m.vertices[m.edges[e]]
-            x = seg[0] + np.outer(LINE_RULE.points, seg[1] - seg[0])
-            b_vals = np.asarray(self.beta(x[:, 0], x[:, 1]), dtype=float)
-            if np.any(~np.isfinite(b_vals)) or np.any(b_vals < 0.0):
-                raise AdmissibilityError("interface storage beta must be nonnegative and finite")
-            total += m.edge_lengths[e] * float(LINE_RULE.weights @ b_vals)
+        x, _ = _interface_quadrature(m, LINE_RULE)
+        b_vals = np.asarray(self.beta(x[..., 0], x[..., 1]), dtype=float)
+        if np.any(~np.isfinite(b_vals)) or np.any(b_vals < 0.0):
+            raise AdmissibilityError("interface storage beta must be nonnegative and finite")
+        total = float(m.edge_lengths[m.interface_edges] @ (b_vals @ LINE_RULE.weights))
         if total <= 0.0:
             raise AdmissibilityError("interface storage beta must have a positive line integral")
 
@@ -176,12 +174,21 @@ def p1_stiffness_omega2(
     return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(nrows, ncols)).tocsr()
 
 
-def _interface_geometry(m, pos):
-    e = m.interface_edges[pos]
-    seg = m.vertices[m.edges[e]]
-    length = m.edge_lengths[e]
-    orient = float(np.dot(m.edge_normals[e], m.interface_normals[pos]))
-    return e, seg, length, (1.0 if orient > 0 else -1.0)
+def _edge_points(m: BipartiteMesh, edges, rule) -> np.ndarray:
+    """(n, q, 2) points of a segment ``rule`` on ``edges``, low to high vertex."""
+    seg = m.vertices[m.edges[edges]]
+    return seg[:, None, 0, :] + rule.points[None, :, None] * (seg[:, 1] - seg[:, 0])[:, None, :]
+
+
+def _interface_quadrature(m: BipartiteMesh, rule):
+    """Points of a segment ``rule`` on every interface edge and the edge orientations.
+
+    Returns ``(x, s)``: ``x`` has shape (ni, q, 2); ``s[i]`` is +1 where the
+    global edge normal agrees with the region-1 outer normal and -1 where it
+    is opposite.
+    """
+    orient = np.einsum("id,id->i", m.edge_normals[m.interface_edges], m.interface_normals)
+    return _edge_points(m, m.interface_edges, rule), np.where(orient > 0, 1.0, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -197,32 +204,23 @@ def assemble_A(
     n_u1, n_p2 = layout.n_u1, layout.n_p2
     m_a = rt0_mass(m, layout, coeffs.a)
 
-    rows, cols, vals = [], [], []
-    s_rows, s_cols, s_vals = [], [], []
+    e = m.interface_edges
+    p2 = layout.vert_to_p2[m.edges[e]]                       # (ni, 2)
+    x, s_e = _interface_quadrature(m, TRACE_RULE)
+    b_vals = np.asarray(coeffs.beta(x[..., 0], x[..., 1]), dtype=float)
     hat = np.column_stack([1.0 - TRACE_RULE.points, TRACE_RULE.points])
-    line_hat = np.column_stack([1.0 - LINE_RULE.points, LINE_RULE.points])
-    for pos in range(len(m.interface_edges)):
-        e, seg, length, s_e = _interface_geometry(m, pos)
-        p2 = layout.vert_to_p2[m.edges[e]]
-        x = seg[0] + np.outer(TRACE_RULE.points, seg[1] - seg[0])
-        b_vals = np.asarray(coeffs.beta(x[:, 0], x[:, 1]), dtype=float)
-        local = length * np.einsum("q,q,qi,qj->ij", TRACE_RULE.weights, b_vals, hat, hat)
-        for i in range(2):
-            for j in range(2):
-                rows.append(p2[i])
-                cols.append(p2[j])
-                vals.append(local[i, j])
-        # Normal trace of the edge's own flux basis is s_e / length, so the
-        # coupling entries are +-1/2 independent of the mesh size.
-        r = layout.edge_to_u1[e]
-        couple = s_e * (LINE_RULE.weights @ line_hat)
-        for j in range(2):
-            s_rows.append(r)
-            s_cols.append(p2[j])
-            s_vals.append(couple[j])
+    local = m.edge_lengths[e][:, None, None] * np.einsum(
+        "q,eq,qi,qj->eij", TRACE_RULE.weights, b_vals, hat, hat
+    )
+    rows = np.repeat(p2, 2, axis=1).ravel()
+    cols = np.tile(p2, (1, 2)).ravel()
+    # Normal trace of the edge's own flux basis is s_e / length, so the
+    # coupling entries are +-1/2 independent of the mesh size.
+    couple = s_e[:, None] * (LINE_RULE.weights @ _LINE_HAT)
+    s_rows = np.repeat(layout.edge_to_u1[e], 2)
 
-    m_beta = sp.coo_matrix((vals, (rows, cols)), shape=(n_p2, n_p2))
-    s = sp.coo_matrix((s_vals, (s_rows, s_cols)), shape=(n_u1, n_p2))
+    m_beta = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n_p2, n_p2))
+    s = sp.coo_matrix((couple.ravel(), (s_rows, p2.ravel())), shape=(n_u1, n_p2))
     return sp.bmat([[m_a, s], [-s.T, m_beta]], format="csr")
 
 
@@ -297,15 +295,13 @@ def assemble_rhs(m: BipartiteMesh, layout: DofLayout, case) -> tuple[np.ndarray,
         keep = rows >= 0
         np.add.at(f2, rows[keep], vals[keep])
 
-    line_hat = np.column_stack([1.0 - LINE_RULE.points, LINE_RULE.points])
-    for pos in range(len(m.interface_edges)):
-        e, seg, length, s_e = _interface_geometry(m, pos)
-        x = seg[0] + np.outer(LINE_RULE.points, seg[1] - seg[0])
-        stress = np.asarray(case.f_stress(x[:, 0], x[:, 1]), dtype=float)
-        flux = np.asarray(case.f_n(x[:, 0], x[:, 1]), dtype=float)
-        f1[layout.edge_to_u1[e]] += s_e * float(LINE_RULE.weights @ stress)
-        p2 = layout.vert_to_p2[m.edges[e]]
-        f1[layout.offset_p2 + p2] -= length * (LINE_RULE.weights * flux) @ line_hat
+    e = m.interface_edges
+    x, s_e = _interface_quadrature(m, LINE_RULE)
+    stress = np.asarray(case.f_stress(x[..., 0], x[..., 1]), dtype=float)
+    flux = np.asarray(case.f_n(x[..., 0], x[..., 1]), dtype=float)
+    f1[layout.edge_to_u1[e]] += s_e * (stress @ LINE_RULE.weights)
+    load = (m.edge_lengths[e][:, None] * (LINE_RULE.weights * flux)) @ _LINE_HAT
+    np.subtract.at(f1, layout.offset_p2 + layout.vert_to_p2[m.edges[e]].ravel(), load.ravel())
 
     return f1, f2
 

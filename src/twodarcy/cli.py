@@ -8,6 +8,8 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import analysis, manufactured
 from ._vtk import write_unstructured_grid
 from .assembly import assemble_system
@@ -58,26 +60,19 @@ class RunConfig:
 
 
 def _dump_fields(fields_dir, level, m, layout, sol):
-    tris1 = layout.p1_triangles
-    used = sorted(set(m.triangles[tris1].ravel().tolist()))
-    remap = {v: i for i, v in enumerate(used)}
-    cells1 = [[remap[v] for v in tri] for tri in m.triangles[tris1]]
+    used, cells1 = np.unique(m.triangles[layout.p1_triangles].ravel(), return_inverse=True)
     write_unstructured_grid(
         os.path.join(fields_dir, f"region1_{level}.vtk"),
         m.vertices[used],
-        cells1,
+        cells1.reshape(-1, 3),
         title=f"region 1 fields, level {level}",
         cell_scalars={"p1": sol.p1},
         cell_vectors={"u1": analysis.u1_cell_values(sol, m)},
     )
-    tris2 = layout.u2_triangles
-    used2 = [int(v) for v in layout.p2_vertices]
-    remap2 = {v: i for i, v in enumerate(used2)}
-    cells2 = [[remap2[v] for v in tri] for tri in m.triangles[tris2]]
     write_unstructured_grid(
         os.path.join(fields_dir, f"region2_{level}.vtk"),
-        m.vertices[used2],
-        cells2,
+        m.vertices[layout.p2_vertices],
+        layout.vert_to_p2[m.triangles[layout.u2_triangles]],
         title=f"region 2 fields, level {level}",
         point_scalars={"p2": sol.p2},
         cell_vectors={"u2": sol.u2},

@@ -113,31 +113,32 @@ class BipartiteMesh:
 
 
 def _connectivity(triangles: np.ndarray):
-    """Edge table, edge->triangle adjacency and triangle->edge map."""
+    """Edge table, edge->triangle adjacency and triangle->edge map.
+
+    Edges are numbered in order of first appearance over the local edges
+    (t, 0), (t, 1), (t, 2), t = 0, 1, ...; column 0 of ``edge_tris`` is the
+    first triangle that sees the edge.
+    """
     nt = len(triangles)
-    edge_ids: dict[tuple[int, int], int] = {}
-    edges: list[tuple[int, int]] = []
-    edge_tris: list[list[int]] = []
-    tri_edges = np.empty((nt, 3), dtype=np.int64)
-    for t in range(nt):
-        v = triangles[t]
-        for i in range(3):
-            a, b = int(v[(i + 1) % 3]), int(v[(i + 2) % 3])
-            key = (a, b) if a < b else (b, a)
-            e = edge_ids.get(key)
-            if e is None:
-                e = len(edges)
-                edge_ids[key] = e
-                edges.append(key)
-                edge_tris.append([t, -1])
-            else:
-                edge_tris[e][1] = t
-            tri_edges[t, i] = e
-    return (
-        np.asarray(edges, dtype=np.int64),
-        np.asarray(edge_tris, dtype=np.int64),
-        tri_edges,
-    )
+    a = triangles[:, [1, 2, 0]].ravel()
+    b = triangles[:, [2, 0, 1]].ravel()
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    keys = lo * (int(triangles.max()) + 1) + hi
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    local_edge = rank[inverse]
+    first = first[order]
+
+    edges = np.column_stack([lo[first], hi[first]])
+    edge_tris = np.full((len(first), 2), -1, dtype=np.int64)
+    edge_tris[:, 0] = first // 3
+    repeat = np.ones(3 * nt, dtype=bool)
+    repeat[first] = False
+    edge_tris[local_edge[repeat], 1] = np.flatnonzero(repeat) // 3
+    return edges.astype(np.int64, copy=False), edge_tris, local_edge.reshape(nt, 3)
 
 
 def _finish_mesh(level_inv, vertices, triangles, tri_region, tri_quadrant):
@@ -263,16 +264,17 @@ def validate_consistency(m: BipartiteMesh, tol: float = 1e-12) -> ConsistencyRep
     pts = np.einsum("si,tid->tsd", _SAMPLES, m.vertices[m.triangles])
     prod = pts[:, :, 0] * pts[:, :, 1]
     region = np.where(prod > tol, 1, np.where(prod < -tol, 2, 0))  # 0: on the cross
-    violations = []
-    for t in range(m.n_triangles):
-        r = region[t][region[t] != 0]
-        if r.size == 0:
-            violations.append((t, "degenerate sampling on the interface"))
-            continue
-        if np.any(r != r[0]):
-            violations.append((t, "straddles the interface"))
-        elif r[0] != m.tri_region[t]:
-            violations.append((t, "region tag mismatch"))
+    on_side = region != 0
+    degenerate = ~on_side.any(axis=1)
+    first = region[np.arange(len(region)), on_side.argmax(axis=1)]
+    straddles = (on_side & (region != first[:, None])).any(axis=1)
+    reason = np.select(  # the first condition that holds names the violation
+        [degenerate, straddles, first != m.tri_region],
+        ["degenerate sampling on the interface", "straddles the interface", "region tag mismatch"],
+        "",
+    )
+    bad = np.flatnonzero(reason != "")
+    violations = list(zip(bad.tolist(), reason[bad].tolist()))
     return ConsistencyReport(ok=not violations, violations=violations)
 
 

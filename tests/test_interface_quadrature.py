@@ -1,0 +1,217 @@
+"""Batched interface quadrature against per-edge reference loops.
+
+The reference loops below integrate the interface terms one edge at a
+time, the way the assembly did before it was batched.  They live here
+only, as an oracle for the array code in ``assemble_A``, ``assemble_rhs``,
+``interface_flux_residuals`` and ``CoefficientSet.validate``.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from twodarcy.analysis import interface_flux_residuals
+from twodarcy.assembly import (
+    LINE_RULE,
+    TRACE_RULE,
+    AdmissibilityError,
+    CoefficientSet,
+    _interface_quadrature,
+    assemble_A,
+    assemble_rhs,
+    assemble_system,
+    rt0_mass,
+)
+from twodarcy.manufactured import example1, example2, example3, example4
+from twodarcy.mesh import build_cartesian_mesh
+from twodarcy.solver import solve
+from twodarcy.spaces import build_dof_layout
+
+CASES = [
+    example1(),
+    example2("derived"),
+    example2("paper_literal"),
+    example3("derived"),
+    example3("paper_literal"),
+    example4("derived"),
+    example4("constant_projection"),
+]
+CASE_IDS = [f"{c.name}-{c.interface_mode}" for c in CASES]
+RTOL = 1e-13
+
+
+def _edge_geometry(m, pos):
+    e = m.interface_edges[pos]
+    seg = m.vertices[m.edges[e]]
+    orient = float(np.dot(m.edge_normals[e], m.interface_normals[pos]))
+    return e, seg, m.edge_lengths[e], (1.0 if orient > 0 else -1.0)
+
+
+def _segment_points(seg, rule):
+    return seg[0] + np.outer(rule.points, seg[1] - seg[0])
+
+
+def reference_A(m, layout, coeffs):
+    rows, cols, vals = [], [], []
+    s_rows, s_cols, s_vals = [], [], []
+    hat = np.column_stack([1.0 - TRACE_RULE.points, TRACE_RULE.points])
+    line_hat = np.column_stack([1.0 - LINE_RULE.points, LINE_RULE.points])
+    for pos in range(len(m.interface_edges)):
+        e, seg, length, s_e = _edge_geometry(m, pos)
+        p2 = layout.vert_to_p2[m.edges[e]]
+        x = _segment_points(seg, TRACE_RULE)
+        b_vals = np.asarray(coeffs.beta(x[:, 0], x[:, 1]), dtype=float)
+        local = length * np.einsum("q,q,qi,qj->ij", TRACE_RULE.weights, b_vals, hat, hat)
+        for i in range(2):
+            for j in range(2):
+                rows.append(p2[i])
+                cols.append(p2[j])
+                vals.append(local[i, j])
+        couple = s_e * (LINE_RULE.weights @ line_hat)
+        for j in range(2):
+            s_rows.append(layout.edge_to_u1[e])
+            s_cols.append(p2[j])
+            s_vals.append(couple[j])
+    m_beta = sp.coo_matrix((vals, (rows, cols)), shape=(layout.n_p2, layout.n_p2))
+    s = sp.coo_matrix((s_vals, (s_rows, s_cols)), shape=(layout.n_u1, layout.n_p2))
+    m_a = rt0_mass(m, layout, coeffs.a)
+    return sp.bmat([[m_a, s], [-s.T, m_beta]], format="csr")
+
+
+def reference_rhs(m, layout, case):
+    def zero(x, y):
+        return np.zeros_like(np.asarray(x, dtype=float))
+
+    f1, f2 = assemble_rhs(m, layout, dataclasses.replace(case, f_stress=zero, f_n=zero))
+    line_hat = np.column_stack([1.0 - LINE_RULE.points, LINE_RULE.points])
+    for pos in range(len(m.interface_edges)):
+        e, seg, length, s_e = _edge_geometry(m, pos)
+        x = _segment_points(seg, LINE_RULE)
+        stress = np.asarray(case.f_stress(x[:, 0], x[:, 1]), dtype=float)
+        flux = np.asarray(case.f_n(x[:, 0], x[:, 1]), dtype=float)
+        f1[layout.edge_to_u1[e]] += s_e * float(LINE_RULE.weights @ stress)
+        p2 = layout.vert_to_p2[m.edges[e]]
+        f1[layout.offset_p2 + p2] -= length * (LINE_RULE.weights * flux) @ line_hat
+    return f1, f2
+
+
+def reference_flux_residuals(sol, case, m):
+    layout = sol.layout
+    hat = np.column_stack([1.0 - LINE_RULE.points, LINE_RULE.points])
+    out = np.empty(len(m.interface_edges))
+    for pos in range(len(m.interface_edges)):
+        e, seg, length, s_e = _edge_geometry(m, pos)
+        n = m.interface_normals[pos]
+        u1n = s_e * sol.u1[layout.edge_to_u1[e]] / length
+        u2n = float(sol.u2[layout.tri_to_u2[m.interface_tri2[pos]]] @ n)
+        p2h = hat @ sol.p2[layout.vert_to_p2[m.edges[e]]]
+        x = _segment_points(seg, LINE_RULE)
+        f_n = np.asarray(case.f_n(x[:, 0], x[:, 1]), dtype=float)
+        defect = u1n - u2n - case.beta * p2h - f_n
+        out[pos] = length * float(LINE_RULE.weights @ defect)
+    return out
+
+
+def _assert_close(got, expected, scale):
+    assert np.abs(got - expected).max() <= RTOL * scale
+
+
+@pytest.mark.parametrize("level", [1, 4])
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+def test_assemble_A_matches_per_edge_loop(case, level):
+    m = build_cartesian_mesh(level)
+    layout = build_dof_layout(m)
+    coeffs = dataclasses.replace(case, beta=0.5 + case.a2).coefficient_set()
+    got = assemble_A(m, layout, coeffs)
+    expected = reference_A(m, layout, coeffs)
+    assert abs(got - expected).max() <= RTOL * abs(expected).max()
+
+
+def test_assemble_A_matches_per_edge_loop_with_varying_beta():
+    m = build_cartesian_mesh(4)
+    layout = build_dof_layout(m)
+    coeffs = CoefficientSet(
+        a=CoefficientSet.region_constants(1.0, 3.0).a,
+        beta=lambda x, y: 1.0 + x**2 + 0.5 * np.sin(3.0 * y),
+    )
+    got = assemble_A(m, layout, coeffs)
+    expected = reference_A(m, layout, coeffs)
+    assert abs(got - expected).max() <= RTOL * abs(expected).max()
+
+
+@pytest.mark.parametrize("level", [1, 4])
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+def test_assemble_rhs_matches_per_edge_loop(case, level):
+    m = build_cartesian_mesh(level)
+    layout = build_dof_layout(m)
+    f1, f2 = assemble_rhs(m, layout, case)
+    r1, r2 = reference_rhs(m, layout, case)
+    _assert_close(f1, r1, np.abs(r1).max())
+    np.testing.assert_array_equal(f2, r2)
+
+
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+def test_interface_flux_residuals_match_per_edge_loop(case):
+    m = build_cartesian_mesh(4)
+    layout = build_dof_layout(m)
+    sol = solve(assemble_system(m, layout, case))
+    got = interface_flux_residuals(sol, case, m)
+    expected = reference_flux_residuals(sol, case, m)
+    assert got.shape == expected.shape == (len(m.interface_edges),)
+    # the defect cancels O(1) terms, so scale by the size of those terms
+    scale = m.h * max(np.abs(sol.u1).max() / m.h, np.abs(sol.u2).max(), np.abs(sol.p2).max(), 1.0)
+    _assert_close(got, expected, scale)
+
+
+def test_interface_quadrature_orientation_matches_edge_normals():
+    m = build_cartesian_mesh(3)
+    x, s = _interface_quadrature(m, LINE_RULE)
+    assert x.shape == (len(m.interface_edges), len(LINE_RULE.points), 2)
+    for pos in range(len(m.interface_edges)):
+        e, seg, _, s_e = _edge_geometry(m, pos)
+        np.testing.assert_array_equal(x[pos], _segment_points(seg, LINE_RULE))
+        assert s[pos] == s_e
+
+
+def _beta_with_one_bad_edge(bad):
+    """Unit storage except on the interface edge (0.25, 0)-(0.5, 0)."""
+
+    def beta(x, y):
+        on_edge = (x > 0.25) & (x < 0.5) & (np.abs(y) < 1e-12)
+        return np.where(on_edge, bad, 1.0)
+
+    return beta
+
+
+def _beta_with_one_nan_point(m):
+    x, _ = _interface_quadrature(m, LINE_RULE)
+    target = x[0, 2]
+
+    def beta(px, py):
+        hit = (np.abs(px - target[0]) < 1e-14) & (np.abs(py - target[1]) < 1e-14)
+        return np.where(hit, np.nan, 1.0)
+
+    return beta
+
+
+def test_validate_rejects_beta_negative_on_one_edge():
+    m = build_cartesian_mesh(4)
+    beta = _beta_with_one_bad_edge(-1.0)
+    x, _ = _interface_quadrature(m, LINE_RULE)
+    negative = (beta(x[..., 0], x[..., 1]) < 0).any(axis=1)
+    assert negative.sum() == 1
+    coeffs = CoefficientSet(a=CoefficientSet.region_constants(1.0, 1.0).a, beta=beta)
+    with pytest.raises(AdmissibilityError, match="nonnegative"):
+        coeffs.validate(m)
+
+
+def test_validate_rejects_beta_nan_at_one_point():
+    m = build_cartesian_mesh(4)
+    beta = _beta_with_one_nan_point(m)
+    x, _ = _interface_quadrature(m, LINE_RULE)
+    assert np.isnan(beta(x[..., 0], x[..., 1])).sum() == 1
+    coeffs = CoefficientSet(a=CoefficientSet.region_constants(1.0, 1.0).a, beta=beta)
+    with pytest.raises(AdmissibilityError, match="finite"):
+        coeffs.validate(m)

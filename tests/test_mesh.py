@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from twodarcy.mesh import (
+    _SAMPLES,
     EdgeKind,
+    _connectivity,
     build_cartesian_mesh,
     refine,
     validate_consistency,
@@ -174,3 +176,94 @@ def test_mesh_vtk_dump(tmp_path):
     assert f"CELLS {m.n_triangles} {4 * m.n_triangles}" in text
     assert text.count("\n5\n") >= 1  # triangle cell type
     assert "SCALARS region double 1" in text
+
+
+def dict_loop_connectivity(triangles):
+    """Reference edge numbering: a dict over sorted vertex pairs, by first appearance."""
+    nt = len(triangles)
+    edge_ids = {}
+    edges = []
+    edge_tris = []
+    tri_edges = np.empty((nt, 3), dtype=np.int64)
+    for t in range(nt):
+        v = triangles[t]
+        for i in range(3):
+            a, b = int(v[(i + 1) % 3]), int(v[(i + 2) % 3])
+            key = (a, b) if a < b else (b, a)
+            e = edge_ids.get(key)
+            if e is None:
+                e = len(edges)
+                edge_ids[key] = e
+                edges.append(key)
+                edge_tris.append([t, -1])
+            else:
+                edge_tris[e][1] = t
+            tri_edges[t, i] = e
+    return (
+        np.asarray(edges, dtype=np.int64),
+        np.asarray(edge_tris, dtype=np.int64),
+        tri_edges,
+    )
+
+
+def _assert_same_connectivity(triangles):
+    got = _connectivity(triangles)
+    expected = dict_loop_connectivity(triangles)
+    for name, g, e in zip(("edges", "edge_tris", "tri_edges"), got, expected):
+        assert g.dtype == e.dtype, name
+        np.testing.assert_array_equal(g, e, err_msg=name)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 8])
+def test_connectivity_matches_dict_loop(level):
+    _assert_same_connectivity(build_cartesian_mesh(level).triangles)
+
+
+def test_connectivity_matches_dict_loop_on_permuted_triangles():
+    triangles = build_cartesian_mesh(3).triangles
+    rng = np.random.default_rng(20170)
+    shuffled = triangles[rng.permutation(len(triangles))]
+    rotated = np.roll(shuffled, rng.integers(1, 3), axis=1)
+    _assert_same_connectivity(shuffled)
+    _assert_same_connectivity(rotated)
+
+
+def per_triangle_violations(m, tol=1e-12):
+    """Reference consistency check, one triangle at a time."""
+    pts = np.einsum("si,tid->tsd", _SAMPLES, m.vertices[m.triangles])
+    prod = pts[:, :, 0] * pts[:, :, 1]
+    region = np.where(prod > tol, 1, np.where(prod < -tol, 2, 0))
+    violations = []
+    for t in range(m.n_triangles):
+        r = region[t][region[t] != 0]
+        if r.size == 0:
+            violations.append((t, "degenerate sampling on the interface"))
+            continue
+        if np.any(r != r[0]):
+            violations.append((t, "straddles the interface"))
+        elif r[0] != m.tri_region[t]:
+            violations.append((t, "region tag mismatch"))
+    return violations
+
+
+def test_validate_matches_per_triangle_loop():
+    m = build_cartesian_mesh(4)
+    region = m.tri_region.copy()
+    region[[5, 40, 77]] = 3 - region[[5, 40, 77]]
+    cases = [
+        dataclasses.replace(m, tri_region=region),
+        dataclasses.replace(m, vertices=m.vertices + [m.h / 2, 0.0]),
+        dataclasses.replace(m, vertices=m.vertices + [m.h / 3, -m.h / 5]),
+        # collapse every vertex onto the x-axis: all samples lie on the cross
+        dataclasses.replace(m, vertices=m.vertices * [1.0, 0.0]),
+    ]
+    for bad in cases:
+        report = validate_consistency(bad)
+        expected = per_triangle_violations(bad)
+        assert report.violations == expected
+        assert report.ok == (not expected)
+        assert all(type(t) is int for t, _ in report.violations)
+    reasons = {r for bad in cases for _, r in validate_consistency(bad).violations}
+    assert reasons == {
+        "degenerate sampling on the interface", "straddles the interface", "region tag mismatch",
+    }
