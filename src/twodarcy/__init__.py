@@ -36,7 +36,6 @@ from .mesh import (
     BipartiteMesh,
     EdgeKind,
     build_cartesian_mesh,
-    refine,
     validate_consistency,
     write_mesh_vtk,
 )

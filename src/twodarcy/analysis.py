@@ -27,12 +27,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import LINE_RULE, _LINE_HAT, _edge_points, _interface_quadrature, assemble_system
+from .assembly import (
+    LINE_RULE, _LINE_HAT, _edge_points, _interface_quadrature, _region_points, assemble_system,
+)
 from .manufactured import ManufacturedCase, quadrants_of
 from .mesh import BipartiteMesh, build_cartesian_mesh
 from .quadrature import segment_rule, triangle_rule
-from .solver import SolutionFields, solve, x_norm_gram, y_norm_gram
-from .spaces import DofLayout, build_dof_layout, hat_gradients
+from .solver import SolutionFields, SolverError, solve, x_norm_gram, y_norm_gram
+from .spaces import DofLayout, build_dof_layout
 
 __all__ = [
     "COLUMNS",
@@ -108,13 +110,9 @@ def u1_cell_values(sol: SolutionFields, m: BipartiteMesh) -> np.ndarray:
     """Flux field evaluated at the region-1 triangle centroids."""
     layout = sol.layout
     tris = layout.p1_triangles
-    coords = m.vertices[m.triangles[tris]]
-    areas = m.areas[tris]
     svec = _rt0_coefficients(sol, m, layout)
-    centroid = coords.mean(axis=1)
-    stot = svec.sum(axis=1)
-    sp_ = np.einsum("ti,tid->td", svec, coords)
-    return (stot[:, None] * centroid - sp_) / (2.0 * areas[:, None])
+    sp_ = np.einsum("ti,tid->td", svec, m.vertices[m.triangles[tris]])
+    return (svec.sum(axis=1)[:, None] * m.centroids[tris] - sp_) / (2.0 * m.areas[tris][:, None])
 
 
 # Lower-left corners of the unit quadrants Q1..Q4.
@@ -171,16 +169,11 @@ def error_norms(sol: SolutionFields, case: ManufacturedCase, m: BipartiteMesh,
 
     # Region 1: cell pressure, flux and its divergence at centroids.
     tris = layout.p1_triangles
-    coords = m.vertices[m.triangles[tris]]
     areas = m.areas[tris]
     c1 = m.centroids[tris]
-    qc1 = quadrants_of(c1[:, 0], c1[:, 1])
-
-    svec = _rt0_coefficients(sol, m, layout)
-    stot = svec.sum(axis=1)
-    sp_ = np.einsum("ti,tid->td", svec, coords)
-    u1h_c = (stot[:, None] * c1 - sp_) / (2.0 * areas[:, None])
-    div_h = stot / areas
+    qc1 = m.tri_quadrant[tris]
+    u1h_c = u1_cell_values(sol, m)
+    div_h = _rt0_coefficients(sol, m, layout).sum(axis=1) / areas
 
     e_p1 = math.sqrt(float(areas @ (sol.p1 - case.p(c1[:, 0], c1[:, 1], qc1)) ** 2))
     e_u1 = math.sqrt(float(
@@ -192,11 +185,11 @@ def error_norms(sol: SolutionFields, case: ManufacturedCase, m: BipartiteMesh,
     tris2 = layout.u2_triangles
     areas2 = m.areas[tris2]
     c2 = m.centroids[tris2]
-    qc2 = quadrants_of(c2[:, 0], c2[:, 1])
+    qc2 = m.tri_quadrant[tris2]
 
     nodal = sol.p2[layout.vert_to_p2[m.triangles[tris2]]]
     p2h_c = nodal.mean(axis=1)
-    grads = hat_gradients(m)[tris2]
+    grads = m.hat_gradients[tris2]
     g2h = np.einsum("ti,tid->td", nodal, grads)
 
     e_p2 = math.sqrt(float(areas2 @ (p2h_c - case.p(c2[:, 0], c2[:, 1], qc2)) ** 2))
@@ -258,7 +251,11 @@ def convergence_study(case: ManufacturedCase, levels, degree: int = 10,
         m = build_cartesian_mesh(k)
         layout = build_dof_layout(m)
         system = assemble_system(m, layout, case)
-        sol = solve(system)
+        try:
+            sol = solve(system)
+        except SolverError as err:
+            err.level = k
+            raise
         reports.append(error_norms(sol, case, m, degree=degree))
         if on_level is not None:
             on_level(k, m, layout, sol)
@@ -342,8 +339,8 @@ def interpolate_exact(case: ManufacturedCase, m: BipartiteMesh,
     # cell means of the exact pressure (its L2 projection onto constants)
     tris1 = layout.p1_triangles
     vol_rule = triangle_rule(10)
-    pts = np.einsum("qi,tid->tqd", vol_rule.points, m.vertices[m.triangles[tris1]])
-    q1 = quadrants_of(pts[..., 0], pts[..., 1])
+    pts = _region_points(m, tris1, vol_rule)
+    q1 = m.tri_quadrant[tris1][:, None]
     x[layout.offset_p1:] = 2.0 * (case.p(pts[..., 0], pts[..., 1], q1) @ vol_rule.weights)
     return x
 

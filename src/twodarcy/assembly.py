@@ -30,7 +30,7 @@ import scipy.sparse as sp
 
 from .mesh import BipartiteMesh
 from .quadrature import segment_rule, triangle_rule
-from .spaces import DofLayout, hat_gradients
+from .spaces import DofLayout, rt0_basis
 
 __all__ = [
     "AdmissibilityError",
@@ -77,10 +77,9 @@ class CoefficientSet:
         return CoefficientSet(a=a, beta=b)
 
     def validate(self, m: BipartiteMesh) -> None:
-        pts = np.einsum("qi,tid->tqd", BLOCK_RULE.points, m.vertices[m.triangles])
         for region in (1, 2):
-            sel = m.tri_region == region
-            a_vals = self.a(pts[sel, :, 0], pts[sel, :, 1], region)
+            pts = _region_points(m, np.flatnonzero(m.tri_region == region), BLOCK_RULE)
+            a_vals = self.a(pts[..., 0], pts[..., 1], region)
             if np.any(~np.isfinite(a_vals)) or np.any(a_vals <= 0.0):
                 raise AdmissibilityError("flow resistance a must be positive and finite")
         x, _ = _interface_quadrature(m, LINE_RULE)
@@ -97,27 +96,33 @@ class CoefficientSet:
 
 
 def _region_points(m, tris, rule):
-    coords = m.vertices[m.triangles[tris]]
-    return coords, np.einsum("qi,tid->tqd", rule.points, coords)
+    """(t, q, 2) points of a triangle ``rule`` on ``tris``."""
+    return np.einsum("qi,tid->tqd", rule.points, m.vertices[m.triangles[tris]])
+
+
+def _scatter(local, row_dofs, col_dofs, shape) -> sp.csr_matrix:
+    """Sum (t, r, c) local matrices on (t, r) row and (t, c) column dofs into a CSR matrix.
+
+    Entries on a -1 dof are dropped; duplicates are summed in local-entry order.
+    """
+    rows = np.repeat(row_dofs, col_dofs.shape[1], axis=1).ravel()
+    cols = np.tile(col_dofs, (1, row_dofs.shape[1])).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
 
 
 def rt0_mass(m: BipartiteMesh, layout: DofLayout, a: Callable | None = None) -> sp.csr_matrix:
     """a-weighted mass matrix of the flux basis over region 1."""
     tris = layout.p1_triangles
-    coords, pts = _region_points(m, tris, BLOCK_RULE)
+    pts = _region_points(m, tris, BLOCK_RULE)
     areas = m.areas[tris]
-    signs = m.tri_edge_signs[tris]
     aq = np.ones(pts.shape[:2]) if a is None else np.asarray(a(pts[..., 0], pts[..., 1], 1), dtype=float)
-    phi = (signs[:, :, None, None] / (2.0 * areas)[:, None, None, None]) * (
-        pts[:, None, :, :] - coords[:, :, None, :]
-    )
+    phi = rt0_basis(m, tris, pts)
     local = 2.0 * areas[:, None, None] * np.einsum(
         "q,tq,tiqd,tjqd->tij", BLOCK_RULE.weights, aq, phi, phi
     )
     dofs = layout.edge_to_u1[m.tri_edges[tris]]
-    rows = np.repeat(dofs, 3, axis=1).ravel()
-    cols = np.tile(dofs, (1, 3)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(layout.n_u1, layout.n_u1)).tocsr()
+    return _scatter(local, dofs, dofs, (layout.n_u1, layout.n_u1))
 
 
 def rt0_divdiv(m: BipartiteMesh, layout: DofLayout) -> sp.csr_matrix:
@@ -126,9 +131,7 @@ def rt0_divdiv(m: BipartiteMesh, layout: DofLayout) -> sp.csr_matrix:
     signs = m.tri_edge_signs[tris].astype(float)
     local = np.einsum("ti,tj->tij", signs, signs) / m.areas[tris][:, None, None]
     dofs = layout.edge_to_u1[m.tri_edges[tris]]
-    rows = np.repeat(dofs, 3, axis=1).ravel()
-    cols = np.tile(dofs, (1, 3)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(layout.n_u1, layout.n_u1)).tocsr()
+    return _scatter(local, dofs, dofs, (layout.n_u1, layout.n_u1))
 
 
 _P1_MASS_REF = (np.full((3, 3), 1.0) + np.eye(3)) / 12.0
@@ -139,9 +142,7 @@ def p1_mass_omega2(m: BipartiteMesh, layout: DofLayout) -> sp.csr_matrix:
     tris = layout.u2_triangles
     local = m.areas[tris][:, None, None] * _P1_MASS_REF[None, :, :]
     dofs = layout.vert_to_p2[m.triangles[tris]]
-    rows = np.repeat(dofs, 3, axis=1).ravel()
-    cols = np.tile(dofs, (1, 3)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(layout.n_p2, layout.n_p2)).tocsr()
+    return _scatter(local, dofs, dofs, (layout.n_p2, layout.n_p2))
 
 
 def p1_stiffness_omega2(
@@ -154,24 +155,20 @@ def p1_stiffness_omega2(
     """(a-weighted) nodal stiffness over region 2, optionally on potential dofs."""
     tris = layout.u2_triangles
     areas = m.areas[tris]
-    grads = hat_gradients(m)[tris]
+    grads = m.hat_gradients[tris]
     if a is None:
         weight = areas
     else:
-        _, pts = _region_points(m, tris, BLOCK_RULE)
+        pts = _region_points(m, tris, BLOCK_RULE)
         aq = np.asarray(a(pts[..., 0], pts[..., 1], 2), dtype=float)
         weight = 2.0 * areas * (aq @ BLOCK_RULE.weights)
     local = weight[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
     verts = m.triangles[tris]
     rmap = layout.vert_to_phi if rows_phi else layout.vert_to_p2
     cmap = layout.vert_to_phi if cols_phi else layout.vert_to_p2
-    rows = np.repeat(rmap[verts], 3, axis=1).ravel()
-    cols = np.tile(cmap[verts], (1, 3)).ravel()
-    vals = local.ravel()
-    keep = (rows >= 0) & (cols >= 0)
     nrows = layout.n_phi if rows_phi else layout.n_p2
     ncols = layout.n_phi if cols_phi else layout.n_p2
-    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(nrows, ncols)).tocsr()
+    return _scatter(local, rmap[verts], cmap[verts], (nrows, ncols))
 
 
 def _edge_points(m: BipartiteMesh, edges, rule) -> np.ndarray:
@@ -212,15 +209,11 @@ def assemble_A(
     local = m.edge_lengths[e][:, None, None] * np.einsum(
         "q,eq,qi,qj->eij", TRACE_RULE.weights, b_vals, hat, hat
     )
-    rows = np.repeat(p2, 2, axis=1).ravel()
-    cols = np.tile(p2, (1, 2)).ravel()
+    m_beta = _scatter(local, p2, p2, (n_p2, n_p2))
     # Normal trace of the edge's own flux basis is s_e / length, so the
     # coupling entries are +-1/2 independent of the mesh size.
     couple = s_e[:, None] * (LINE_RULE.weights @ _LINE_HAT)
-    s_rows = np.repeat(layout.edge_to_u1[e], 2)
-
-    m_beta = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n_p2, n_p2))
-    s = sp.coo_matrix((couple.ravel(), (s_rows, p2.ravel())), shape=(n_u1, n_p2))
+    s = _scatter(couple[:, None, :], layout.edge_to_u1[e][:, None], p2, (n_u1, n_p2))
     return sp.bmat([[m_a, s], [-s.T, m_beta]], format="csr")
 
 
@@ -228,10 +221,12 @@ def assemble_B(m: BipartiteMesh, layout: DofLayout) -> sp.csr_matrix:
     """Divergence pairing with p1 and gradient pairing with the potential."""
     g = p1_stiffness_omega2(m, layout, rows_phi=True)        # (n_phi, n_p2)
     tris = layout.p1_triangles
-    dof_rows = np.repeat(layout.tri_to_p1[tris], 3)
-    dof_cols = layout.edge_to_u1[m.tri_edges[tris]].ravel()
-    vals = m.tri_edge_signs[tris].astype(float).ravel()      # integral of div = sign
-    d = sp.coo_matrix((vals, (dof_rows, dof_cols)), shape=(layout.n_p1, layout.n_u1))
+    d = _scatter(
+        m.tri_edge_signs[tris].astype(float)[:, None, :],    # integral of div = sign
+        layout.tri_to_p1[tris][:, None],
+        layout.edge_to_u1[m.tri_edges[tris]],
+        (layout.n_p1, layout.n_u1),
+    )
     return sp.bmat([[None, g], [d, None]], format="csr")
 
 
@@ -258,7 +253,7 @@ def assemble_rhs(m: BipartiteMesh, layout: DofLayout, case) -> tuple[np.ndarray,
     tris2 = layout.u2_triangles
     areas2 = m.areas[tris2]
     c2 = m.centroids[tris2]
-    f_vals = np.asarray(case.F_at(c2[:, 0], c2[:, 1]), dtype=float)
+    f_vals = np.asarray(case.F(c2[:, 0], c2[:, 1], m.tri_quadrant[tris2]), dtype=float)
     np.add.at(
         f1,
         layout.offset_p2 + layout.vert_to_p2[m.triangles[tris2]].ravel(),
@@ -270,24 +265,21 @@ def assemble_rhs(m: BipartiteMesh, layout: DofLayout, case) -> tuple[np.ndarray,
     areas1 = m.areas[tris1]
     c1 = m.centroids[tris1]
     f2[layout.n_phi + layout.tri_to_p1[tris1]] = areas1 * np.asarray(
-        case.F_at(c1[:, 0], c1[:, 1]), dtype=float
+        case.F(c1[:, 0], c1[:, 1], m.tri_quadrant[tris1]), dtype=float
     )
 
     if case.g is not None:
-        coords1, pts1 = _region_points(m, tris1, LOAD_RULE)
-        coords2, pts2 = _region_points(m, tris2, LOAD_RULE)
-        q1 = _quadrants_of(pts1)
-        g1 = case.g(pts1[..., 0], pts1[..., 1], q1)
-        signs = m.tri_edge_signs[tris1]
-        phi = (signs[:, :, None, None] / (2.0 * areas1)[:, None, None, None]) * (
-            pts1[:, None, :, :] - coords1[:, :, None, :]
-        )
+        # Load points lie strictly inside their triangle, so each takes its
+        # triangle's quadrant.
+        pts1 = _region_points(m, tris1, LOAD_RULE)
+        g1 = case.g(pts1[..., 0], pts1[..., 1], m.tri_quadrant[tris1][:, None])
+        phi = rt0_basis(m, tris1, pts1)
         vol = 2.0 * areas1[:, None] * np.einsum("q,tqd,tiqd->ti", LOAD_RULE.weights, g1, phi)
         np.add.at(f1, layout.edge_to_u1[m.tri_edges[tris1]].ravel(), -vol.ravel())
 
-        q2 = _quadrants_of(pts2)
-        g2 = case.g(pts2[..., 0], pts2[..., 1], q2)
-        grads = hat_gradients(m)[tris2]
+        pts2 = _region_points(m, tris2, LOAD_RULE)
+        g2 = case.g(pts2[..., 0], pts2[..., 1], m.tri_quadrant[tris2][:, None])
+        grads = m.hat_gradients[tris2]
         gmean = 2.0 * areas2[:, None] * np.einsum("q,tqd->td", LOAD_RULE.weights, g2)
         vol2 = np.einsum("td,tid->ti", gmean, grads)
         rows = layout.vert_to_phi[m.triangles[tris2]].ravel()
@@ -306,18 +298,12 @@ def assemble_rhs(m: BipartiteMesh, layout: DofLayout, case) -> tuple[np.ndarray,
     return f1, f2
 
 
-def _quadrants_of(pts):
-    x, y = pts[..., 0], pts[..., 1]
-    return np.where(y > 0, np.where(x > 0, 1, 2), np.where(x > 0, 4, 3))
-
-
 @dataclass
 class SaddleSystem:
     """Assembled sparse blocks, load vectors and the originating layout."""
 
     A: sp.csr_matrix
     B: sp.csr_matrix
-    Bt: sp.csr_matrix
     C: sp.csr_matrix
     F1: np.ndarray
     F2: np.ndarray
@@ -325,8 +311,13 @@ class SaddleSystem:
     layout: DofLayout
     diagnostics: dict = field(default_factory=dict)
 
+    @property
+    def Bt(self) -> sp.csc_matrix:
+        return self.B.T
+
     def matrix(self) -> sp.csr_matrix:
-        return sp.bmat([[self.A, -self.Bt], [self.B, self.C]], format="csr")
+        # All-CSR blocks take scipy's stacking fast path.
+        return sp.bmat([[self.A, -self.Bt.tocsr()], [self.B, self.C]], format="csr")
 
     def rhs(self) -> np.ndarray:
         return np.concatenate([self.F1, self.F2])
@@ -351,7 +342,7 @@ def assemble_system(m: BipartiteMesh, layout: DofLayout, case, check: bool = Tru
         "c_asymmetry": abs(c - c.T).max() if c.nnz else 0.0,
     }
     return SaddleSystem(
-        A=a, B=b, Bt=b.T.tocsr(), C=c, F1=f1, F2=f2, mesh=m, layout=layout,
+        A=a, B=b, C=c, F1=f1, F2=f2, mesh=m, layout=layout,
         diagnostics=diagnostics,
     )
 

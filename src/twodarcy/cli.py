@@ -118,17 +118,10 @@ def run(config: RunConfig) -> int:
     else:
         on_level = None
 
-    current = {"level": levels[0]}
-
-    def tracking(level, m, layout, sol):
-        current["level"] = level
-        if on_level:
-            on_level(level, m, layout, sol)
-
     try:
-        report = analysis.convergence_study(case, levels, on_level=tracking)
+        report = analysis.convergence_study(case, levels, on_level=on_level)
     except SolverError as err:
-        print(f"solver failure at level {current['level']}: {err}", file=sys.stderr)
+        print(f"solver failure at level {err.level}: {err}", file=sys.stderr)
         return 1
 
     _print_table(report)

@@ -107,16 +107,9 @@ class ManufacturedCase:
         """
         return -self.lap_p(x, y, q) / self.a_of_quadrant(q)
 
-    # Sign-based wrappers for interior quadrature points.
-
     def p_at(self, x, y):
+        """Pressure at strictly interior points, quadrant taken from the signs."""
         return self.p(x, y, quadrants_of(x, y))
-
-    def u_at(self, x, y):
-        return self.u(x, y, quadrants_of(x, y))
-
-    def F_at(self, x, y):
-        return self.F(x, y, quadrants_of(x, y))
 
 
 def _classify_interface(x, y, tol=1e-12):

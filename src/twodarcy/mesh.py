@@ -28,7 +28,6 @@ __all__ = [
     "BipartiteMesh",
     "ConsistencyReport",
     "build_cartesian_mesh",
-    "refine",
     "validate_consistency",
     "write_mesh_vtk",
 ]
@@ -92,6 +91,14 @@ class BipartiteMesh:
     @cached_property
     def centroids(self) -> np.ndarray:
         return self.vertices[self.triangles].mean(axis=1)
+
+    @cached_property
+    def hat_gradients(self) -> np.ndarray:
+        """(nt, 3, 2) constant gradients of the hat functions of every triangle."""
+        p = self.vertices[self.triangles]
+        d = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]
+        perp = np.stack([-d[..., 1], d[..., 0]], axis=-1)
+        return perp / (2.0 * self.areas)[:, None, None]
 
     @cached_property
     def edge_vectors(self) -> np.ndarray:
@@ -232,11 +239,6 @@ def build_cartesian_mesh(level_inv: int) -> BipartiteMesh:
     tri_region = np.where(np.isin(tri_quadrant, (1, 3)), 1, 2).astype(np.int8)
 
     return _finish_mesh(k, vertices, triangles, tri_region, tri_quadrant)
-
-
-def refine(m: BipartiteMesh) -> BipartiteMesh:
-    """Halve the mesh size; every child triangle lies inside its parent."""
-    return build_cartesian_mesh(2 * m.level_inv)
 
 
 @dataclass

@@ -32,7 +32,13 @@ RESIDUAL_TOL = 1e-10
 
 
 class SolverError(RuntimeError):
-    """Factorization failed or the solver residual is above tolerance."""
+    """Factorization failed or the solver residual is above tolerance.
+
+    ``level`` is the inverse mesh size of the failed solve when the error
+    comes out of a convergence study, otherwise None.
+    """
+
+    level: int | None = None
 
 
 @dataclass

@@ -27,11 +27,11 @@ from .mesh import BipartiteMesh, EdgeKind
 __all__ = [
     "DofLayout",
     "build_dof_layout",
+    "rt0_basis",
     "rt0_eval",
     "rt0_div",
     "p1_eval",
     "p1_grad",
-    "hat_gradients",
     "potential_to_velocity",
 ]
 
@@ -142,14 +142,18 @@ def build_dof_layout(m: BipartiteMesh, pin_vertex: int | None = None) -> DofLayo
     )
 
 
+def rt0_basis(m: BipartiteMesh, tris, x) -> np.ndarray:
+    """(t, 3, q, 2) flux-normalized basis of every edge of ``tris`` at the (t, q, 2) points x."""
+    scale = m.tri_edge_signs[tris] / (2.0 * m.areas[tris])[:, None]
+    return scale[:, :, None, None] * (x[:, None, :, :] - m.vertices[m.triangles[tris]][:, :, None, :])
+
+
 def rt0_eval(m: BipartiteMesh, tri: int, local_edge: int, x) -> np.ndarray:
     """Flux-normalized Raviart-Thomas basis of ``local_edge`` at points x."""
     if not 0 <= local_edge < 3:
         raise ValueError(f"invalid local edge index: {local_edge}")
-    sigma = float(m.tri_edge_signs[tri, local_edge])
-    p_opp = m.vertices[m.triangles[tri, local_edge]]
     x = np.asarray(x, dtype=float)
-    return sigma / (2.0 * m.areas[tri]) * (x - p_opp)
+    return rt0_basis(m, [tri], x.reshape(1, -1, 2))[0, local_edge].reshape(x.shape)
 
 
 def rt0_div(m: BipartiteMesh, tri: int, local_edge: int) -> float:
@@ -176,17 +180,7 @@ def p1_grad(m: BipartiteMesh, tri: int, local_vertex: int) -> np.ndarray:
     """Constant gradient of the hat function of ``local_vertex``."""
     if not 0 <= local_vertex < 3:
         raise ValueError(f"invalid local vertex index: {local_vertex}")
-    p = m.vertices[m.triangles[tri]]
-    d = p[(local_vertex + 2) % 3] - p[(local_vertex + 1) % 3]
-    return np.array([-d[1], d[0]]) / (2.0 * m.areas[tri])
-
-
-def hat_gradients(m: BipartiteMesh) -> np.ndarray:
-    """(nt, 3, 2) table of constant hat gradients for all triangles."""
-    p = m.vertices[m.triangles]
-    d = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]
-    perp = np.stack([-d[..., 1], d[..., 0]], axis=-1)
-    return perp / (2.0 * m.areas)[:, None, None]
+    return m.hat_gradients[tri, local_vertex].copy()
 
 
 def potential_to_velocity(phi, m: BipartiteMesh, layout: DofLayout) -> np.ndarray:
@@ -201,6 +195,6 @@ def potential_to_velocity(phi, m: BipartiteMesh, layout: DofLayout) -> np.ndarra
     nodal = np.zeros(m.n_vertices)
     free = layout.vert_to_phi >= 0
     nodal[free] = phi[layout.vert_to_phi[free]]
-    grads = hat_gradients(m)[layout.u2_triangles]
+    grads = m.hat_gradients[layout.u2_triangles]
     vals = nodal[m.triangles[layout.u2_triangles]]
     return np.einsum("ti,tid->td", vals, grads)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,38 @@ def test_solver_failure_exit_status(monkeypatch, capsys):
     code = main(["--example", "1", "--max-level", "2"])
     assert code == 1
     assert "level" in capsys.readouterr().err
+
+
+def test_solver_failure_names_failing_level(monkeypatch, capsys):
+    import twodarcy.analysis as analysis
+    from twodarcy.solver import SolverError
+
+    real_solve = analysis.solve
+
+    def fail_at_level_4(system):
+        if system.mesh.level_inv == 4:
+            raise SolverError("synthetic failure")
+        return real_solve(system)
+
+    monkeypatch.setattr(analysis, "solve", fail_at_level_4)
+    assert main(["--example", "1", "--max-level", "8"]) == 1
+    assert "solver failure at level 4: synthetic failure" in capsys.readouterr().err
+
+
+# References written by `twodarcy --example N --interface-mode MODE --max-level 8
+# --csv ...`; a change to them is a change of published results.
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("example, mode", [
+    (1, "derived"), (2, "derived"), (2, "paper_literal"), (3, "derived"),
+    (3, "paper_literal"), (4, "derived"), (4, "constant_projection"),
+])
+def test_csv_matches_committed_reference(example, mode, tmp_path):
+    path = tmp_path / "out.csv"
+    assert main(["--example", str(example), "--interface-mode", mode,
+                 "--max-level", "8", "--csv", str(path)]) == 0
+    assert path.read_bytes() == (GOLDEN / f"example{example}_{mode}_8.csv").read_bytes()
 
 
 def test_paper_literal_modes_run(tmp_path):

