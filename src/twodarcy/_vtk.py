@@ -7,11 +7,17 @@ import os
 import numpy as np
 
 VTK_TRIANGLE = 5
+_VECTOR = "%.9e %.9e 0.0\n"  # (x, y) padded with z = 0
 
 
-def _write_values(fp, values):
-    for v in np.asarray(values, dtype=float).ravel():
-        fp.write(f"{v:.9e}\n")
+def _lines(fmt, rows) -> str:
+    """The one-line format ``fmt`` applied to every row of ``rows``, as one string."""
+    return (fmt * len(rows)) % tuple(rows.ravel().tolist())
+
+
+def _scalars(name, data) -> str:
+    values = np.asarray(data, dtype=float).ravel()
+    return f"SCALARS {name} double 1\nLOOKUP_TABLE default\n" + _lines("%.9e\n", values)
 
 
 def write_unstructured_grid(
@@ -36,29 +42,17 @@ def write_unstructured_grid(
     if directory:
         os.makedirs(directory, exist_ok=True)
     with open(path, "w", encoding="ascii") as fp:
-        fp.write("# vtk DataFile Version 3.0\n")
-        fp.write(f"{title}\n")
-        fp.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fp.write(f"POINTS {len(points)} double\n")
-        for x, y in points:
-            fp.write(f"{x:.9e} {y:.9e} 0.0\n")
-        fp.write(f"CELLS {len(cells)} {4 * len(cells)}\n")
-        for a, b, c in cells:
-            fp.write(f"3 {a} {b} {c}\n")
-        fp.write(f"CELL_TYPES {len(cells)}\n")
-        for _ in range(len(cells)):
-            fp.write(f"{VTK_TRIANGLE}\n")
+        fp.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n")
+        fp.write(f"POINTS {len(points)} double\n" + _lines(_VECTOR, points))
+        fp.write(f"CELLS {len(cells)} {4 * len(cells)}\n" + _lines("3 %d %d %d\n", cells))
+        fp.write(f"CELL_TYPES {len(cells)}\n" + f"{VTK_TRIANGLE}\n" * len(cells))
         if cell_scalars or cell_vectors:
             fp.write(f"CELL_DATA {len(cells)}\n")
             for name, data in (cell_scalars or {}).items():
-                fp.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                _write_values(fp, data)
+                fp.write(_scalars(name, data))
             for name, data in (cell_vectors or {}).items():
-                fp.write(f"VECTORS {name} double\n")
-                for vx, vy in np.asarray(data, dtype=float):
-                    fp.write(f"{vx:.9e} {vy:.9e} 0.0\n")
+                fp.write(f"VECTORS {name} double\n" + _lines(_VECTOR, np.asarray(data, dtype=float)))
         if point_scalars:
             fp.write(f"POINT_DATA {len(points)}\n")
             for name, data in point_scalars.items():
-                fp.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                _write_values(fp, data)
+                fp.write(_scalars(name, data))

@@ -22,7 +22,8 @@ forcing use the 6-point Gauss and degree-10 rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -100,15 +101,32 @@ def _region_points(m, tris, rule):
     return np.einsum("qi,tid->tqd", rule.points, m.vertices[m.triangles[tris]])
 
 
+# A local entry this small next to the largest of its element matrix is the
+# rounding residue of an exact zero (e.g. hypotenuse-leg RT0 mass entries).
+_ROUNDING = 1e-12
+
+
 def _scatter(local, row_dofs, col_dofs, shape) -> sp.csr_matrix:
     """Sum (t, r, c) local matrices on (t, r) row and (t, c) column dofs into a CSR matrix.
 
-    Entries on a -1 dof are dropped; duplicates are summed in local-entry order.
+    Entries on a -1 dof are dropped; duplicates are summed by scipy in an
+    order that can change with the other entries of their row.
+
+    No zero is stored: local entries at most ``_ROUNDING`` times the largest
+    of their element matrix count as zero, and sums that cancel are removed.
+    Non-finite entries are kept, so a bad coefficient still reaches the solver.
     """
     rows = np.repeat(row_dofs, col_dofs.shape[1], axis=1).ravel()
     cols = np.tile(col_dofs, (1, row_dofs.shape[1])).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    return sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
+    mag = np.abs(local.reshape(len(local), -1))
+    # Per-element maximum as a running maximum over the few local entries,
+    # much cheaper than max(axis=1) over many short rows.
+    scale = np.nan_to_num(functools.reduce(np.maximum, mag.T), nan=0.0, posinf=0.0)
+    small = (mag <= _ROUNDING * scale[:, None]).ravel()
+    keep = np.flatnonzero((rows >= 0) & (cols >= 0) & ~small)
+    out = sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
+    out.eliminate_zeros()
+    return out
 
 
 def rt0_mass(m: BipartiteMesh, layout: DofLayout, a: Callable | None = None) -> sp.csr_matrix:
@@ -309,7 +327,6 @@ class SaddleSystem:
     F2: np.ndarray
     mesh: BipartiteMesh
     layout: DofLayout
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def Bt(self) -> sp.csc_matrix:
@@ -334,21 +351,14 @@ def assemble_system(m: BipartiteMesh, layout: DofLayout, case, check: bool = Tru
     b = assemble_B(m, layout)
     c = assemble_C(m, layout, coeffs)
     f1, f2 = assemble_rhs(m, layout, case)
-    n_u1 = layout.n_u1
-    a12 = a[:n_u1, n_u1:]
-    a21 = a[n_u1:, :n_u1]
-    diagnostics = {
-        "coupling_skew_defect": abs(a12 + a21.T).max() if a12.nnz else 0.0,
-        "c_asymmetry": abs(c - c.T).max() if c.nnz else 0.0,
-    }
-    return SaddleSystem(
-        A=a, B=b, C=c, F1=f1, F2=f2, mesh=m, layout=layout,
-        diagnostics=diagnostics,
-    )
+    return SaddleSystem(A=a, B=b, C=c, F1=f1, F2=f2, mesh=m, layout=layout)
 
 
 def write_matrix_market(system: SaddleSystem, path) -> None:
-    """Dump the composed saddle matrix in MatrixMarket coordinate format."""
+    """Dump the composed saddle matrix in MatrixMarket coordinate format.
+
+    Only stored entries are written, and the assembled blocks store no zeros.
+    """
     from scipy.io import mmwrite
 
     mmwrite(path, system.matrix().tocoo())

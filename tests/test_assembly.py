@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from twodarcy import assembly
 from twodarcy.assembly import (
     AdmissibilityError,
     CoefficientSet,
@@ -16,7 +17,7 @@ from twodarcy.assembly import (
     rt0_mass,
     write_matrix_market,
 )
-from twodarcy.manufactured import example1, example3
+from twodarcy.manufactured import example1, example2, example3, example4
 from twodarcy.mesh import EdgeKind, build_cartesian_mesh
 from twodarcy.spaces import build_dof_layout
 
@@ -187,8 +188,8 @@ def test_assemble_system_level1_shape_and_symmetry():
     system = assemble_system(m, layout, example1())
     k = system.matrix()
     assert k.shape == (27, 27)
-    assert system.diagnostics["coupling_skew_defect"] <= 1e-14
-    assert system.diagnostics["c_asymmetry"] <= 1e-14
+    n_u1 = layout.n_u1
+    assert abs(system.A[:n_u1, n_u1:] + system.A[n_u1:, :n_u1].T).max() <= 1e-14
     assert abs(system.C - system.C.T).max() <= 1e-14
 
 
@@ -261,3 +262,113 @@ def test_example3_weighted_stiffness():
     c = assemble_C(m, layout, case.coefficient_set())
     plain = p1_stiffness_omega2(m, layout, rows_phi=True, cols_phi=True)
     assert abs(c[: layout.n_phi, : layout.n_phi] - 5.0 * plain).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Stored pattern: the blocks keep no zeros.
+
+CASES = [
+    example1(),
+    example2("derived"),
+    example2("paper_literal"),
+    example3("derived"),
+    example3("paper_literal"),
+    example4("derived"),
+    example4("constant_projection"),
+]
+CASE_IDS = [f"{c.name}-{c.interface_mode}" for c in CASES]
+
+
+def _reference_scatter(local, row_dofs, col_dofs, shape):
+    """The scatter that stores every local entry, zeros included."""
+    rows = np.repeat(row_dofs, col_dofs.shape[1], axis=1).ravel()
+    cols = np.tile(col_dofs, (1, row_dofs.shape[1])).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
+
+
+def _blocks(system):
+    return {"A": system.A, "B": system.B, "C": system.C, "matrix": system.matrix()}
+
+
+def _reference_system(monkeypatch, m, layout, case):
+    with monkeypatch.context() as patch:
+        patch.setattr(assembly, "_scatter", _reference_scatter)
+        return assemble_system(m, layout, case)
+
+
+@pytest.mark.parametrize("level", [3, 4, 6])
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+def test_blocks_store_no_zeros(case, level, monkeypatch):
+    m = build_cartesian_mesh(level)
+    layout = build_dof_layout(m)
+    blocks = _blocks(assemble_system(m, layout, case))
+    reference = _blocks(_reference_system(monkeypatch, m, layout, case))
+    for name, got in blocks.items():
+        assert np.abs(got.data).min() > 1e-14, name  # no zero, no rounding residue
+        ref = reference[name].tocsr()
+        kept = got.tocoo()
+        ref_kept = np.asarray(ref[kept.row, kept.col]).ravel()
+        # scipy may sum a row's duplicates in another order once other entries
+        # of the row are dropped, which moves a sum by at most one ulp here.
+        np.testing.assert_allclose(kept.data, ref_kept, rtol=4 * np.finfo(float).eps, atol=0.0)
+        # Every dropped entry was a sum of rounding residues of exact zeros.
+        ref_coo = ref.tocoo()
+        stored = np.asarray(got.astype(bool)[ref_coo.row, ref_coo.col]).ravel()
+        assert np.all(np.abs(ref_coo.data[~stored]) <= 1e-14), name
+    assert blocks["matrix"].nnz < reference["matrix"].nnz
+
+
+def test_scatter_drops_residues_and_cancelled_sums():
+    local = np.array([
+        [[2.0, 1.0], [3e-16, 4.0]],     # 3e-16 is a residue next to 4
+        [[-1.0, 9.0], [5.0, 9.0]],      # -1 cancels the 1 above; 9s sit on dof -1
+    ])
+    rows = np.array([[0, 1], [0, 1]])
+    out = assembly._scatter(local, rows, np.array([[0, 1], [1, -1]]), (2, 2))
+    np.testing.assert_array_equal(out.toarray(), [[2.0, 0.0], [0.0, 9.0]])
+    assert out.nnz == 2 and np.all(out.data != 0.0)
+
+
+def test_varying_resistance_keeps_hypotenuse_leg_entries(monkeypatch):
+    m = build_cartesian_mesh(4)
+    layout = build_dof_layout(m)
+
+    def a(x, y, region):
+        return 3.0 + x + 0.5 * y
+
+    got = rt0_mass(m, layout, a)
+    with monkeypatch.context() as patch:
+        patch.setattr(assembly, "_scatter", _reference_scatter)
+        ref = rt0_mass(m, layout, a)
+    # Constant a makes hypotenuse and leg fluxes orthogonal; a varying one
+    # does not, so every local entry is real and none may be dropped.
+    assert got.nnz == ref.nnz
+    assert np.all(got.data != 0.0)
+    assert abs(got - ref).max() == 0.0
+    assert rt0_mass(m, layout).nnz < got.nnz
+
+
+def test_non_finite_local_entries_are_kept():
+    m = build_cartesian_mesh(2)
+    layout = build_dof_layout(m)
+    bad = CoefficientSet(a=lambda x, y, region: np.full_like(x, np.nan),
+                         beta=CoefficientSet.region_constants(1.0, 1.0).beta)
+    a = assemble_A(m, layout, bad, check=False)
+    m_a = a[: layout.n_u1, : layout.n_u1]
+    assert m_a.nnz > 0 and np.all(np.isnan(m_a.data))
+
+
+def test_solve_matches_reference_matrix_at_level6(monkeypatch):
+    from scipy.sparse.linalg import splu
+
+    from twodarcy.solver import solve
+
+    m = build_cartesian_mesh(6)
+    layout = build_dof_layout(m)
+    case = example4()
+    ref = _reference_system(monkeypatch, m, layout, case)
+    expected = splu(ref.matrix().tocsc()).solve(ref.rhs())
+    sol = solve(assemble_system(m, layout, case))
+    got = np.concatenate([sol.u1, sol.p2, sol.phi, sol.p1])
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
