@@ -28,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (
-    LINE_RULE, _LINE_HAT, _edge_points, _interface_quadrature, _region_points, assemble_system,
+    LINE_RULE, _LINE_HAT, _edge_points, _interface_signs, _region_points, assemble_system,
 )
 from .manufactured import ManufacturedCase, quadrants_of
 from .mesh import BipartiteMesh, build_cartesian_mesh
@@ -288,8 +288,8 @@ def interface_flux_residuals(sol: SolutionFields, case: ManufacturedCase,
     e = m.interface_edges
     length = m.edge_lengths[e]
     n = m.interface_normals
-    x, s_e = _interface_quadrature(m, LINE_RULE)
-    u1n = s_e * sol.u1[layout.edge_to_u1[e]] / length
+    x = _edge_points(m, e, LINE_RULE)
+    u1n = _interface_signs(m) * sol.u1[layout.edge_to_u1[e]] / length
     u2n = np.einsum("id,id->i", sol.u2[layout.tri_to_u2[m.interface_tri2]], n)
     p2h = sol.p2[layout.vert_to_p2[m.edges[e]]] @ _LINE_HAT.T
     f_n = np.asarray(case.f_n(x[..., 0], x[..., 1]), dtype=float)

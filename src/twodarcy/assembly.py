@@ -11,8 +11,11 @@ the two equations, with the interface convention that the normal points
 from region 1 into region 2: the (p2-row, u1-column) coupling enters with a
 minus sign and its transpose with a plus sign.
 
-Bilinear blocks use a degree-2 rule (exact for the piecewise-polynomial
-integrands with region-constant coefficients).  Volume sources are
+The coefficients are three region constants: the flow resistances ``a1``
+and ``a2`` of the two regions and the interface storage ``beta``.  Each
+coefficient block is its constant times one geometric matrix: the RT0 mass
+(degree-2 rule, exact for its quadratic integrand), the P1 stiffness and
+the P1 trace mass on the interface.  Volume sources are
 integrated with the one-point centroid rule, the verification convention
 for lowest-order elements on structured grids: it makes the discrete flux
 divergence equal the centroid-sampled source exactly, so the cell-sampled
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,7 +48,6 @@ __all__ = [
 ]
 
 BLOCK_RULE = triangle_rule(2)
-TRACE_RULE = segment_rule(2)
 LOAD_RULE = triangle_rule(10)
 LINE_RULE = segment_rule(11)  # 6-point Gauss
 _LINE_HAT = np.column_stack([1.0 - LINE_RULE.points, LINE_RULE.points])
@@ -58,38 +59,20 @@ class AdmissibilityError(ValueError):
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Flow resistance ``a(x, y, region)`` and interface storage ``beta(x, y)``.
+    """Flow resistances ``a1``, ``a2`` of regions 1 and 2 and interface storage ``beta``.
 
-    ``a`` must be strictly positive; ``beta`` finite and nonnegative with a
-    positive line integral over the interface.
+    All three must be positive and finite.
     """
 
-    a: Callable
-    beta: Callable
+    a1: float
+    a2: float
+    beta: float
 
-    @staticmethod
-    def region_constants(a1: float, a2: float, beta: float = 1.0) -> "CoefficientSet":
-        def a(x, y, region):
-            return np.full_like(np.asarray(x, dtype=float), a1 if region == 1 else a2)
-
-        def b(x, y):
-            return np.full_like(np.asarray(x, dtype=float), beta)
-
-        return CoefficientSet(a=a, beta=b)
-
-    def validate(self, m: BipartiteMesh) -> None:
-        for region in (1, 2):
-            pts = _region_points(m, np.flatnonzero(m.tri_region == region), BLOCK_RULE)
-            a_vals = self.a(pts[..., 0], pts[..., 1], region)
-            if np.any(~np.isfinite(a_vals)) or np.any(a_vals <= 0.0):
-                raise AdmissibilityError("flow resistance a must be positive and finite")
-        x, _ = _interface_quadrature(m, LINE_RULE)
-        b_vals = np.asarray(self.beta(x[..., 0], x[..., 1]), dtype=float)
-        if np.any(~np.isfinite(b_vals)) or np.any(b_vals < 0.0):
-            raise AdmissibilityError("interface storage beta must be nonnegative and finite")
-        total = float(m.edge_lengths[m.interface_edges] @ (b_vals @ LINE_RULE.weights))
-        if total <= 0.0:
-            raise AdmissibilityError("interface storage beta must have a positive line integral")
+    def validate(self) -> None:
+        if not (0.0 < self.a1 < np.inf and 0.0 < self.a2 < np.inf):
+            raise AdmissibilityError("flow resistance a must be positive and finite")
+        if not 0.0 < self.beta < np.inf:
+            raise AdmissibilityError("interface storage beta must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +112,13 @@ def _scatter(local, row_dofs, col_dofs, shape) -> sp.csr_matrix:
     return out
 
 
-def rt0_mass(m: BipartiteMesh, layout: DofLayout, a: Callable | None = None) -> sp.csr_matrix:
-    """a-weighted mass matrix of the flux basis over region 1."""
+def rt0_mass(m: BipartiteMesh, layout: DofLayout, a: float = 1.0) -> sp.csr_matrix:
+    """Mass matrix of the flux basis over region 1, scaled by the resistance ``a``."""
     tris = layout.p1_triangles
     pts = _region_points(m, tris, BLOCK_RULE)
-    areas = m.areas[tris]
-    aq = np.ones(pts.shape[:2]) if a is None else np.asarray(a(pts[..., 0], pts[..., 1], 1), dtype=float)
     phi = rt0_basis(m, tris, pts)
-    local = 2.0 * areas[:, None, None] * np.einsum(
-        "q,tq,tiqd,tjqd->tij", BLOCK_RULE.weights, aq, phi, phi
+    local = (2.0 * a) * m.areas[tris][:, None, None] * np.einsum(
+        "q,tiqd,tjqd->tij", BLOCK_RULE.weights, phi, phi
     )
     dofs = layout.edge_to_u1[m.tri_edges[tris]]
     return _scatter(local, dofs, dofs, (layout.n_u1, layout.n_u1))
@@ -153,6 +134,7 @@ def rt0_divdiv(m: BipartiteMesh, layout: DofLayout) -> sp.csr_matrix:
 
 
 _P1_MASS_REF = (np.full((3, 3), 1.0) + np.eye(3)) / 12.0
+_P1_TRACE_MASS_REF = (np.full((2, 2), 1.0) + np.eye(2)) / 6.0
 
 
 def p1_mass_omega2(m: BipartiteMesh, layout: DofLayout) -> sp.csr_matrix:
@@ -166,21 +148,14 @@ def p1_mass_omega2(m: BipartiteMesh, layout: DofLayout) -> sp.csr_matrix:
 def p1_stiffness_omega2(
     m: BipartiteMesh,
     layout: DofLayout,
-    a: Callable | None = None,
+    a: float = 1.0,
     rows_phi: bool = False,
     cols_phi: bool = False,
 ) -> sp.csr_matrix:
-    """(a-weighted) nodal stiffness over region 2, optionally on potential dofs."""
+    """Nodal stiffness over region 2 scaled by ``a``, optionally on potential dofs."""
     tris = layout.u2_triangles
-    areas = m.areas[tris]
     grads = m.hat_gradients[tris]
-    if a is None:
-        weight = areas
-    else:
-        pts = _region_points(m, tris, BLOCK_RULE)
-        aq = np.asarray(a(pts[..., 0], pts[..., 1], 2), dtype=float)
-        weight = 2.0 * areas * (aq @ BLOCK_RULE.weights)
-    local = weight[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
+    local = (a * m.areas[tris])[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
     verts = m.triangles[tris]
     rmap = layout.vert_to_phi if rows_phi else layout.vert_to_p2
     cmap = layout.vert_to_phi if cols_phi else layout.vert_to_p2
@@ -195,15 +170,10 @@ def _edge_points(m: BipartiteMesh, edges, rule) -> np.ndarray:
     return seg[:, None, 0, :] + rule.points[None, :, None] * (seg[:, 1] - seg[:, 0])[:, None, :]
 
 
-def _interface_quadrature(m: BipartiteMesh, rule):
-    """Points of a segment ``rule`` on every interface edge and the edge orientations.
-
-    Returns ``(x, s)``: ``x`` has shape (ni, q, 2); ``s[i]`` is +1 where the
-    global edge normal agrees with the region-1 outer normal and -1 where it
-    is opposite.
-    """
+def _interface_signs(m: BipartiteMesh) -> np.ndarray:
+    """+1 per interface edge whose global normal is the region-1 outer normal, else -1."""
     orient = np.einsum("id,id->i", m.edge_normals[m.interface_edges], m.interface_normals)
-    return _edge_points(m, m.interface_edges, rule), np.where(orient > 0, 1.0, -1.0)
+    return np.where(orient > 0, 1.0, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -215,22 +185,17 @@ def assemble_A(
 ) -> sp.csr_matrix:
     """Flux mass, interface trace mass and the skew interface coupling."""
     if check:
-        coeffs.validate(m)
+        coeffs.validate()
     n_u1, n_p2 = layout.n_u1, layout.n_p2
-    m_a = rt0_mass(m, layout, coeffs.a)
+    m_a = rt0_mass(m, layout, coeffs.a1)
 
     e = m.interface_edges
     p2 = layout.vert_to_p2[m.edges[e]]                       # (ni, 2)
-    x, s_e = _interface_quadrature(m, TRACE_RULE)
-    b_vals = np.asarray(coeffs.beta(x[..., 0], x[..., 1]), dtype=float)
-    hat = np.column_stack([1.0 - TRACE_RULE.points, TRACE_RULE.points])
-    local = m.edge_lengths[e][:, None, None] * np.einsum(
-        "q,eq,qi,qj->eij", TRACE_RULE.weights, b_vals, hat, hat
-    )
+    local = (coeffs.beta * m.edge_lengths[e])[:, None, None] * _P1_TRACE_MASS_REF
     m_beta = _scatter(local, p2, p2, (n_p2, n_p2))
-    # Normal trace of the edge's own flux basis is s_e / length, so the
+    # Normal trace of the edge's own flux basis is +-1 / length, so the
     # coupling entries are +-1/2 independent of the mesh size.
-    couple = s_e[:, None] * (LINE_RULE.weights @ _LINE_HAT)
+    couple = _interface_signs(m)[:, None] * (LINE_RULE.weights @ _LINE_HAT)
     s = _scatter(couple[:, None, :], layout.edge_to_u1[e][:, None], p2, (n_u1, n_p2))
     return sp.bmat([[m_a, s], [-s.T, m_beta]], format="csr")
 
@@ -249,8 +214,8 @@ def assemble_B(m: BipartiteMesh, layout: DofLayout) -> sp.csr_matrix:
 
 
 def assemble_C(m: BipartiteMesh, layout: DofLayout, coeffs: CoefficientSet) -> sp.csr_matrix:
-    """a-weighted potential stiffness; the p1 block is zero."""
-    k_a = p1_stiffness_omega2(m, layout, a=coeffs.a, rows_phi=True, cols_phi=True)
+    """a2-weighted potential stiffness; the p1 block is zero."""
+    k_a = p1_stiffness_omega2(m, layout, a=coeffs.a2, rows_phi=True, cols_phi=True)
     return sp.block_diag(
         [k_a, sp.csr_matrix((layout.n_p1, layout.n_p1))], format="csr"
     )
@@ -306,10 +271,10 @@ def assemble_rhs(m: BipartiteMesh, layout: DofLayout, case) -> tuple[np.ndarray,
         np.add.at(f2, rows[keep], vals[keep])
 
     e = m.interface_edges
-    x, s_e = _interface_quadrature(m, LINE_RULE)
+    x = _edge_points(m, e, LINE_RULE)
     stress = np.asarray(case.f_stress(x[..., 0], x[..., 1]), dtype=float)
     flux = np.asarray(case.f_n(x[..., 0], x[..., 1]), dtype=float)
-    f1[layout.edge_to_u1[e]] += s_e * (stress @ LINE_RULE.weights)
+    f1[layout.edge_to_u1[e]] += _interface_signs(m) * (stress @ LINE_RULE.weights)
     load = (m.edge_lengths[e][:, None] * (LINE_RULE.weights * flux)) @ _LINE_HAT
     np.subtract.at(f1, layout.offset_p2 + layout.vert_to_p2[m.edges[e]].ravel(), load.ravel())
 

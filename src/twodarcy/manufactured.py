@@ -80,14 +80,11 @@ class ManufacturedCase:
 
     # -- coefficient access -------------------------------------------------
 
-    def a_of_region(self, region) -> float:
-        return self.a1 if region == 1 else self.a2
-
     def a_of_quadrant(self, q):
         return np.where(_REGION_OF_QUADRANT[np.asarray(q)] == 1, self.a1, self.a2)
 
     def coefficient_set(self) -> CoefficientSet:
-        return CoefficientSet.region_constants(self.a1, self.a2, self.beta)
+        return CoefficientSet(self.a1, self.a2, self.beta)
 
     # -- derived fields -----------------------------------------------------
 
@@ -343,7 +340,7 @@ def finite_difference_check(case: ManufacturedCase, samples: int = 200,
             case.grad_p(x + step, y, q)[..., 0] - case.grad_p(x - step, y, q)[..., 0]
             + case.grad_p(x, y + step, q)[..., 1] - case.grad_p(x, y - step, q)[..., 1]
         ) / (2 * step)
-        fd_f = -fd_lap / case.a_of_region(_REGION_OF_QUADRANT[q])
+        fd_f = -fd_lap / case.a_of_quadrant(q)
         for approx, exact in (
             (fd_gx, g[..., 0]),
             (fd_gy, g[..., 1]),

@@ -120,8 +120,8 @@ def y_norm_gram(system: SaddleSystem) -> sp.csr_matrix:
 def check_wellposedness(system: SaddleSystem, max_dim: int = 2000) -> WellposednessDiagnostics:
     """Dense eigenvalue diagnostics of the inf-sup and coercivity constants.
 
-    Guarded to small systems; this is a test utility, never part of the
-    solve path.
+    Guarded to small systems; ``twodarcy --diagnostics`` runs it at coarse
+    levels, and it is never part of the solve path.
     """
     if system.size > max_dim:
         raise ValueError(f"system size {system.size} exceeds the dense guard {max_dim}")

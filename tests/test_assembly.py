@@ -32,60 +32,42 @@ def test_rt0_mass_matches_symbolic_integration():
     sympy = pytest.importorskip("sympy")
     m = build_cartesian_mesh(1)
     layout = build_dof_layout(m)
-    t = int(layout.p1_triangles[0])
-    tri = m.vertices[m.triangles[t]]
-    area = m.areas[t]
-    x, y = sympy.symbols("x y")
-
-    def basis(i):
-        sigma = int(m.tri_edge_signs[t, i])
-        px, py = tri[i]
-        return (sympy.Rational(sigma) / (2 * area) * (x - px),
-                sympy.Rational(sigma) / (2 * area) * (y - py))
-
-    # integrate over the actual triangle by mapping to barycentric coords
-    s, r = sympy.symbols("s r")
-    xs = tri[0][0] + s * (tri[1][0] - tri[0][0]) + r * (tri[2][0] - tri[0][0])
-    ys = tri[0][1] + s * (tri[1][1] - tri[0][1]) + r * (tri[2][1] - tri[0][1])
-    jac = 2 * area
-    exact = np.zeros((3, 3))
-    for i in range(3):
-        for j in range(3):
-            bi = basis(i)
-            bj = basis(j)
-            integrand = (bi[0] * bj[0] + bi[1] * bj[1]).subs({x: xs, y: ys})
-            val = sympy.integrate(
-                sympy.integrate(integrand * jac, (r, 0, 1 - s)), (s, 0, 1)
-            )
-            exact[i, j] = float(val)
+    x, y, s, r = sympy.symbols("x y s r")
+    exact = np.zeros((layout.n_u1, layout.n_u1))
+    for t in layout.p1_triangles:
+        tri = [[sympy.Rational(c) for c in v] for v in m.vertices[m.triangles[t]]]
+        area = sympy.Rational(m.areas[t])
+        # local edge i lies opposite vertex i
+        basis = [
+            [sympy.Integer(int(m.tri_edge_signs[t, i])) / (2 * area) * (z - p)
+             for z, p in zip((x, y), tri[i])]
+            for i in range(3)
+        ]
+        # integrate over the triangle through its affine map from the unit triangle
+        to_tri = {z: tri[0][d] + s * (tri[1][d] - tri[0][d]) + r * (tri[2][d] - tri[0][d])
+                  for d, z in enumerate((x, y))}
+        dofs = layout.edge_to_u1[m.tri_edges[t]]
+        for i in range(3):
+            for j in range(i, 3):
+                integrand = (basis[i][0] * basis[j][0] + basis[i][1] * basis[j][1]).subs(to_tri)
+                val = float(sympy.integrate(sympy.expand(integrand * 2 * area), (r, 0, 1 - s), (s, 0, 1)))
+                exact[dofs[i], dofs[j]] += val
+                if j != i:
+                    exact[dofs[j], dofs[i]] += val
 
     mass = rt0_mass(m, layout).toarray()
-    dofs = layout.edge_to_u1[m.tri_edges[t]]
-    # the chosen triangle shares no edges with other region-1 triangles of
-    # its cell except the diagonal; subtract the neighbour's contribution
-    local = np.zeros((3, 3))
-    for i in range(3):
-        for j in range(3):
-            local[i, j] = exact[i, j]
-    # compare through a fresh one-triangle assembly instead: zero out others
-    single = np.zeros_like(mass)
-    rows = np.repeat(dofs, 3)
-    cols = np.tile(dofs, 3)
-    np.add.at(single, (rows, cols), local.ravel())
-    # entries of `mass` restricted to non-shared edge pairs must agree
-    shared = {e for e in m.tri_edges[t] if m.edge_tris[e, 1] >= 0}
-    for i in range(3):
-        for j in range(3):
-            e_i, e_j = m.tri_edges[t, i], m.tri_edges[t, j]
-            if e_i in shared or e_j in shared:
-                continue
-            assert abs(mass[dofs[i], dofs[j]] - exact[i, j]) <= 1e-13
+    # the whole matrix, hypotenuse rows and shared-edge sums included
+    np.testing.assert_allclose(mass, exact, rtol=0.0, atol=1e-14)
+    assert np.count_nonzero(exact) == np.count_nonzero(mass)
+    np.testing.assert_allclose(
+        rt0_mass(m, layout, 2.5).toarray(), 2.5 * mass, rtol=0.0, atol=4 * np.finfo(float).eps * mass.max()
+    )
 
 
 def test_trace_mass_block_values():
     m = build_cartesian_mesh(2)
     layout = build_dof_layout(m)
-    coeffs = CoefficientSet.region_constants(1.0, 1.0, 1.0)
+    coeffs = CoefficientSet(1.0, 1.0, 1.0)
     a = assemble_A(m, layout, coeffs)
     block = a[layout.n_u1:, layout.n_u1:]
     h = m.h
@@ -101,7 +83,7 @@ def test_trace_mass_block_values():
 def test_interface_coupling_entries_are_half():
     m = build_cartesian_mesh(2)
     layout = build_dof_layout(m)
-    a = assemble_A(m, layout, CoefficientSet.region_constants(1.0, 1.0, 1.0))
+    a = assemble_A(m, layout, CoefficientSet(1.0, 1.0, 1.0))
     s = a[: layout.n_u1, layout.n_u1:].tocoo()
     assert s.nnz == 2 * len(m.interface_edges)
     np.testing.assert_allclose(np.abs(s.data), 0.5)
@@ -118,12 +100,12 @@ def test_interface_coupling_entries_are_half():
 def test_A_skew_pair_and_beta_scaling():
     m = build_cartesian_mesh(2)
     layout = build_dof_layout(m)
-    a = assemble_A(m, layout, CoefficientSet.region_constants(1.0, 1.0, 1.0))
+    a = assemble_A(m, layout, CoefficientSet(1.0, 1.0, 1.0))
     n_u1 = layout.n_u1
     a12 = a[:n_u1, n_u1:]
     a21 = a[n_u1:, :n_u1]
     assert abs(a12 + a21.T).max() <= 1e-14
-    a_beta = assemble_A(m, layout, CoefficientSet.region_constants(1.0, 1.0, 2.5))
+    a_beta = assemble_A(m, layout, CoefficientSet(1.0, 1.0, 2.5))
     diff = (a_beta - a)[n_u1:, n_u1:]
     base = a[n_u1:, n_u1:]
     assert abs(diff - 1.5 * base).max() <= 1e-14
@@ -148,8 +130,8 @@ def test_B_div_block_structure():
 def test_C_examples():
     m = build_cartesian_mesh(2)
     layout = build_dof_layout(m)
-    c1 = assemble_C(m, layout, CoefficientSet.region_constants(1.0, 1.0, 1.0))
-    c5 = assemble_C(m, layout, CoefficientSet.region_constants(1.0, 5.0, 1.0))
+    c1 = assemble_C(m, layout, CoefficientSet(1.0, 1.0, 1.0))
+    c5 = assemble_C(m, layout, CoefficientSet(1.0, 5.0, 1.0))
     k1 = c1[: layout.n_phi, : layout.n_phi]
     assert abs(c5[: layout.n_phi, : layout.n_phi] - 5 * k1).max() <= 1e-13
     eigs = np.linalg.eigvalsh(k1.toarray())
@@ -196,16 +178,16 @@ def test_assemble_system_level1_shape_and_symmetry():
 def test_admissibility_checks():
     m = build_cartesian_mesh(1)
     layout = build_dof_layout(m)
-    bad_a = CoefficientSet.region_constants(1.0, -2.0, 1.0)
+    bad_a = CoefficientSet(1.0, -2.0, 1.0)
     with pytest.raises(AdmissibilityError):
         assemble_A(m, layout, bad_a)
-    zero_beta = CoefficientSet.region_constants(1.0, 1.0, 0.0)
+    zero_beta = CoefficientSet(1.0, 1.0, 0.0)
     with pytest.raises(AdmissibilityError):
         assemble_A(m, layout, zero_beta)
     # the degenerate fixture is still assemblable with checks off
     a = assemble_A(m, layout, zero_beta, check=False)
     assert a.shape == (layout.n_x, layout.n_x)
-    negative_beta = CoefficientSet.region_constants(1.0, 1.0, -1.0)
+    negative_beta = CoefficientSet(1.0, 1.0, -1.0)
     with pytest.raises(AdmissibilityError):
         assemble_A(m, layout, negative_beta)
 
@@ -215,7 +197,7 @@ def test_admissibility_rejects_non_finite_beta(beta):
     m = build_cartesian_mesh(1)
     layout = build_dof_layout(m)
     with pytest.raises(AdmissibilityError, match="finite"):
-        assemble_A(m, layout, CoefficientSet.region_constants(1.0, 1.0, beta))
+        assemble_A(m, layout, CoefficientSet(1.0, 1.0, beta))
 
 
 def test_patch_case_residual(patch_case):
@@ -232,7 +214,7 @@ def test_patch_case_residual(patch_case):
 def test_assembly_merge_order_independent():
     m = build_cartesian_mesh(2)
     layout = build_dof_layout(m)
-    a = assemble_A(m, layout, CoefficientSet.region_constants(1.0, 5.0, 1.0)).tocoo()
+    a = assemble_A(m, layout, CoefficientSet(1.0, 5.0, 1.0)).tocoo()
     rng = np.random.default_rng(11)
     perm = rng.permutation(a.nnz)
     shuffled = sp.coo_matrix(
@@ -330,31 +312,10 @@ def test_scatter_drops_residues_and_cancelled_sums():
     assert out.nnz == 2 and np.all(out.data != 0.0)
 
 
-def test_varying_resistance_keeps_hypotenuse_leg_entries(monkeypatch):
-    m = build_cartesian_mesh(4)
-    layout = build_dof_layout(m)
-
-    def a(x, y, region):
-        return 3.0 + x + 0.5 * y
-
-    got = rt0_mass(m, layout, a)
-    with monkeypatch.context() as patch:
-        patch.setattr(assembly, "_scatter", _reference_scatter)
-        ref = rt0_mass(m, layout, a)
-    # Constant a makes hypotenuse and leg fluxes orthogonal; a varying one
-    # does not, so every local entry is real and none may be dropped.
-    assert got.nnz == ref.nnz
-    assert np.all(got.data != 0.0)
-    assert abs(got - ref).max() == 0.0
-    assert rt0_mass(m, layout).nnz < got.nnz
-
-
 def test_non_finite_local_entries_are_kept():
     m = build_cartesian_mesh(2)
     layout = build_dof_layout(m)
-    bad = CoefficientSet(a=lambda x, y, region: np.full_like(x, np.nan),
-                         beta=CoefficientSet.region_constants(1.0, 1.0).beta)
-    a = assemble_A(m, layout, bad, check=False)
+    a = assemble_A(m, layout, CoefficientSet(np.nan, 1.0, 1.0), check=False)
     m_a = a[: layout.n_u1, : layout.n_u1]
     assert m_a.nnz > 0 and np.all(np.isnan(m_a.data))
 

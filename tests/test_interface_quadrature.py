@@ -2,8 +2,8 @@
 
 The reference loops below integrate the interface terms one edge at a
 time, the way the assembly did before it was batched.  They live here
-only, as an oracle for the array code in ``assemble_A``, ``assemble_rhs``,
-``interface_flux_residuals`` and ``CoefficientSet.validate``.
+only, as an oracle for the array code in ``assemble_A``, ``assemble_rhs``
+and ``interface_flux_residuals``.
 """
 
 import dataclasses
@@ -15,10 +15,8 @@ import scipy.sparse as sp
 from twodarcy.analysis import interface_flux_residuals
 from twodarcy.assembly import (
     LINE_RULE,
-    TRACE_RULE,
-    AdmissibilityError,
-    CoefficientSet,
-    _interface_quadrature,
+    _edge_points,
+    _interface_signs,
     assemble_A,
     assemble_rhs,
     assemble_system,
@@ -26,6 +24,7 @@ from twodarcy.assembly import (
 )
 from twodarcy.manufactured import example1, example2, example3, example4
 from twodarcy.mesh import build_cartesian_mesh
+from twodarcy.quadrature import segment_rule
 from twodarcy.solver import solve
 from twodarcy.spaces import build_dof_layout
 
@@ -40,6 +39,7 @@ CASES = [
 ]
 CASE_IDS = [f"{c.name}-{c.interface_mode}" for c in CASES]
 RTOL = 1e-13
+TRACE_RULE = segment_rule(2)  # exact for the P1 trace mass
 
 
 def _edge_geometry(m, pos):
@@ -61,9 +61,7 @@ def reference_A(m, layout, coeffs):
     for pos in range(len(m.interface_edges)):
         e, seg, length, s_e = _edge_geometry(m, pos)
         p2 = layout.vert_to_p2[m.edges[e]]
-        x = _segment_points(seg, TRACE_RULE)
-        b_vals = np.asarray(coeffs.beta(x[:, 0], x[:, 1]), dtype=float)
-        local = length * np.einsum("q,q,qi,qj->ij", TRACE_RULE.weights, b_vals, hat, hat)
+        local = coeffs.beta * length * np.einsum("q,qi,qj->ij", TRACE_RULE.weights, hat, hat)
         for i in range(2):
             for j in range(2):
                 rows.append(p2[i])
@@ -76,7 +74,7 @@ def reference_A(m, layout, coeffs):
             s_vals.append(couple[j])
     m_beta = sp.coo_matrix((vals, (rows, cols)), shape=(layout.n_p2, layout.n_p2))
     s = sp.coo_matrix((s_vals, (s_rows, s_cols)), shape=(layout.n_u1, layout.n_p2))
-    m_a = rt0_mass(m, layout, coeffs.a)
+    m_a = rt0_mass(m, layout, coeffs.a1)
     return sp.bmat([[m_a, s], [-s.T, m_beta]], format="csr")
 
 
@@ -129,18 +127,6 @@ def test_assemble_A_matches_per_edge_loop(case, level):
     assert abs(got - expected).max() <= RTOL * abs(expected).max()
 
 
-def test_assemble_A_matches_per_edge_loop_with_varying_beta():
-    m = build_cartesian_mesh(4)
-    layout = build_dof_layout(m)
-    coeffs = CoefficientSet(
-        a=CoefficientSet.region_constants(1.0, 3.0).a,
-        beta=lambda x, y: 1.0 + x**2 + 0.5 * np.sin(3.0 * y),
-    )
-    got = assemble_A(m, layout, coeffs)
-    expected = reference_A(m, layout, coeffs)
-    assert abs(got - expected).max() <= RTOL * abs(expected).max()
-
-
 @pytest.mark.parametrize("level", [1, 4])
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
 def test_assemble_rhs_matches_per_edge_loop(case, level):
@@ -167,51 +153,9 @@ def test_interface_flux_residuals_match_per_edge_loop(case):
 
 def test_interface_quadrature_orientation_matches_edge_normals():
     m = build_cartesian_mesh(3)
-    x, s = _interface_quadrature(m, LINE_RULE)
+    x, s = _edge_points(m, m.interface_edges, LINE_RULE), _interface_signs(m)
     assert x.shape == (len(m.interface_edges), len(LINE_RULE.points), 2)
     for pos in range(len(m.interface_edges)):
         e, seg, _, s_e = _edge_geometry(m, pos)
         np.testing.assert_array_equal(x[pos], _segment_points(seg, LINE_RULE))
         assert s[pos] == s_e
-
-
-def _beta_with_one_bad_edge(bad):
-    """Unit storage except on the interface edge (0.25, 0)-(0.5, 0)."""
-
-    def beta(x, y):
-        on_edge = (x > 0.25) & (x < 0.5) & (np.abs(y) < 1e-12)
-        return np.where(on_edge, bad, 1.0)
-
-    return beta
-
-
-def _beta_with_one_nan_point(m):
-    x, _ = _interface_quadrature(m, LINE_RULE)
-    target = x[0, 2]
-
-    def beta(px, py):
-        hit = (np.abs(px - target[0]) < 1e-14) & (np.abs(py - target[1]) < 1e-14)
-        return np.where(hit, np.nan, 1.0)
-
-    return beta
-
-
-def test_validate_rejects_beta_negative_on_one_edge():
-    m = build_cartesian_mesh(4)
-    beta = _beta_with_one_bad_edge(-1.0)
-    x, _ = _interface_quadrature(m, LINE_RULE)
-    negative = (beta(x[..., 0], x[..., 1]) < 0).any(axis=1)
-    assert negative.sum() == 1
-    coeffs = CoefficientSet(a=CoefficientSet.region_constants(1.0, 1.0).a, beta=beta)
-    with pytest.raises(AdmissibilityError, match="nonnegative"):
-        coeffs.validate(m)
-
-
-def test_validate_rejects_beta_nan_at_one_point():
-    m = build_cartesian_mesh(4)
-    beta = _beta_with_one_nan_point(m)
-    x, _ = _interface_quadrature(m, LINE_RULE)
-    assert np.isnan(beta(x[..., 0], x[..., 1])).sum() == 1
-    coeffs = CoefficientSet(a=CoefficientSet.region_constants(1.0, 1.0).a, beta=beta)
-    with pytest.raises(AdmissibilityError, match="finite"):
-        coeffs.validate(m)
