@@ -30,19 +30,14 @@ from .manufactured import (
     example2,
     example3,
     example4,
-    finite_difference_check,
 )
 from .mesh import (
     BipartiteMesh,
     EdgeKind,
     build_cartesian_mesh,
-    validate_consistency,
-    write_mesh_vtk,
 )
 from .quadrature import (
     QuadRule,
-    integrate_on_segment,
-    integrate_on_triangle,
     segment_rule,
     triangle_rule,
 )
@@ -56,11 +51,7 @@ from .solver import (
 from .spaces import (
     DofLayout,
     build_dof_layout,
-    p1_eval,
-    p1_grad,
     potential_to_velocity,
-    rt0_div,
-    rt0_eval,
 )
 
 __version__ = "0.1.0"

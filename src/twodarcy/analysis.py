@@ -24,16 +24,12 @@ from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .assembly import (
-    LINE_RULE, _LINE_HAT, _edge_points, _interface_signs, _region_points, assemble_system,
-)
-from .manufactured import ManufacturedCase, quadrants_of
-from .mesh import BipartiteMesh, build_cartesian_mesh
-from .quadrature import segment_rule, triangle_rule
-from .solver import SolutionFields, SolverError, solve, x_norm_gram, y_norm_gram
+from .assembly import LINE_RULE, _LINE_HAT, _edge_points, _interface_signs, assemble_system
+from .manufactured import ManufacturedCase
+from .mesh import REGION_OF_QUADRANT, BipartiteMesh, build_cartesian_mesh, quadrants_of
+from .quadrature import segment_rule
+from .solver import SolutionFields, SolverError, solve
 from .spaces import DofLayout, build_dof_layout
 
 __all__ = [
@@ -45,8 +41,6 @@ __all__ = [
     "convergence_study",
     "write_csv",
     "interface_flux_residuals",
-    "interpolate_exact",
-    "dual_residual_norm",
     "u1_cell_values",
 ]
 
@@ -115,8 +109,10 @@ def u1_cell_values(sol: SolutionFields, m: BipartiteMesh) -> np.ndarray:
     return (svec.sum(axis=1)[:, None] * m.centroids[tris] - sp_) / (2.0 * m.areas[tris][:, None])
 
 
-# Lower-left corners of the unit quadrants Q1..Q4.
-_QUADRANT_CORNERS = {1: (0.0, 0.0), 2: (-1.0, 0.0), 3: (-1.0, -1.0), 4: (0.0, -1.0)}
+# Lower-left corner of the unit square of each quadrant id.
+_QUADRANT_CORNERS = {
+    int(quadrants_of(ox + 0.5, oy + 0.5)): (ox, oy) for ox in (0.0, -1.0) for oy in (0.0, -1.0)
+}
 
 
 @lru_cache(maxsize=64)
@@ -125,31 +121,32 @@ def _exact_norms(case: ManufacturedCase, degree: int) -> MappingProxyType:
 
     The key is the whole case (dataclass equality), not its name, so
     variants of one example with other coefficients get their own entry.
-    Each field is integrated quadrant by quadrant with a tensor Gauss rule
-    exact for per-direction degree ``2 * degree`` (the square of a degree
-    ``degree`` field), evaluating the closed forms of that quadrant.
+    Each field is integrated over the quadrants of its region, one by one,
+    with a tensor Gauss rule exact for per-direction degree ``2 * degree``
+    (the square of a degree ``degree`` field), evaluating the closed forms
+    of that quadrant.
     """
     rule = segment_rule(2 * degree)
     tx, ty = (t.ravel() for t in np.meshgrid(rule.points, rule.points, indexing="ij"))
     w = np.outer(rule.weights, rule.weights).ravel()
 
-    def l2(field, quadrants):
+    def l2(field, region):
         total = 0.0
-        for q in quadrants:
+        for q in np.flatnonzero(REGION_OF_QUADRANT == region):
             ox, oy = _QUADRANT_CORNERS[q]
             values = np.asarray(field(ox + tx, oy + ty, q), dtype=float) ** 2
             total += float(w @ values.reshape(len(w), -1).sum(axis=1))
         return math.sqrt(total)
 
-    norm_u1 = l2(case.u, (1, 3))
-    norm_p2 = l2(case.p, (2, 4))
+    norm_u1 = l2(case.u, 1)
+    norm_p2 = l2(case.p, 2)
     return MappingProxyType({
-        "norm_p1": l2(case.p, (1, 3)),
+        "norm_p1": l2(case.p, 1),
         "norm_p2_l2": norm_p2,
-        "norm_p2_h1": math.hypot(norm_p2, l2(case.grad_p, (2, 4))),
+        "norm_p2_h1": math.hypot(norm_p2, l2(case.grad_p, 2)),
         "norm_u1_l2": norm_u1,
-        "norm_u1_hdiv": math.hypot(norm_u1, l2(case.F, (1, 3))),
-        "norm_u2": l2(case.u, (2, 4)),
+        "norm_u1_hdiv": math.hypot(norm_u1, l2(case.F, 1)),
+        "norm_u2": l2(case.u, 2),
     })
 
 
@@ -295,59 +292,3 @@ def interface_flux_residuals(sol: SolutionFields, case: ManufacturedCase,
     f_n = np.asarray(case.f_n(x[..., 0], x[..., 1]), dtype=float)
     defect = (u1n - u2n)[:, None] - case.beta * p2h - f_n
     return length * (defect @ LINE_RULE.weights)
-
-
-def _omega2_quadrants(x, y):
-    """Region-2 quadrant whose closure contains each vertex."""
-    on_v = np.abs(x) < 1e-14
-    on_h = np.abs(y) < 1e-14
-    return np.where(on_v, np.where(y > 0, 2, 4),
-                    np.where(on_h, np.where(x < 0, 2, 4), quadrants_of(x, y)))
-
-
-def interpolate_exact(case: ManufacturedCase, m: BipartiteMesh,
-                      layout: DofLayout) -> np.ndarray:
-    """Natural interpolant of the exact fields as a global dof vector.
-
-    Edge dofs are exact integrated fluxes (region-1 one-sided values on the
-    interface), the nodal pressure interpolates vertex values, the cell
-    pressure takes cell means, and the potential is the nodal interpolant
-    of the case's velocity potential shifted to vanish at the pinned
-    vertex.
-    """
-    x = np.zeros(layout.size)
-
-    # Flux of the region-1 side: interface edges take their region-1
-    # neighbour's quadrant, every other edge its first triangle's.
-    owner = m.edge_tris[:, 0].copy()
-    owner[m.interface_edges] = m.interface_tri1
-    edges = layout.u1_edges
-    pts = _edge_points(m, edges, LINE_RULE)
-    u = case.u(pts[..., 0], pts[..., 1], m.tri_quadrant[owner[edges]][:, None])
-    un = np.einsum("eqd,ed->eq", u, m.edge_normals[edges])
-    x[:layout.n_u1] = m.edge_lengths[edges] * (un @ LINE_RULE.weights)
-
-    vx, vy = m.vertices[layout.p2_vertices].T
-    quadrant = _omega2_quadrants(vx, vy)
-    x[layout.offset_p2:layout.offset_phi] = case.p(vx, vy, quadrant)
-    potential = case.potential_at(vx, vy, quadrant)
-    free = layout.p2_vertices != layout.pinned_vertex
-    x[layout.offset_phi:layout.offset_p1] = (
-        potential[free] - potential[layout.vert_to_p2[layout.pinned_vertex]]
-    )
-
-    # cell means of the exact pressure (its L2 projection onto constants)
-    tris1 = layout.p1_triangles
-    vol_rule = triangle_rule(10)
-    pts = _region_points(m, tris1, vol_rule)
-    q1 = m.tri_quadrant[tris1][:, None]
-    x[layout.offset_p1:] = 2.0 * (case.p(pts[..., 0], pts[..., 1], q1) @ vol_rule.weights)
-    return x
-
-
-def dual_residual_norm(system, x: np.ndarray) -> float:
-    """Residual of a candidate vector in the discrete dual norm."""
-    r = system.matrix() @ x - system.rhs()
-    gram = sp.block_diag([x_norm_gram(system), y_norm_gram(system)], format="csc")
-    z = spla.spsolve(gram, r)
-    return math.sqrt(abs(float(r @ z)))

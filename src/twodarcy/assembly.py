@@ -44,7 +44,6 @@ __all__ = [
     "assemble_C",
     "assemble_rhs",
     "assemble_system",
-    "write_matrix_market",
 ]
 
 BLOCK_RULE = triangle_rule(2)
@@ -145,23 +144,16 @@ def p1_mass_omega2(m: BipartiteMesh, layout: DofLayout) -> sp.csr_matrix:
     return _scatter(local, dofs, dofs, (layout.n_p2, layout.n_p2))
 
 
-def p1_stiffness_omega2(
-    m: BipartiteMesh,
-    layout: DofLayout,
-    a: float = 1.0,
-    rows_phi: bool = False,
-    cols_phi: bool = False,
-) -> sp.csr_matrix:
-    """Nodal stiffness over region 2 scaled by ``a``, optionally on potential dofs."""
+def p1_stiffness_omega2(m: BipartiteMesh, layout: DofLayout, a: float = 1.0) -> sp.csr_matrix:
+    """Nodal stiffness over region 2 on the p2 dofs, scaled by ``a``.
+
+    Its rows (and columns) ``layout.phi_to_p2`` are the potential stiffness.
+    """
     tris = layout.u2_triangles
     grads = m.hat_gradients[tris]
     local = (a * m.areas[tris])[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
-    verts = m.triangles[tris]
-    rmap = layout.vert_to_phi if rows_phi else layout.vert_to_p2
-    cmap = layout.vert_to_phi if cols_phi else layout.vert_to_p2
-    nrows = layout.n_phi if rows_phi else layout.n_p2
-    ncols = layout.n_phi if cols_phi else layout.n_p2
-    return _scatter(local, rmap[verts], cmap[verts], (nrows, ncols))
+    dofs = layout.vert_to_p2[m.triangles[tris]]
+    return _scatter(local, dofs, dofs, (layout.n_p2, layout.n_p2))
 
 
 def _edge_points(m: BipartiteMesh, edges, rule) -> np.ndarray:
@@ -202,7 +194,7 @@ def assemble_A(
 
 def assemble_B(m: BipartiteMesh, layout: DofLayout) -> sp.csr_matrix:
     """Divergence pairing with p1 and gradient pairing with the potential."""
-    g = p1_stiffness_omega2(m, layout, rows_phi=True)        # (n_phi, n_p2)
+    g = p1_stiffness_omega2(m, layout)[layout.phi_to_p2]     # (n_phi, n_p2)
     tris = layout.p1_triangles
     d = _scatter(
         m.tri_edge_signs[tris].astype(float)[:, None, :],    # integral of div = sign
@@ -215,7 +207,8 @@ def assemble_B(m: BipartiteMesh, layout: DofLayout) -> sp.csr_matrix:
 
 def assemble_C(m: BipartiteMesh, layout: DofLayout, coeffs: CoefficientSet) -> sp.csr_matrix:
     """a2-weighted potential stiffness; the p1 block is zero."""
-    k_a = p1_stiffness_omega2(m, layout, a=coeffs.a2, rows_phi=True, cols_phi=True)
+    phi = layout.phi_to_p2
+    k_a = p1_stiffness_omega2(m, layout, a=coeffs.a2)[phi][:, phi]
     return sp.block_diag(
         [k_a, sp.csr_matrix((layout.n_p1, layout.n_p1))], format="csr"
     )
@@ -317,13 +310,3 @@ def assemble_system(m: BipartiteMesh, layout: DofLayout, case, check: bool = Tru
     c = assemble_C(m, layout, coeffs)
     f1, f2 = assemble_rhs(m, layout, case)
     return SaddleSystem(A=a, B=b, C=c, F1=f1, F2=f2, mesh=m, layout=layout)
-
-
-def write_matrix_market(system: SaddleSystem, path) -> None:
-    """Dump the composed saddle matrix in MatrixMarket coordinate format.
-
-    Only stored entries are written, and the assembled blocks store no zeros.
-    """
-    from scipy.io import mmwrite
-
-    mmwrite(path, system.matrix().tocoo())

@@ -1,8 +1,8 @@
 """Manufactured cases: exact fields, coefficients, forcing and interface data.
 
-Closed forms are stored per quadrant (Q1 = (0,1)^2, Q2 = (-1,0)x(0,1),
-Q3 = (-1,0)^2, Q4 = (0,1)x(-1,0)) so that one-sided limits on the interface
-are exact.  Quadrants Q1 and Q3 form region 1, Q2 and Q4 region 2.
+Closed forms are stored per quadrant (the layout of ``twodarcy.mesh``:
+Q1 = (0,1)^2, Q2 = (-1,0)x(0,1), Q3 = (-1,0)^2, Q4 = (0,1)x(-1,0)) so that
+one-sided limits on the interface are exact.
 
 By default the interface data (normal-stress jump ``f_stress`` and
 normal-flux source ``f_n``) are derived from the exact solution through the
@@ -28,6 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .assembly import CoefficientSet
+from .mesh import REGION_OF_QUADRANT, quadrants_of
 
 __all__ = [
     "ManufacturedCase",
@@ -36,17 +37,7 @@ __all__ = [
     "example3",
     "example4",
     "derive_interface_data",
-    "finite_difference_check",
-    "quadrants_of",
 ]
-
-_REGION_OF_QUADRANT = np.array([0, 1, 2, 1, 2])
-
-
-def quadrants_of(x, y):
-    """Quadrant ids (1..4) of strictly interior points."""
-    return np.where(np.asarray(y) > 0, np.where(np.asarray(x) > 0, 1, 2),
-                    np.where(np.asarray(x) > 0, 4, 3))
 
 
 @dataclass(frozen=True)
@@ -70,18 +61,13 @@ class ManufacturedCase:
     f_n: Callable = None
     g: Callable | None = None
     # scalar whose quadrant-wise gradient equals the region-2 velocity;
-    # defaults to -p/a2, which is the correct potential whenever g = 0
+    # None stands for -p/a2, which is the correct potential whenever g = 0
     potential: Callable | None = None
-
-    def potential_at(self, x, y, q):
-        if self.potential is not None:
-            return self.potential(x, y, q)
-        return -self.p(x, y, q) / self.a2
 
     # -- coefficient access -------------------------------------------------
 
     def a_of_quadrant(self, q):
-        return np.where(_REGION_OF_QUADRANT[np.asarray(q)] == 1, self.a1, self.a2)
+        return np.where(REGION_OF_QUADRANT[np.asarray(q)] == 1, self.a1, self.a2)
 
     def coefficient_set(self) -> CoefficientSet:
         return CoefficientSet(self.a1, self.a2, self.beta)
@@ -110,18 +96,21 @@ class ManufacturedCase:
 
 
 def _classify_interface(x, y, tol=1e-12):
-    """Sub-edge data for interface points: region-1/-2 quadrants and normal."""
+    """Sub-edge data for interface points: region-1/-2 quadrants and normal.
+
+    The normal n points from region 1 into region 2, so the region-1 and
+    region-2 quadrants are those of x - n and x + n.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     on_h = np.abs(y) <= tol
     on_v = np.abs(x) <= tol
     if not np.all(on_h | on_v):
         raise ValueError("point is not on the interface cross")
-    q1 = np.where(on_h, np.where(x > 0, 1, 3), np.where(y > 0, 1, 3))
-    q2 = np.where(on_h, np.where(x > 0, 4, 2), np.where(y > 0, 2, 4))
     nx = np.where(on_h, 0.0, np.where(y > 0, -1.0, 1.0))
     ny = np.where(on_h, np.where(x > 0, -1.0, 1.0), 0.0)
-    return q1, q2, np.stack([nx, ny], axis=-1)
+    n = np.stack([nx, ny], axis=-1)
+    return quadrants_of(x - nx, y - ny), quadrants_of(x + nx, y + ny), n
 
 
 def derive_interface_data(case: ManufacturedCase, beta: float | None = None):
@@ -311,42 +300,3 @@ def example4(interface_mode: str = "derived", beta: float = 1.0) -> Manufactured
         return np.full_like(np.asarray(x, dtype=float), -1.0 / np.sqrt(2.0))
 
     return dataclasses.replace(case, f_stress=derived_stress, f_n=f_n)
-
-
-# -- derivative lockdown ------------------------------------------------------
-
-def finite_difference_check(case: ManufacturedCase, samples: int = 200,
-                            step: float = 1e-5, seed: int = 7) -> float:
-    """Worst relative discrepancy of the closed-form calculus at interior points.
-
-    Gradients are checked against central differences of the pressure and
-    the Laplacian against central differences of the closed-form gradient;
-    the source field is checked against -lap(p)/a.  Denominators are
-    floored at one.
-    """
-    rng = np.random.default_rng(seed)
-    margin = 1e-3
-    worst = 0.0
-    per_quadrant = max(1, samples // 2)
-    signs = {1: (1, 1), 2: (-1, 1), 3: (-1, -1), 4: (1, -1)}
-    for q, (sx, sy) in signs.items():
-        x = sx * rng.uniform(margin, 1.0 - margin, per_quadrant)
-        y = sy * rng.uniform(margin, 1.0 - margin, per_quadrant)
-        g = case.grad_p(x, y, q)
-        fd_gx = (case.p(x + step, y, q) - case.p(x - step, y, q)) / (2 * step)
-        fd_gy = (case.p(x, y + step, q) - case.p(x, y - step, q)) / (2 * step)
-        lap = case.lap_p(x, y, q)
-        fd_lap = (
-            case.grad_p(x + step, y, q)[..., 0] - case.grad_p(x - step, y, q)[..., 0]
-            + case.grad_p(x, y + step, q)[..., 1] - case.grad_p(x, y - step, q)[..., 1]
-        ) / (2 * step)
-        fd_f = -fd_lap / case.a_of_quadrant(q)
-        for approx, exact in (
-            (fd_gx, g[..., 0]),
-            (fd_gy, g[..., 1]),
-            (fd_lap, lap),
-            (fd_f, case.F(x, y, q)),
-        ):
-            denom = np.maximum(np.abs(exact), 1.0)
-            worst = max(worst, float(np.max(np.abs(approx - exact) / denom)))
-    return worst

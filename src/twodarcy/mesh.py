@@ -3,9 +3,12 @@
 The domain is the square (-1, 1)^2 split by the coordinate axes into four
 unit quadrants.  Quadrants Q1 = (0,1)^2 and Q3 = (-1,0)^2 form region 1,
 Q2 = (-1,0)x(0,1) and Q4 = (0,1)x(-1,0) form region 2, and the interface is
-the cross (-1,1) x {0} union {0} x (-1,1).  A level-k mesh cuts the square
-into (2k)^2 cells of side 1/k, each split along its lower-left to
-upper-right diagonal.
+the cross (-1,1) x {0} union {0} x (-1,1).  This module is the one home of
+that layout: ``quadrants_of`` maps coordinate signs to quadrants and
+``REGION_OF_QUADRANT`` maps quadrants to regions.
+
+A level-k mesh cuts the square into (2k)^2 cells of side 1/k, each split
+along its lower-left to upper-right diagonal.
 
 Every interface edge stores the unit normal of its region-1 neighbour, i.e.
 the normal pointing from region 1 into region 2.  Edges are stored with the
@@ -15,22 +18,28 @@ degrees) fixes the flux orientation used by the vector basis downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 
 import numpy as np
 
-from ._vtk import write_unstructured_grid
-
 __all__ = [
+    "REGION_OF_QUADRANT",
     "EdgeKind",
     "BipartiteMesh",
-    "ConsistencyReport",
     "build_cartesian_mesh",
-    "validate_consistency",
-    "write_mesh_vtk",
+    "quadrants_of",
 ]
+
+# Region of each quadrant id 1..4 (index 0 is unused).
+REGION_OF_QUADRANT = np.array([0, 1, 2, 1, 2])
+
+
+def quadrants_of(x, y):
+    """Quadrant ids (1..4) from the signs of x and y; a zero coordinate counts as negative."""
+    return np.where(np.asarray(y) > 0, np.where(np.asarray(x) > 0, 1, 2),
+                    np.where(np.asarray(x) > 0, 4, 3))
 
 
 class EdgeKind(IntEnum):
@@ -230,62 +239,8 @@ def build_cartesian_mesh(level_inv: int) -> BipartiteMesh:
     triangles[0::2] = lower
     triangles[1::2] = upper
 
-    right = ci >= k
-    top = cj >= k
-    quadrant_cell = np.select(
-        [right & top, ~right & top, ~right & ~top, right & ~top], [1, 2, 3, 4]
-    )
-    tri_quadrant = np.repeat(quadrant_cell, 2).astype(np.int8)
-    tri_region = np.where(np.isin(tri_quadrant, (1, 3)), 1, 2).astype(np.int8)
+    # Cell centres in units of 1/k: their signs pick the quadrant.
+    tri_quadrant = np.repeat(quadrants_of(ci + 0.5 - k, cj + 0.5 - k), 2).astype(np.int8)
+    tri_region = REGION_OF_QUADRANT[tri_quadrant].astype(np.int8)
 
     return _finish_mesh(k, vertices, triangles, tri_region, tri_quadrant)
-
-
-@dataclass
-class ConsistencyReport:
-    ok: bool
-    violations: list = field(default_factory=list)  # (triangle id, reason)
-
-
-# Strictly interior barycentric sample points, including near-vertex ones so
-# thin overlaps with the wrong region are caught.
-_SAMPLES = np.array(
-    [[1 / 3, 1 / 3, 1 / 3]]
-    + [np.roll([0.6, 0.2, 0.2], i) for i in range(3)]
-    + [np.roll([0.9, 0.05, 0.05], i) for i in range(3)]
-)
-
-
-def validate_consistency(m: BipartiteMesh, tol: float = 1e-12) -> ConsistencyReport:
-    """Check that every triangle lies wholly inside the region it is tagged with.
-
-    A triangle violates consistency when its centroid's region disagrees
-    with its tag or when interior sample points fall on both sides of the
-    interface cross.
-    """
-    pts = np.einsum("si,tid->tsd", _SAMPLES, m.vertices[m.triangles])
-    prod = pts[:, :, 0] * pts[:, :, 1]
-    region = np.where(prod > tol, 1, np.where(prod < -tol, 2, 0))  # 0: on the cross
-    on_side = region != 0
-    degenerate = ~on_side.any(axis=1)
-    first = region[np.arange(len(region)), on_side.argmax(axis=1)]
-    straddles = (on_side & (region != first[:, None])).any(axis=1)
-    reason = np.select(  # the first condition that holds names the violation
-        [degenerate, straddles, first != m.tri_region],
-        ["degenerate sampling on the interface", "straddles the interface", "region tag mismatch"],
-        "",
-    )
-    bad = np.flatnonzero(reason != "")
-    violations = list(zip(bad.tolist(), reason[bad].tolist()))
-    return ConsistencyReport(ok=not violations, violations=violations)
-
-
-def write_mesh_vtk(m: BipartiteMesh, path) -> None:
-    """Dump the mesh as a legacy-VTK unstructured grid with region cell data."""
-    write_unstructured_grid(
-        path,
-        m.vertices,
-        m.triangles,
-        title=f"bipartite mesh level {m.level_inv}",
-        cell_scalars={"region": m.tri_region.astype(float)},
-    )

@@ -20,8 +20,6 @@ __all__ = [
     "QuadRule",
     "triangle_rule",
     "segment_rule",
-    "integrate_on_triangle",
-    "integrate_on_segment",
 ]
 
 
@@ -92,30 +90,3 @@ def segment_rule(min_degree: int) -> QuadRule:
     n = (min_degree + 2) // 2
     t, w = _gauss01(n)
     return _frozen(t, w, 2 * n - 1)
-
-
-def integrate_on_triangle(f, tri, rule: QuadRule) -> float:
-    """Integrate the scalar field ``f(x, y)`` over a physical triangle.
-
-    ``tri`` is a (3, 2) array of vertex coordinates; the affine map carries
-    the Jacobian 2*area.
-    """
-    tri = np.asarray(tri, dtype=float)
-    d1 = tri[1] - tri[0]
-    d2 = tri[2] - tri[0]
-    area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
-    if area < 1e-300:
-        raise ValueError("degenerate triangle")
-    pts = rule.points @ tri
-    return 2.0 * area * float(rule.weights @ np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float))
-
-
-def integrate_on_segment(f, seg, rule: QuadRule) -> float:
-    """Integrate ``f(x, y)`` along a straight segment ((2, 2) endpoint array)."""
-    seg = np.asarray(seg, dtype=float)
-    d = seg[1] - seg[0]
-    length = float(np.hypot(d[0], d[1]))
-    if length < 1e-300:
-        raise ValueError("degenerate segment")
-    pts = seg[0] + np.outer(rule.points, d)
-    return length * float(rule.weights @ np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float))

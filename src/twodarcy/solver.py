@@ -112,7 +112,8 @@ def x_norm_gram(system: SaddleSystem) -> sp.csr_matrix:
 def y_norm_gram(system: SaddleSystem) -> sp.csr_matrix:
     """Gram matrix of the [u2, p1] norm: gradient L2 and cell L2."""
     m, lo = system.mesh, system.layout
-    g_phi = p1_stiffness_omega2(m, lo, rows_phi=True, cols_phi=True)
+    phi = lo.phi_to_p2
+    g_phi = p1_stiffness_omega2(m, lo)[phi][:, phi]
     g_p1 = sp.diags(m.areas[lo.p1_triangles])
     return sp.block_diag([g_phi, g_p1], format="csr")
 

@@ -28,10 +28,6 @@ __all__ = [
     "DofLayout",
     "build_dof_layout",
     "rt0_basis",
-    "rt0_eval",
-    "rt0_div",
-    "p1_eval",
-    "p1_grad",
     "potential_to_velocity",
 ]
 
@@ -62,6 +58,11 @@ class DofLayout:
     @property
     def n_phi(self) -> int:
         return self.n_p2 - 1
+
+    @property
+    def phi_to_p2(self) -> np.ndarray:
+        """(n_phi,) p2-block index of each potential dof: every p2 dof but the pinned one."""
+        return np.flatnonzero(self.p2_vertices != self.pinned_vertex)
 
     @property
     def n_p1(self) -> int:
@@ -101,8 +102,8 @@ def build_dof_layout(m: BipartiteMesh, pin_vertex: int | None = None) -> DofLayo
     """Deterministic entity-order numbering of all four blocks.
 
     The potential is pinned to zero at the smallest-index region-2 vertex
-    unless ``pin_vertex`` overrides it; any pin yields the same gradient
-    field.
+    unless ``pin_vertex`` overrides it; any region-2 vertex yields the same
+    gradient field.
     """
     u1_kinds = (EdgeKind.INTERIOR_1, EdgeKind.BOUNDARY_1, EdgeKind.INTERFACE)
     u1_edges = np.flatnonzero(np.isin(m.edge_kind, u1_kinds))
@@ -115,7 +116,7 @@ def build_dof_layout(m: BipartiteMesh, pin_vertex: int | None = None) -> DofLayo
 
     if pin_vertex is None:
         pin_vertex = int(p2_vertices[0])
-    elif vert_to_p2[pin_vertex] < 0:
+    elif not (0 <= pin_vertex < m.n_vertices and vert_to_p2[pin_vertex] >= 0):
         raise ValueError(f"pin vertex {pin_vertex} is not a region-2 vertex")
     phi_vertices = p2_vertices[p2_vertices != pin_vertex]
     vert_to_phi = np.full(m.n_vertices, -1, dtype=np.int64)
@@ -146,41 +147,6 @@ def rt0_basis(m: BipartiteMesh, tris, x) -> np.ndarray:
     """(t, 3, q, 2) flux-normalized basis of every edge of ``tris`` at the (t, q, 2) points x."""
     scale = m.tri_edge_signs[tris] / (2.0 * m.areas[tris])[:, None]
     return scale[:, :, None, None] * (x[:, None, :, :] - m.vertices[m.triangles[tris]][:, :, None, :])
-
-
-def rt0_eval(m: BipartiteMesh, tri: int, local_edge: int, x) -> np.ndarray:
-    """Flux-normalized Raviart-Thomas basis of ``local_edge`` at points x."""
-    if not 0 <= local_edge < 3:
-        raise ValueError(f"invalid local edge index: {local_edge}")
-    x = np.asarray(x, dtype=float)
-    return rt0_basis(m, [tri], x.reshape(1, -1, 2))[0, local_edge].reshape(x.shape)
-
-
-def rt0_div(m: BipartiteMesh, tri: int, local_edge: int) -> float:
-    """Constant divergence of the flux-normalized basis member."""
-    if not 0 <= local_edge < 3:
-        raise ValueError(f"invalid local edge index: {local_edge}")
-    return float(m.tri_edge_signs[tri, local_edge]) / m.areas[tri]
-
-
-def p1_eval(m: BipartiteMesh, tri: int, local_vertex: int, x) -> np.ndarray:
-    """Barycentric hat function of ``local_vertex`` at points x."""
-    if not 0 <= local_vertex < 3:
-        raise ValueError(f"invalid local vertex index: {local_vertex}")
-    p = m.vertices[m.triangles[tri]]
-    a = p[(local_vertex + 1) % 3]
-    b = p[(local_vertex + 2) % 3]
-    x = np.asarray(x, dtype=float)
-    da = a - x
-    db = b - x
-    return (da[..., 0] * db[..., 1] - da[..., 1] * db[..., 0]) / (2.0 * m.areas[tri])
-
-
-def p1_grad(m: BipartiteMesh, tri: int, local_vertex: int) -> np.ndarray:
-    """Constant gradient of the hat function of ``local_vertex``."""
-    if not 0 <= local_vertex < 3:
-        raise ValueError(f"invalid local vertex index: {local_vertex}")
-    return m.hat_gradients[tri, local_vertex].copy()
 
 
 def potential_to_velocity(phi, m: BipartiteMesh, layout: DofLayout) -> np.ndarray:

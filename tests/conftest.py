@@ -1,49 +1,6 @@
-import dataclasses
-
-import numpy as np
 import pytest
 
-from twodarcy.manufactured import ManufacturedCase, derive_interface_data
-
-
-def linear_patch_case(c0=0.3, cx=0.7, cy=-0.4):
-    """Exactly representable fixture: linear pressure on region 2, zero flow.
-
-    The pressure is c0 + cx*x + cy*y on region 2 and zero on region 1, the
-    velocity is zero everywhere (the gravity term balances the gradient),
-    and all data follow from the derived interface balance.  Every field
-    lies in the discrete spaces, so a correct assembly reproduces it to
-    machine precision.
-    """
-
-    def p(x, y, q):
-        x = np.asarray(x, dtype=float)
-        in2 = np.isin(np.asarray(q), (2, 4))
-        return np.where(in2, c0 + cx * x + cy * np.asarray(y), 0.0)
-
-    def grad_p(x, y, q):
-        x = np.asarray(x, dtype=float)
-        in2 = np.isin(np.asarray(q), (2, 4))
-        gx = np.where(in2, cx, 0.0) * np.ones_like(x)
-        gy = np.where(in2, cy, 0.0) * np.ones_like(x)
-        return np.stack([gx, gy], axis=-1)
-
-    def lap_p(x, y, q):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def g(x, y, q):
-        # forces u = -(grad p + g)/a to vanish identically
-        return -grad_p(x, y, q)
-
-    def potential(x, y, q):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    case = ManufacturedCase(
-        name="linear_patch", a1=1.0, a2=1.0, beta=1.0, interface_mode="derived",
-        p=p, grad_p=grad_p, lap_p=lap_p, g=g, potential=potential,
-    )
-    f_stress, f_n = derive_interface_data(case)
-    return dataclasses.replace(case, f_stress=f_stress, f_n=f_n)
+from oracles import linear_patch_case
 
 
 @pytest.fixture

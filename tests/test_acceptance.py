@@ -21,6 +21,8 @@ from twodarcy.mesh import build_cartesian_mesh
 from twodarcy.solver import check_wellposedness, solve
 from twodarcy.spaces import build_dof_layout
 
+from oracles import finite_difference_check
+
 LEVELS = [1, 2, 4, 8, 16, 32]
 
 # --- frozen table values ---------------------------------------------------
@@ -246,7 +248,7 @@ def test_criterion_7b_quadrature_saturation():
 def test_criterion_7c_finite_difference_lockdown():
     worst = 0.0
     for case in (td.example1(), td.example2(), td.example3(), td.example4()):
-        worst = max(worst, td.finite_difference_check(case))
+        worst = max(worst, finite_difference_check(case))
     print(f"[criterion 7c] closed-form calculus vs central differences: "
           f"{worst:.2e} (limit 1e-6)")
     assert worst <= 1e-6

@@ -8,19 +8,19 @@ from twodarcy import analysis
 from twodarcy.analysis import (
     ConvergenceReport,
     convergence_study,
-    dual_residual_norm,
     error_norms,
     interface_flux_residuals,
-    interpolate_exact,
     rate,
     write_csv,
 )
 from twodarcy.assembly import assemble_system
-from twodarcy.manufactured import example1, example2, example3, example4, quadrants_of
-from twodarcy.mesh import build_cartesian_mesh
+from twodarcy.manufactured import example1, example2, example3, example4
+from twodarcy.mesh import build_cartesian_mesh, quadrants_of
 from twodarcy.quadrature import triangle_rule
 from twodarcy.solver import SolutionFields, solve
-from twodarcy.spaces import build_dof_layout, potential_to_velocity
+from twodarcy.spaces import build_dof_layout
+
+from oracles import dual_residual_norm, interpolate_exact
 
 
 def _fields_from_vector(x, system):

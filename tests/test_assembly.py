@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given
 
 from twodarcy import assembly
 from twodarcy.assembly import (
@@ -15,11 +16,14 @@ from twodarcy.assembly import (
     assemble_system,
     p1_stiffness_omega2,
     rt0_mass,
-    write_matrix_market,
 )
 from twodarcy.manufactured import example1, example2, example3, example4
 from twodarcy.mesh import EdgeKind, build_cartesian_mesh
+from twodarcy.solver import solve
 from twodarcy.spaces import build_dof_layout
+
+from oracles import interpolate_exact, linear_patch_case, with_coefficients
+from test_coefficients import coefficients, derandomized
 
 
 def _vertex_index(m, x, y):
@@ -200,15 +204,22 @@ def test_admissibility_rejects_non_finite_beta(beta):
         assemble_A(m, layout, CoefficientSet(1.0, 1.0, beta))
 
 
-def test_patch_case_residual(patch_case):
-    m = build_cartesian_mesh(2)
-    layout = build_dof_layout(m)
-    system = assemble_system(m, layout, patch_case)
-    from twodarcy.analysis import interpolate_exact
-
-    xhat = interpolate_exact(patch_case, m, layout)
-    residual = system.matrix() @ xhat - system.rhs()
-    assert np.abs(residual).max() <= 1e-10
+@derandomized
+@given(coefficients)
+@example(CoefficientSet(1.0, 1.0, 1.0))
+def test_patch_case_residual(coeffs):
+    case = with_coefficients(linear_patch_case(), coeffs)
+    for level in (2, 4):
+        m = build_cartesian_mesh(level)
+        layout = build_dof_layout(m)
+        system = assemble_system(m, layout, case)
+        xhat = interpolate_exact(case, m, layout)
+        rhs = system.rhs()
+        residual = system.matrix() @ xhat - rhs
+        assert np.abs(residual).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
+        sol = solve(system)
+        x = np.concatenate([sol.u1, sol.p2, sol.phi, sol.p1])
+        assert np.abs(x - xhat).max() <= 1e-10 * np.abs(xhat).max()
 
 
 def test_assembly_merge_order_independent():
@@ -225,24 +236,12 @@ def test_assembly_merge_order_independent():
     assert abs(shuffled - reference).max() / scale <= 1e-12
 
 
-def test_matrix_market_dump(tmp_path):
-    m = build_cartesian_mesh(1)
-    layout = build_dof_layout(m)
-    system = assemble_system(m, layout, example1())
-    path = tmp_path / "system.mtx"
-    write_matrix_market(system, path)
-    from scipy.io import mmread
-
-    back = mmread(path)
-    assert abs(back.tocsr() - system.matrix()).max() <= 1e-12
-
-
 def test_example3_weighted_stiffness():
     m = build_cartesian_mesh(2)
     layout = build_dof_layout(m)
     case = example3()
     c = assemble_C(m, layout, case.coefficient_set())
-    plain = p1_stiffness_omega2(m, layout, rows_phi=True, cols_phi=True)
+    plain = p1_stiffness_omega2(m, layout)[layout.phi_to_p2][:, layout.phi_to_p2]
     assert abs(c[: layout.n_phi, : layout.n_phi] - 5.0 * plain).max() <= 1e-12
 
 

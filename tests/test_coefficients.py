@@ -38,7 +38,7 @@ def _level4():
     return m, layout, {
         "flux": rt0_mass(m, layout),
         "beta": unit_a[layout.n_u1:, layout.n_u1:],
-        "potential": p1_stiffness_omega2(m, layout, rows_phi=True, cols_phi=True),
+        "potential": p1_stiffness_omega2(m, layout)[layout.phi_to_p2][:, layout.phi_to_p2],
     }
 
 

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+from twodarcy.assembly import LINE_RULE, _edge_points
 from twodarcy.manufactured import (
+    _classify_interface,
     derive_interface_data,
     example1,
     example2,
     example3,
     example4,
-    finite_difference_check,
-    quadrants_of,
 )
+from twodarcy.mesh import build_cartesian_mesh, quadrants_of
+
+from oracles import finite_difference_check
 
 
 def test_example1_point_value():
@@ -149,6 +152,18 @@ def test_invalid_modes_rejected():
         example3(interface_mode="constant_projection")
     with pytest.raises(ValueError):
         example4(interface_mode="paper_literal")
+
+
+def test_interface_classification_matches_the_mesh():
+    m = build_cartesian_mesh(4)
+    x = _edge_points(m, m.interface_edges, LINE_RULE)
+    q1, q2, n = _classify_interface(x[..., 0], x[..., 1])
+    per_point = x.shape[:2]
+    np.testing.assert_array_equal(
+        q1, np.broadcast_to(m.tri_quadrant[m.interface_tri1][:, None], per_point))
+    np.testing.assert_array_equal(
+        q2, np.broadcast_to(m.tri_quadrant[m.interface_tri2][:, None], per_point))
+    np.testing.assert_array_equal(n, np.broadcast_to(m.interface_normals[:, None], n.shape))
 
 
 def test_derive_rejects_points_off_interface():

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from twodarcy.mesh import (
-    _SAMPLES,
+    REGION_OF_QUADRANT,
     EdgeKind,
     _connectivity,
     build_cartesian_mesh,
-    validate_consistency,
-    write_mesh_vtk,
+    quadrants_of,
 )
+
+from oracles import _SAMPLES, validate_consistency
 
 
 def test_level1_counts():
@@ -161,16 +162,14 @@ def test_validate_flags_translated_mesh():
     assert "straddles the interface" in reasons
 
 
-def test_mesh_vtk_dump(tmp_path):
-    m = build_cartesian_mesh(2)
-    path = tmp_path / "mesh.vtk"
-    write_mesh_vtk(m, path)
-    text = path.read_text()
-    assert text.startswith("# vtk DataFile Version 3.0")
-    assert f"POINTS {m.n_vertices} double" in text
-    assert f"CELLS {m.n_triangles} {4 * m.n_triangles}" in text
-    assert text.count("\n5\n") >= 1  # triangle cell type
-    assert "SCALARS region double 1" in text
+@pytest.mark.parametrize("level", [1, 3, 8])
+def test_tags_follow_the_quadrant_layout(level):
+    m = build_cartesian_mesh(level)
+    c = m.centroids
+    np.testing.assert_array_equal(m.tri_quadrant, quadrants_of(c[:, 0], c[:, 1]))
+    np.testing.assert_array_equal(m.tri_region, REGION_OF_QUADRANT[m.tri_quadrant])
+    # Q1 and Q3 form region 1, Q2 and Q4 region 2
+    np.testing.assert_array_equal(REGION_OF_QUADRANT[1:], [1, 2, 1, 2])
 
 
 def dict_loop_connectivity(triangles):

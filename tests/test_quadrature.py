@@ -3,13 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from twodarcy.quadrature import (
-    integrate_on_segment,
-    integrate_on_triangle,
-    segment_rule,
-    triangle_rule,
-)
 from twodarcy.mesh import build_cartesian_mesh
+from twodarcy.quadrature import segment_rule, triangle_rule
+
+from oracles import integrate_on_segment, integrate_on_triangle
 
 
 def reference_monomial(a, b):

@@ -2,18 +2,22 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given
 
 from twodarcy.analysis import error_norms
-from twodarcy.assembly import assemble_system
+from twodarcy.assembly import CoefficientSet, assemble_system
 from twodarcy.manufactured import derive_interface_data, example1
 from twodarcy.mesh import build_cartesian_mesh
 from twodarcy.solver import check_wellposedness, solve
 from twodarcy.spaces import build_dof_layout
 
+from oracles import with_coefficients
+from test_coefficients import coefficients, derandomized
 
-def _solve_example1(level, pin_vertex=None):
+
+def _solve_example1(level):
     m = build_cartesian_mesh(level)
-    layout = build_dof_layout(m, pin_vertex=pin_vertex)
+    layout = build_dof_layout(m)
     case = example1()
     system = assemble_system(m, layout, case)
     return m, case, system, solve(system)
@@ -41,14 +45,20 @@ def test_example1_level2_velocity_error():
     assert abs(report.e_u1_l2 - 0.1409) / 0.1409 <= 0.25
 
 
-def test_pin_independence():
-    m, _, _, sol_a = _solve_example1(2)
-    layout = build_dof_layout(m)
-    other_pin = int(layout.p2_vertices[-1])
-    _, _, _, sol_b = _solve_example1(2, pin_vertex=other_pin)
+@derandomized
+@given(coefficients)
+@example(CoefficientSet(1.0, 1.0, 1.0))
+def test_pin_independence(coeffs):
+    case = with_coefficients(example1(), coeffs)
+    m = build_cartesian_mesh(2)
+    other_pin = int(build_dof_layout(m).p2_vertices[-1])
+    sol_a, sol_b = (
+        solve(assemble_system(m, build_dof_layout(m, pin_vertex=pin), case))
+        for pin in (None, other_pin)
+    )
     for field in ("u1", "p2", "p1", "u2"):
         a, b = getattr(sol_a, field), getattr(sol_b, field)
-        assert np.abs(a - b).max() <= 1e-9
+        assert np.abs(a - b).max() <= 1e-10 * np.abs(a).max()
     # the raw potential shifts by a constant only
     nodal_a = np.zeros(m.n_vertices)
     nodal_b = np.zeros(m.n_vertices)
@@ -56,7 +66,7 @@ def test_pin_independence():
     nodal_a[la.vert_to_phi >= 0] = sol_a.phi[la.vert_to_phi[la.vert_to_phi >= 0]]
     nodal_b[lb.vert_to_phi >= 0] = sol_b.phi[lb.vert_to_phi[lb.vert_to_phi >= 0]]
     shift = nodal_a[la.p2_vertices] - nodal_b[la.p2_vertices]
-    assert np.abs(shift - shift[0]).max() <= 1e-9
+    assert np.abs(shift - shift[0]).max() <= 1e-10 * np.abs(nodal_a).max()
 
 
 def test_linearity_in_the_data():

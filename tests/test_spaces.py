@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
+from twodarcy.assembly import assemble_B
 from twodarcy.mesh import EdgeKind, build_cartesian_mesh
-from twodarcy.quadrature import integrate_on_segment, segment_rule
-from twodarcy.spaces import (
-    build_dof_layout,
-    p1_eval,
-    p1_grad,
-    potential_to_velocity,
-    rt0_div,
-    rt0_eval,
-)
+from twodarcy.quadrature import segment_rule
+from twodarcy.spaces import build_dof_layout, potential_to_velocity, rt0_basis
+
+from oracles import integrate_on_segment, p1_eval
 
 
 def test_dof_counts_level1():
@@ -42,6 +38,13 @@ def test_pinned_vertex_is_smallest_region2_vertex():
         build_dof_layout(m, pin_vertex=0)  # corner (-1,-1) is region-1 only
 
 
+@pytest.mark.parametrize("pin", [-3, 9])
+def test_pin_vertex_out_of_range_is_rejected(pin):
+    # level 1 has 9 vertices; -3 would index region-2 vertex 6 from the end
+    with pytest.raises(ValueError, match="pin vertex"):
+        build_dof_layout(build_cartesian_mesh(1), pin_vertex=pin)
+
+
 def test_rt0_duality_on_edges():
     m = build_cartesian_mesh(2)
     rule = segment_rule(3)
@@ -53,7 +56,7 @@ def test_rt0_duality_on_edges():
                 seg = m.vertices[m.edges[e_j]]
                 n = m.edge_normals[e_j]
                 flux = integrate_on_segment(
-                    lambda x, y: rt0_eval(m, t, i, np.stack([x, y], axis=-1)) @ n,
+                    lambda x, y: rt0_basis(m, [t], np.stack([x, y], axis=-1)[None])[0, i] @ n,
                     seg,
                     rule,
                 )
@@ -62,20 +65,23 @@ def test_rt0_duality_on_edges():
 
 def test_rt0_div_value():
     m = build_cartesian_mesh(2)
-    t = int(np.flatnonzero(m.tri_region == 1)[0])
-    for i in range(3):
-        sigma = m.tri_edge_signs[t, i]
-        # flux-normalized basis: divergence is +-1/|K|
-        assert abs(rt0_div(m, t, i) - sigma / m.areas[t]) <= 1e-14
-        assert abs(abs(rt0_div(m, t, i)) - 1.0 / m.areas[t]) <= 1e-14
-
-
-def test_rt0_invalid_local_index():
-    m = build_cartesian_mesh(1)
-    with pytest.raises(ValueError):
-        rt0_eval(m, 0, 3, np.zeros(2))
-    with pytest.raises(ValueError):
-        rt0_div(m, 0, -1)
+    layout = build_dof_layout(m)
+    tris = layout.p1_triangles
+    # the basis is linear, so central differences give its divergence exactly
+    # up to rounding
+    step = 1e-3
+    c = m.centroids[tris][:, None, :]
+    div = sum(
+        (rt0_basis(m, tris, c + d)[:, :, 0, k] - rt0_basis(m, tris, c - d)[:, :, 0, k]) / (2 * step)
+        for k, d in enumerate(step * np.eye(2))
+    )
+    # flux-normalized basis: divergence is +-1/|K|
+    np.testing.assert_allclose(np.abs(div) * m.areas[tris][:, None], 1.0, rtol=1e-12)
+    # and it is the p1 row of B (integral of the divergence) over the area
+    d_block = assemble_B(m, layout)[layout.n_phi:, : layout.n_u1].toarray()
+    rows = layout.tri_to_p1[tris][:, None]
+    cols = layout.edge_to_u1[m.tri_edges[tris]]
+    np.testing.assert_allclose(div, d_block[rows, cols] / m.areas[tris][:, None], rtol=1e-12)
 
 
 def test_rt0_interelement_normal_continuity():
@@ -88,7 +94,7 @@ def test_rt0_interelement_normal_continuity():
         vals = np.zeros(2)
         for i in range(3):
             c = coeffs[layout.edge_to_u1[m.tri_edges[t, i]]]
-            vals += c * rt0_eval(m, t, i, x)
+            vals += c * rt0_basis(m, [t], x[None, None])[0, i, 0]
         return vals
 
     interior = np.flatnonzero(np.asarray(m.edge_kind) == EdgeKind.INTERIOR_1)
@@ -110,14 +116,14 @@ def test_p1_hats_delta_and_partition():
     x = tri.mean(axis=0)
     total = sum(p1_eval(m, t, i, x) for i in range(3))
     assert abs(total - 1.0) <= 1e-13
-    grad_sum = sum(p1_grad(m, t, i) for i in range(3))
+    grad_sum = m.hat_gradients[t].sum(axis=0)
     np.testing.assert_allclose(grad_sum, [0.0, 0.0], atol=1e-13)
 
 
 def test_p1_grad_magnitudes_on_right_triangle():
     m = build_cartesian_mesh(2)
     h = m.h
-    norms = sorted(np.linalg.norm(p1_grad(m, 0, i)) for i in range(3))
+    norms = sorted(np.linalg.norm(m.hat_gradients[0], axis=1))
     np.testing.assert_allclose(norms, [1 / h, 1 / h, np.sqrt(2) / h], rtol=1e-12)
 
 
@@ -128,7 +134,6 @@ def test_hat_gradient_table_matches_pointwise():
     for t in (0, 7, 12):
         c = m.centroids[t]
         for i in range(3):
-            np.testing.assert_allclose(table[t, i], p1_grad(m, t, i), atol=1e-14)
             # hats are linear, so forward differences of p1_eval are exact up to rounding
             diff = [p1_eval(m, t, i, c + d) - p1_eval(m, t, i, c) for d in step * np.eye(2)]
             np.testing.assert_allclose(table[t, i], np.array(diff) / step, atol=1e-9)
