@@ -75,7 +75,8 @@ class CoefficientSet:
 
 
 # ---------------------------------------------------------------------------
-# Elementary matrices (also reused by the well-posedness diagnostics).
+# Elementary matrices (also reused by the well-posedness diagnostics and, for
+# the RT0 mass, by the condensation in the solver).
 
 
 def _region_points(m, tris, rule):
@@ -88,15 +89,13 @@ def _region_points(m, tris, rule):
 _ROUNDING = 1e-12
 
 
-def _scatter(local, row_dofs, col_dofs, shape) -> sp.csr_matrix:
-    """Sum (t, r, c) local matrices on (t, r) row and (t, c) column dofs into a CSR matrix.
+def _scatter_entries(local, row_dofs, col_dofs):
+    """(values, rows, cols) of the (t, r, c) local matrices on (t, r) row and (t, c) column dofs.
 
-    Entries on a -1 dof are dropped; duplicates are summed by scipy in an
-    order that can change with the other entries of their row.
-
-    No zero is stored: local entries at most ``_ROUNDING`` times the largest
-    of their element matrix count as zero, and sums that cancel are removed.
-    Non-finite entries are kept, so a bad coefficient still reaches the solver.
+    Entries on a -1 dof are dropped, and so are local entries at most
+    ``_ROUNDING`` times the largest of their element matrix: they count as
+    zero.  Non-finite entries are kept, so a bad coefficient still reaches
+    the solver.
     """
     rows = np.repeat(row_dofs, col_dofs.shape[1], axis=1).ravel()
     cols = np.tile(col_dofs, (1, row_dofs.shape[1])).ravel()
@@ -106,21 +105,36 @@ def _scatter(local, row_dofs, col_dofs, shape) -> sp.csr_matrix:
     scale = np.nan_to_num(functools.reduce(np.maximum, mag.T), nan=0.0, posinf=0.0)
     small = (mag <= _ROUNDING * scale[:, None]).ravel()
     keep = np.flatnonzero((rows >= 0) & (cols >= 0) & ~small)
-    out = sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
+    return local.ravel()[keep], rows[keep], cols[keep]
+
+
+def _scatter(local, row_dofs, col_dofs, shape) -> sp.csr_matrix:
+    """Sum the ``_scatter_entries`` of (t, r, c) local matrices into a CSR matrix.
+
+    Duplicates are summed by scipy in an order that can change with the
+    other entries of their row.  No zero is stored: sums that cancel are
+    removed.
+    """
+    vals, rows, cols = _scatter_entries(local, row_dofs, col_dofs)
+    out = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
     out.eliminate_zeros()
     return out
+
+
+def rt0_local_mass(m: BipartiteMesh, tris, a: float = 1.0) -> np.ndarray:
+    """(t, 3, 3) flux-basis mass matrices of ``tris``, scaled by the resistance ``a``."""
+    pts = _region_points(m, tris, BLOCK_RULE)
+    phi = rt0_basis(m, tris, pts)
+    return (2.0 * a) * m.areas[tris][:, None, None] * np.einsum(
+        "q,tiqd,tjqd->tij", BLOCK_RULE.weights, phi, phi
+    )
 
 
 def rt0_mass(m: BipartiteMesh, layout: DofLayout, a: float = 1.0) -> sp.csr_matrix:
     """Mass matrix of the flux basis over region 1, scaled by the resistance ``a``."""
     tris = layout.p1_triangles
-    pts = _region_points(m, tris, BLOCK_RULE)
-    phi = rt0_basis(m, tris, pts)
-    local = (2.0 * a) * m.areas[tris][:, None, None] * np.einsum(
-        "q,tiqd,tjqd->tij", BLOCK_RULE.weights, phi, phi
-    )
     dofs = layout.edge_to_u1[m.tri_edges[tris]]
-    return _scatter(local, dofs, dofs, (layout.n_u1, layout.n_u1))
+    return _scatter(rt0_local_mass(m, tris, a), dofs, dofs, (layout.n_u1, layout.n_u1))
 
 
 def rt0_divdiv(m: BipartiteMesh, layout: DofLayout) -> sp.csr_matrix:
@@ -276,7 +290,7 @@ def assemble_rhs(m: BipartiteMesh, layout: DofLayout, case) -> tuple[np.ndarray,
 
 @dataclass
 class SaddleSystem:
-    """Assembled sparse blocks, load vectors and the originating layout."""
+    """Assembled sparse blocks, load vectors, the coefficients and the originating layout."""
 
     A: sp.csr_matrix
     B: sp.csr_matrix
@@ -285,6 +299,7 @@ class SaddleSystem:
     F2: np.ndarray
     mesh: BipartiteMesh
     layout: DofLayout
+    coeffs: CoefficientSet
 
     @property
     def Bt(self) -> sp.csc_matrix:
@@ -309,4 +324,4 @@ def assemble_system(m: BipartiteMesh, layout: DofLayout, case, check: bool = Tru
     b = assemble_B(m, layout)
     c = assemble_C(m, layout, coeffs)
     f1, f2 = assemble_rhs(m, layout, case)
-    return SaddleSystem(A=a, B=b, C=c, F1=f1, F2=f2, mesh=m, layout=layout)
+    return SaddleSystem(A=a, B=b, C=c, F1=f1, F2=f2, mesh=m, layout=layout, coeffs=coeffs)

@@ -1,4 +1,16 @@
-"""Direct solution of the saddle-point system and well-posedness diagnostics."""
+"""Direct solution of the saddle-point system and well-posedness diagnostics.
+
+``solve`` hybridizes region 1 (Arnold and Brezzi, M2AN 19, 1985; Boffi,
+Brezzi and Fortin, *Mixed Finite Element Methods*, 2013, section 7.2):
+the RT0 fluxes are broken per triangle, a multiplier on every interior
+region-1 edge restores their continuity, and each triangle's fluxes and
+cell pressure are eliminated locally.  The condensed system couples the
+multipliers, the interface fluxes, p2 and the potential.  With the phi
+and p2 equations of each vertex swapped, its diagonal has no zero, so
+SuperLU can factor it with a symmetric-mode minimum-degree ordering
+instead of COLAMD with partial pivoting.  The fill is about a quarter of
+that of the full saddle matrix at level 96.
+"""
 
 from __future__ import annotations
 
@@ -11,11 +23,14 @@ import scipy.sparse.linalg as spla
 
 from .assembly import (
     SaddleSystem,
+    _scatter_entries,
     p1_mass_omega2,
     p1_stiffness_omega2,
     rt0_divdiv,
+    rt0_local_mass,
     rt0_mass,
 )
+from .mesh import EdgeKind
 from .spaces import potential_to_velocity
 
 __all__ = [
@@ -74,15 +89,131 @@ class SolutionFields:
         )
 
 
-def solve(system: SaddleSystem) -> SolutionFields:
-    """Sparse LU (partial pivoting) solve with a relative residual guard."""
-    matrix = system.matrix().tocsc()
-    rhs = system.rhs()
+def _hybrid_factorization(system: SaddleSystem, matrix: sp.csr_matrix):
+    """Factor the hybridized ``matrix`` of ``system`` once; return its solve.
+
+    The returned function maps a right-hand side of the full [u1|p2|phi|p1]
+    system to its solution.  Region-1 fluxes are broken per triangle, and
+    their continuity across each ``INTERIOR_1`` edge e is imposed by a
+    multiplier that enters the flux row of ``edge_tris[e, 0]`` as +1 and
+    that of ``edge_tris[e, 1]`` as -1; the whole flux load of e stays on the
+    first triangle.  Every triangle's broken fluxes and its cell pressure
+    are eliminated through its 4x4 local saddle, in which an interface slot
+    gets an identity row and column: interface fluxes stay global, as the
+    coupling S ties them to p2.  The global unknowns are
+    [multipliers and interface fluxes | p2 | phi].
+    """
+    m, lo = system.mesh, system.layout
+    n_u1, n_p2, n_phi = lo.n_u1, lo.n_p2, lo.n_phi
+    tris = lo.p1_triangles
+    edges = m.tri_edges[tris]
+    kind = m.edge_kind[edges]
+    iface = kind == EdgeKind.INTERFACE
+    first = m.edge_tris[edges, 0] == tris[:, None]
+    own_load = first & ~iface
+    sigma = np.where(kind == EdgeKind.INTERIOR_1, np.where(first, 1.0, -1.0), 0.0)
+
+    # Hybrid dofs: the multipliers and interface fluxes, in u1 order.
+    h_to_u1 = np.flatnonzero(m.edge_kind[lo.u1_edges] != EdgeKind.BOUNDARY_1)
+    h_iface = m.edge_kind[lo.u1_edges[h_to_u1]] == EdgeKind.INTERFACE
+    n_h = len(h_to_u1)
+    n = n_h + n_p2 + n_phi
+    u1_to_h = np.full(n_u1, -1, dtype=np.int64)
+    u1_to_h[h_to_u1] = np.arange(n_h)
+    u1_dofs = lo.edge_to_u1[edges]
+    slot_h = u1_to_h[u1_dofs]                           # -1 on boundary slots
+    valid = slot_h >= 0
+
+    # Local saddle [[M, -s], [s^T, 0]] on the three fluxes and p1 of a triangle.
+    signs = m.tri_edge_signs[tris].astype(float)
+    saddle = np.zeros((len(tris), 4, 4))
+    saddle[:, :3, :3] = rt0_local_mass(m, tris, system.coeffs.a1)
+    saddle[:, :3, 3] = -signs
+    saddle[:, 3, :3] = signs
+    couple = np.zeros((len(tris), 4, 3))   # local rows x hybrid slots
+    reduce = np.zeros((len(tris), 3, 4))   # hybrid rows x local unknowns
+    for i in range(3):
+        couple[:, i, i] = reduce[:, i, i] = sigma[:, i]
+        j = iface[:, i]
+        couple[j, :, i] = saddle[j, :, i]
+        reduce[j, i, :] = saddle[j, i, :]
+        couple[j, i, i] = reduce[j, i, i] = 0.0
+        saddle[j, i, :] = saddle[j, :, i] = 0.0
+        saddle[j, i, i] = 1.0
     try:
-        lu = spla.splu(matrix)
+        inverse = np.linalg.inv(saddle)
+    except np.linalg.LinAlgError as err:
+        raise SolverError(f"singular local saddle: {err}") from err
+    weights = inverse @ couple
+
+    # The [interface u1 | p2 | phi] rows and columns of the full matrix hold
+    # S, M_beta, G, K_a and the flux mass of the interface slots; the
+    # condensed element matrices are added to them.  Rows are swapped onto
+    # a zero-free diagonal: the phi row of a vertex goes onto its p2 column
+    # and its p2 row onto its phi column; the pinned vertex keeps its own p2
+    # row, whose diagonal is its beta-mass when it lies on the interface, as
+    # the default pin does (otherwise SuperLU pivots off the diagonal there).
+    to_hybrid = np.full(lo.size, -1, dtype=np.int64)
+    to_hybrid[h_to_u1[h_iface]] = np.flatnonzero(h_iface)
+    to_hybrid[n_u1:lo.offset_p1] = np.arange(n_h, n)
+    swap = np.arange(n)                 # its own inverse: pairs of rows trade places
+    swap[n_h + lo.phi_to_p2] = np.arange(n_h + n_p2, n)
+    swap[n_h + n_p2:] = n_h + lo.phi_to_p2
+    full = matrix.tocoo()
+    rows, cols = to_hybrid[full.row], to_hybrid[full.col]
+    kept = (rows >= 0) & (cols >= 0)
+    vals, h_rows, h_cols = _scatter_entries(-(reduce @ weights), slot_h, slot_h)
+    hybrid = sp.csc_matrix((
+        np.concatenate([full.data[kept], vals]),
+        (swap[np.concatenate([rows[kept], h_rows])], np.concatenate([cols[kept], h_cols])),
+    ), shape=(n, n))
+    hybrid.eliminate_zeros()
+    try:
+        lu = spla.splu(
+            hybrid,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.1,
+            options={"SymmetricMode": True},
+        )
     except RuntimeError as err:
         raise SolverError(f"singular factorization: {err}") from err
-    x = lu.solve(rhs)
+
+    def solve_full(b):
+        load = np.zeros((len(tris), 4))
+        load[:, :3] = np.where(own_load, b[u1_dofs], 0.0)
+        load[:, 3] = b[lo.offset_p1:]
+        z = np.einsum("tij,tj->ti", inverse, load)
+        g = np.zeros(n)
+        g[n_h:] = b[n_u1:lo.offset_p1]
+        g[:n_h] = np.where(h_iface, b[h_to_u1], 0.0) - np.bincount(
+            slot_h[valid], np.einsum("tij,tj->ti", reduce, z)[valid], minlength=n_h
+        )
+        y = lu.solve(g[swap])
+        x_h = y[:n_h]
+        z -= np.einsum("tij,tj->ti", weights, np.where(valid, x_h[slot_h], 0.0))
+        u1 = np.empty(n_u1)
+        u1[u1_dofs[own_load]] = z[:, :3][own_load]
+        u1[h_to_u1[h_iface]] = x_h[h_iface]
+        return np.concatenate([u1, y[n_h:], z[:, 3]])
+
+    return solve_full
+
+
+def solve(system: SaddleSystem) -> SolutionFields:
+    """Hybridized direct solve with one refinement step and a relative residual guard.
+
+    Region 1 is hybridized and condensed element by element (see
+    ``_hybrid_factorization``); SuperLU factors the condensed system, whose
+    rows are swapped onto a zero-free diagonal, with a symmetric-mode
+    minimum-degree ordering.  One step of iterative refinement against the
+    residual of the full ``system.matrix()`` follows, and the guard checks
+    that residual relative to the largest load entry.
+    """
+    matrix = system.matrix()
+    rhs = system.rhs()
+    solve_full = _hybrid_factorization(system, matrix)
+    x = solve_full(rhs)
+    x += solve_full(rhs - matrix @ x)
     if not np.all(np.isfinite(x)):
         raise SolverError("factorization produced non-finite values")
     scale = max(float(np.abs(rhs).max()), 1e-30)

@@ -103,7 +103,8 @@ def build_dof_layout(m: BipartiteMesh, pin_vertex: int | None = None) -> DofLayo
 
     The potential is pinned to zero at the smallest-index region-2 vertex
     unless ``pin_vertex`` overrides it; any region-2 vertex yields the same
-    gradient field.
+    gradient field.  An override must be an ``int`` or numpy integer (not a
+    bool).
     """
     u1_kinds = (EdgeKind.INTERIOR_1, EdgeKind.BOUNDARY_1, EdgeKind.INTERFACE)
     u1_edges = np.flatnonzero(np.isin(m.edge_kind, u1_kinds))
@@ -116,7 +117,11 @@ def build_dof_layout(m: BipartiteMesh, pin_vertex: int | None = None) -> DofLayo
 
     if pin_vertex is None:
         pin_vertex = int(p2_vertices[0])
-    elif not (0 <= pin_vertex < m.n_vertices and vert_to_p2[pin_vertex] >= 0):
+    elif (
+        isinstance(pin_vertex, bool)
+        or not isinstance(pin_vertex, (int, np.integer))
+        or not (0 <= pin_vertex < m.n_vertices and vert_to_p2[pin_vertex] >= 0)
+    ):
         raise ValueError(f"pin vertex {pin_vertex} is not a region-2 vertex")
     phi_vertices = p2_vertices[p2_vertices != pin_vertex]
     vert_to_phi = np.full(m.n_vertices, -1, dtype=np.int64)

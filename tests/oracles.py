@@ -3,8 +3,9 @@
 None of these runs in the package: pointwise quadrature on one element,
 the hat functions, a sampled check that every triangle lies in the region
 it is tagged with, an exactly representable patch case, a finite-difference
-check of the closed-form calculus of a manufactured case, and the
-exact-field interpolant with its residual in the discrete dual norm.
+check of the closed-form calculus of a manufactured case, the exact-field
+interpolant with its residual in the discrete dual norm, and a sparse LU
+of the whole unhybridized saddle matrix.
 """
 
 from __future__ import annotations
@@ -255,3 +256,11 @@ def dual_residual_norm(system, x: np.ndarray) -> float:
     gram = sp.block_diag([x_norm_gram(system), y_norm_gram(system)], format="csc")
     z = spla.spsolve(gram, r)
     return math.sqrt(abs(float(r @ z)))
+
+
+# -- direct solve of the whole saddle matrix ----------------------------------
+
+def full_lu_solve(system) -> np.ndarray:
+    """Solution vector [u1 | p2 | phi | p1] from SuperLU (COLAMD, partial pivoting)
+    of the full, unhybridized ``system.matrix()``."""
+    return spla.splu(system.matrix().tocsc()).solve(system.rhs())

@@ -141,6 +141,15 @@ def test_csv_matches_committed_reference(example, mode, tmp_path):
     assert path.read_bytes() == (GOLDEN / f"example{example}_{mode}_8.csv").read_bytes()
 
 
+def test_binding_csv_cell_matches_committed_reference(tmp_path):
+    # The level-32 p1 rate of this variant, 7.42368e-08, is a difference of two
+    # nearly equal logs: its last digit reflects the last ~1e-13 of the solve.
+    path = tmp_path / "out.csv"
+    assert main(["--example", "4", "--interface-mode", "constant_projection",
+                 "--max-level", "32", "--csv", str(path)]) == 0
+    assert path.read_bytes() == (GOLDEN / "example4_constant_projection_32.csv").read_bytes()
+
+
 def test_paper_literal_modes_run(tmp_path):
     for example in ("2", "3"):
         path = tmp_path / f"lit{example}.csv"

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -6,12 +7,12 @@ from hypothesis import example, given
 
 from twodarcy.analysis import error_norms
 from twodarcy.assembly import CoefficientSet, assemble_system
-from twodarcy.manufactured import derive_interface_data, example1
+from twodarcy.manufactured import derive_interface_data, example1, example2, example3, example4
 from twodarcy.mesh import build_cartesian_mesh
-from twodarcy.solver import check_wellposedness, solve
+from twodarcy.solver import SolverError, check_wellposedness, solve
 from twodarcy.spaces import build_dof_layout
 
-from oracles import with_coefficients
+from oracles import full_lu_solve, with_coefficients
 from test_coefficients import coefficients, derandomized
 
 
@@ -32,6 +33,71 @@ def test_zero_rhs_gives_zero_solution():
     sol = solve(system)
     for field in (sol.u1, sol.p2, sol.phi, sol.u2, sol.p1):
         np.testing.assert_allclose(field, 0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("a1", [0.0, np.nan])
+def test_inadmissible_flux_resistance_fails_honestly(a1):
+    # a1 = 0 divides the region-1 source by zero, a1 = nan poisons it.
+    m = build_cartesian_mesh(1)
+    case = dataclasses.replace(example1(), a1=a1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        system = assemble_system(m, build_dof_layout(m), case, check=False)
+        with pytest.raises(SolverError):
+            solve(system)
+
+
+CASE_VARIANTS = {
+    "example1": example1,
+    "example2": example2,
+    "example2_paper_literal": lambda: example2("paper_literal"),
+    "example3": example3,
+    "example3_paper_literal": lambda: example3("paper_literal"),
+    "example4": example4,
+    "example4_constant_projection": lambda: example4("constant_projection"),
+}
+
+
+def _assert_matches_full_lu(system):
+    sol = solve(system)
+    x = np.concatenate([sol.u1, sol.p2, sol.phi, sol.p1])
+    ref = full_lu_solve(system)
+    assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("level", [1, 2, 4, 8, 32])
+@pytest.mark.parametrize("variant", sorted(CASE_VARIANTS))
+def test_solve_matches_full_matrix_lu(variant, level):
+    m = build_cartesian_mesh(level)
+    _assert_matches_full_lu(assemble_system(m, build_dof_layout(m), CASE_VARIANTS[variant]()))
+
+
+def test_solve_matches_full_matrix_lu_for_random_loads():
+    # The manufactured cases load no interior region-1 flux row; random loads do.
+    m = build_cartesian_mesh(4)
+    system = assemble_system(m, build_dof_layout(m), example4())
+    rng = np.random.default_rng(3)
+    system.F1 = rng.standard_normal(system.F1.shape)
+    system.F2 = rng.standard_normal(system.F2.shape)
+    _assert_matches_full_lu(system)
+
+
+def test_solve_matches_full_matrix_lu_with_interior_pin():
+    # The pinned vertex keeps its own p2 row; off the interface it has no
+    # beta-mass, so that row has a zero on the diagonal.
+    m = build_cartesian_mesh(4)
+    pin = int(np.flatnonzero((m.vertices == [0.25, -0.5]).all(axis=1))[0])
+    assert build_dof_layout(m).vert_to_p2[pin] >= 0
+    _assert_matches_full_lu(assemble_system(m, build_dof_layout(m, pin_vertex=pin), example4()))
+
+
+@derandomized
+@given(coefficients)
+def test_solve_matches_full_matrix_lu_over_coefficients(coeffs):
+    m = build_cartesian_mesh(4)
+    _assert_matches_full_lu(
+        assemble_system(m, build_dof_layout(m), with_coefficients(example4(), coeffs))
+    )
 
 
 def test_residual_recorded_and_small():

@@ -38,11 +38,18 @@ def test_pinned_vertex_is_smallest_region2_vertex():
         build_dof_layout(m, pin_vertex=0)  # corner (-1,-1) is region-1 only
 
 
-@pytest.mark.parametrize("pin", [-3, 9])
+@pytest.mark.parametrize("pin", [-3, 9, 2.0, True])
 def test_pin_vertex_out_of_range_is_rejected(pin):
-    # level 1 has 9 vertices; -3 would index region-2 vertex 6 from the end
+    # level 1 has 9 vertices; -3 would index region-2 vertex 6 from the end,
+    # 2.0 and True would index vertex 2 and vertex 1 if they were accepted
     with pytest.raises(ValueError, match="pin vertex"):
         build_dof_layout(build_cartesian_mesh(1), pin_vertex=pin)
+
+
+def test_numpy_integer_pin_vertex_is_accepted():
+    layout = build_dof_layout(build_cartesian_mesh(1), pin_vertex=np.int64(2))
+    assert layout.pinned_vertex == 2 and type(layout.pinned_vertex) is int
+    assert layout.vert_to_phi[2] == -1
 
 
 def test_rt0_duality_on_edges():
