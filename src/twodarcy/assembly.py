@@ -11,11 +11,16 @@ the two equations, with the interface convention that the normal points
 from region 1 into region 2: the (p2-row, u1-column) coupling enters with a
 minus sign and its transpose with a plus sign.
 
+The unit P1 stiffness ``K`` of region 2 on the p2 dofs is assembled once:
+the gradient pairing in B is its potential rows ``K[phi_to_p2]``, C is
+``a2 * K[phi_to_p2][:, phi_to_p2]``, and the system carries it for the
+solver.
+
 The coefficients are three region constants: the flow resistances ``a1``
 and ``a2`` of the two regions and the interface storage ``beta``.  Each
 coefficient block is its constant times one geometric matrix: the RT0 mass
-(degree-2 rule, exact for its quadratic integrand), the P1 stiffness and
-the P1 trace mass on the interface.  Volume sources are
+(in closed form, from the second moments of each triangle), the P1
+stiffness and the P1 trace mass on the interface.  Volume sources are
 integrated with the one-point centroid rule, the verification convention
 for lowest-order elements on structured grids: it makes the discrete flux
 divergence equal the centroid-sampled source exactly, so the cell-sampled
@@ -46,7 +51,6 @@ __all__ = [
     "assemble_system",
 ]
 
-BLOCK_RULE = triangle_rule(2)
 LOAD_RULE = triangle_rule(10)
 LINE_RULE = segment_rule(11)  # 6-point Gauss
 _LINE_HAT = np.column_stack([1.0 - LINE_RULE.points, LINE_RULE.points])
@@ -75,8 +79,7 @@ class CoefficientSet:
 
 
 # ---------------------------------------------------------------------------
-# Elementary matrices (also reused by the well-posedness diagnostics and, for
-# the RT0 mass, by the condensation in the solver).
+# Elementary matrices (also reused by the well-posedness diagnostics).
 
 
 def _region_points(m, tris, rule):
@@ -122,28 +125,38 @@ def _scatter(local, row_dofs, col_dofs, shape) -> sp.csr_matrix:
 
 
 def rt0_local_mass(m: BipartiteMesh, tris, a: float = 1.0) -> np.ndarray:
-    """(t, 3, 3) flux-basis mass matrices of ``tris``, scaled by the resistance ``a``."""
-    pts = _region_points(m, tris, BLOCK_RULE)
-    phi = rt0_basis(m, tris, pts)
-    return (2.0 * a) * m.areas[tris][:, None, None] * np.einsum(
-        "q,tiqd,tjqd->tij", BLOCK_RULE.weights, phi, phi
-    )
+    """(t, 3, 3) flux-basis mass matrices of ``tris``, scaled by the resistance ``a``.
+
+    With the basis ``s_i / (2|K|) (x - P_i)`` and ``c`` the centroid, the
+    second moments of K give, exactly,
+    ``M_ij = a s_i s_j / (4|K|) [(c - P_i).(c - P_j) + sum_k |P_k - c|^2 / 12]``.
+    """
+    d = m.centroids[tris][:, None, :] - m.vertices[m.triangles[tris]]     # (t, 3, 2)
+    dx, dy = d[..., 0], d[..., 1]
+    spread = (dx * dx + dy * dy).sum(axis=1) / 12.0
+    s = m.tri_edge_signs[tris].astype(float)
+    scale = (a / 4.0) / m.areas[tris]
+    moments = dx[:, :, None] * dx[:, None, :] + dy[:, :, None] * dy[:, None, :]
+    moments += spread[:, None, None]
+    return (scale[:, None, None] * s[:, :, None] * s[:, None, :]) * moments
+
+
+def _flux_scatter(m: BipartiteMesh, layout: DofLayout, local) -> sp.csr_matrix:
+    """Sum (t, 3, 3) local matrices of ``layout.p1_triangles`` onto the u1 dofs."""
+    dofs = layout.edge_to_u1[m.tri_edges[layout.p1_triangles]]
+    return _scatter(local, dofs, dofs, (layout.n_u1, layout.n_u1))
 
 
 def rt0_mass(m: BipartiteMesh, layout: DofLayout, a: float = 1.0) -> sp.csr_matrix:
     """Mass matrix of the flux basis over region 1, scaled by the resistance ``a``."""
-    tris = layout.p1_triangles
-    dofs = layout.edge_to_u1[m.tri_edges[tris]]
-    return _scatter(rt0_local_mass(m, tris, a), dofs, dofs, (layout.n_u1, layout.n_u1))
+    return _flux_scatter(m, layout, rt0_local_mass(m, layout.p1_triangles, a))
 
 
 def rt0_divdiv(m: BipartiteMesh, layout: DofLayout) -> sp.csr_matrix:
     """Divergence-divergence matrix of the flux basis (H_div norm part)."""
     tris = layout.p1_triangles
     signs = m.tri_edge_signs[tris].astype(float)
-    local = np.einsum("ti,tj->tij", signs, signs) / m.areas[tris][:, None, None]
-    dofs = layout.edge_to_u1[m.tri_edges[tris]]
-    return _scatter(local, dofs, dofs, (layout.n_u1, layout.n_u1))
+    return _flux_scatter(m, layout, np.einsum("ti,tj->tij", signs, signs) / m.areas[tris][:, None, None])
 
 
 _P1_MASS_REF = (np.full((3, 3), 1.0) + np.eye(3)) / 12.0
@@ -158,14 +171,14 @@ def p1_mass_omega2(m: BipartiteMesh, layout: DofLayout) -> sp.csr_matrix:
     return _scatter(local, dofs, dofs, (layout.n_p2, layout.n_p2))
 
 
-def p1_stiffness_omega2(m: BipartiteMesh, layout: DofLayout, a: float = 1.0) -> sp.csr_matrix:
-    """Nodal stiffness over region 2 on the p2 dofs, scaled by ``a``.
+def p1_stiffness_omega2(m: BipartiteMesh, layout: DofLayout) -> sp.csr_matrix:
+    """Nodal stiffness over region 2 on the p2 dofs.
 
     Its rows (and columns) ``layout.phi_to_p2`` are the potential stiffness.
     """
     tris = layout.u2_triangles
     grads = m.hat_gradients[tris]
-    local = (a * m.areas[tris])[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
+    local = m.areas[tris][:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
     dofs = layout.vert_to_p2[m.triangles[tris]]
     return _scatter(local, dofs, dofs, (layout.n_p2, layout.n_p2))
 
@@ -187,13 +200,21 @@ def _interface_signs(m: BipartiteMesh) -> np.ndarray:
 
 
 def assemble_A(
-    m: BipartiteMesh, layout: DofLayout, coeffs: CoefficientSet, check: bool = True
+    m: BipartiteMesh,
+    layout: DofLayout,
+    coeffs: CoefficientSet,
+    flux_mass: np.ndarray,
+    check: bool = True,
 ) -> sp.csr_matrix:
-    """Flux mass, interface trace mass and the skew interface coupling."""
+    """Flux mass, interface trace mass and the skew interface coupling.
+
+    ``flux_mass`` holds the local masses ``rt0_local_mass(m,
+    layout.p1_triangles, coeffs.a1)``.
+    """
     if check:
         coeffs.validate()
     n_u1, n_p2 = layout.n_u1, layout.n_p2
-    m_a = rt0_mass(m, layout, coeffs.a1)
+    m_a = _flux_scatter(m, layout, flux_mass)
 
     e = m.interface_edges
     p2 = layout.vert_to_p2[m.edges[e]]                       # (ni, 2)
@@ -206,9 +227,13 @@ def assemble_A(
     return sp.bmat([[m_a, s], [-s.T, m_beta]], format="csr")
 
 
-def assemble_B(m: BipartiteMesh, layout: DofLayout) -> sp.csr_matrix:
-    """Divergence pairing with p1 and gradient pairing with the potential."""
-    g = p1_stiffness_omega2(m, layout)[layout.phi_to_p2]     # (n_phi, n_p2)
+def assemble_B(m: BipartiteMesh, layout: DofLayout, k: sp.csr_matrix) -> sp.csr_matrix:
+    """Divergence pairing with p1 and gradient pairing with the potential.
+
+    ``k`` is the unit region-2 stiffness ``p1_stiffness_omega2(m, layout)``;
+    the gradient pairing is its potential rows.
+    """
+    g = k[layout.phi_to_p2]                                  # (n_phi, n_p2)
     tris = layout.p1_triangles
     d = _scatter(
         m.tri_edge_signs[tris].astype(float)[:, None, :],    # integral of div = sign
@@ -219,12 +244,11 @@ def assemble_B(m: BipartiteMesh, layout: DofLayout) -> sp.csr_matrix:
     return sp.bmat([[None, g], [d, None]], format="csr")
 
 
-def assemble_C(m: BipartiteMesh, layout: DofLayout, coeffs: CoefficientSet) -> sp.csr_matrix:
-    """a2-weighted potential stiffness; the p1 block is zero."""
+def assemble_C(layout: DofLayout, coeffs: CoefficientSet, k: sp.csr_matrix) -> sp.csr_matrix:
+    """a2-weighted potential stiffness from the unit region-2 stiffness ``k``; the p1 block is zero."""
     phi = layout.phi_to_p2
-    k_a = p1_stiffness_omega2(m, layout, a=coeffs.a2)[phi][:, phi]
     return sp.block_diag(
-        [k_a, sp.csr_matrix((layout.n_p1, layout.n_p1))], format="csr"
+        [coeffs.a2 * k[phi][:, phi], sp.csr_matrix((layout.n_p1, layout.n_p1))], format="csr"
     )
 
 
@@ -290,11 +314,19 @@ def assemble_rhs(m: BipartiteMesh, layout: DofLayout, case) -> tuple[np.ndarray,
 
 @dataclass
 class SaddleSystem:
-    """Assembled sparse blocks, load vectors, the coefficients and the originating layout."""
+    """Assembled sparse blocks, load vectors, the coefficients and the originating layout.
+
+    ``K`` is the unit P1 stiffness of region 2 on the p2 dofs, the one
+    geometric matrix behind the potential rows of B and the stiffness in C.
+    ``flux_mass`` holds the (t, 3, 3) a1-scaled RT0 local masses of
+    ``layout.p1_triangles``, the element matrices of the flux block of A.
+    """
 
     A: sp.csr_matrix
     B: sp.csr_matrix
     C: sp.csr_matrix
+    K: sp.csr_matrix
+    flux_mass: np.ndarray
     F1: np.ndarray
     F2: np.ndarray
     mesh: BipartiteMesh
@@ -320,8 +352,15 @@ class SaddleSystem:
 def assemble_system(m: BipartiteMesh, layout: DofLayout, case, check: bool = True) -> SaddleSystem:
     """Compose the four blocks and the load vectors for one case."""
     coeffs = case.coefficient_set()
-    a = assemble_A(m, layout, coeffs, check=check)
-    b = assemble_B(m, layout)
-    c = assemble_C(m, layout, coeffs)
+    if check:
+        coeffs.validate()
+    flux_mass = rt0_local_mass(m, layout.p1_triangles, coeffs.a1)
+    a = assemble_A(m, layout, coeffs, flux_mass, check=False)
+    k = p1_stiffness_omega2(m, layout)
+    b = assemble_B(m, layout, k)
+    c = assemble_C(layout, coeffs, k)
     f1, f2 = assemble_rhs(m, layout, case)
-    return SaddleSystem(A=a, B=b, C=c, F1=f1, F2=f2, mesh=m, layout=layout, coeffs=coeffs)
+    return SaddleSystem(
+        A=a, B=b, C=c, K=k, flux_mass=flux_mass, F1=f1, F2=f2,
+        mesh=m, layout=layout, coeffs=coeffs,
+    )

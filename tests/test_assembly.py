@@ -15,12 +15,14 @@ from twodarcy.assembly import (
     assemble_rhs,
     assemble_system,
     p1_stiffness_omega2,
+    rt0_local_mass,
     rt0_mass,
 )
 from twodarcy.manufactured import example1, example2, example3, example4
 from twodarcy.mesh import EdgeKind, build_cartesian_mesh
+from twodarcy.quadrature import triangle_rule
 from twodarcy.solver import solve
-from twodarcy.spaces import build_dof_layout
+from twodarcy.spaces import build_dof_layout, rt0_basis
 
 from oracles import interpolate_exact, linear_patch_case, with_coefficients
 from test_coefficients import coefficients, derandomized
@@ -68,11 +70,31 @@ def test_rt0_mass_matches_symbolic_integration():
     )
 
 
+def test_rt0_local_mass_matches_quadrature_of_the_basis():
+    # The closed form restates the basis of spaces.rt0_basis; integrate that
+    # basis itself with the degree-2 rule (exact for the quadratic integrand)
+    # on a level-4 mesh whose interior vertices are moved off the grid, so
+    # every triangle is a general one and all sign patterns occur.
+    m = build_cartesian_mesh(4)
+    rng = np.random.default_rng(5)
+    inner = np.all(np.abs(m.vertices) < 1.0, axis=1)
+    moved = m.vertices + inner[:, None] * rng.uniform(-0.2, 0.2, m.vertices.shape) * m.h
+    m = dataclasses.replace(m, vertices=moved)
+    tris = build_dof_layout(m).p1_triangles
+    rule = triangle_rule(2)
+    pts = np.einsum("qi,tid->tqd", rule.points, m.vertices[m.triangles[tris]])
+    phi = rt0_basis(m, tris, pts)
+    quad = 2.0 * m.areas[tris][:, None, None] * np.einsum("q,tiqd,tjqd->tij", rule.weights, phi, phi)
+    assert len(np.unique(np.round(m.areas[tris], 14))) > len(tris) // 2
+    got = rt0_local_mass(m, tris, 2.5)
+    np.testing.assert_allclose(got, 2.5 * quad, rtol=0.0, atol=1e-13 * abs(quad).max())
+
+
 def test_trace_mass_block_values():
     m = build_cartesian_mesh(2)
     layout = build_dof_layout(m)
     coeffs = CoefficientSet(1.0, 1.0, 1.0)
-    a = assemble_A(m, layout, coeffs)
+    a = assemble_A(m, layout, coeffs, rt0_local_mass(m, layout.p1_triangles, coeffs.a1))
     block = a[layout.n_u1:, layout.n_u1:]
     h = m.h
     v_end = layout.vert_to_p2[_vertex_index(m, 1.0, 0.0)]
@@ -87,7 +109,7 @@ def test_trace_mass_block_values():
 def test_interface_coupling_entries_are_half():
     m = build_cartesian_mesh(2)
     layout = build_dof_layout(m)
-    a = assemble_A(m, layout, CoefficientSet(1.0, 1.0, 1.0))
+    a = assemble_A(m, layout, CoefficientSet(1.0, 1.0, 1.0), rt0_local_mass(m, layout.p1_triangles))
     s = a[: layout.n_u1, layout.n_u1:].tocoo()
     assert s.nnz == 2 * len(m.interface_edges)
     np.testing.assert_allclose(np.abs(s.data), 0.5)
@@ -104,12 +126,12 @@ def test_interface_coupling_entries_are_half():
 def test_A_skew_pair_and_beta_scaling():
     m = build_cartesian_mesh(2)
     layout = build_dof_layout(m)
-    a = assemble_A(m, layout, CoefficientSet(1.0, 1.0, 1.0))
+    a = assemble_A(m, layout, CoefficientSet(1.0, 1.0, 1.0), rt0_local_mass(m, layout.p1_triangles))
     n_u1 = layout.n_u1
     a12 = a[:n_u1, n_u1:]
     a21 = a[n_u1:, :n_u1]
     assert abs(a12 + a21.T).max() <= 1e-14
-    a_beta = assemble_A(m, layout, CoefficientSet(1.0, 1.0, 2.5))
+    a_beta = assemble_A(m, layout, CoefficientSet(1.0, 1.0, 2.5), rt0_local_mass(m, layout.p1_triangles))
     diff = (a_beta - a)[n_u1:, n_u1:]
     base = a[n_u1:, n_u1:]
     assert abs(diff - 1.5 * base).max() <= 1e-14
@@ -118,7 +140,7 @@ def test_A_skew_pair_and_beta_scaling():
 def test_B_div_block_structure():
     m = build_cartesian_mesh(1)
     layout = build_dof_layout(m)
-    b = assemble_B(m, layout)
+    b = assemble_B(m, layout, p1_stiffness_omega2(m, layout))
     d = b[layout.n_phi:, : layout.n_u1]
     assert d.shape == (4, 10)
     assert np.all(np.diff(d.tocsr().indptr) == 3)
@@ -134,8 +156,9 @@ def test_B_div_block_structure():
 def test_C_examples():
     m = build_cartesian_mesh(2)
     layout = build_dof_layout(m)
-    c1 = assemble_C(m, layout, CoefficientSet(1.0, 1.0, 1.0))
-    c5 = assemble_C(m, layout, CoefficientSet(1.0, 5.0, 1.0))
+    k = p1_stiffness_omega2(m, layout)
+    c1 = assemble_C(layout, CoefficientSet(1.0, 1.0, 1.0), k)
+    c5 = assemble_C(layout, CoefficientSet(1.0, 5.0, 1.0), k)
     k1 = c1[: layout.n_phi, : layout.n_phi]
     assert abs(c5[: layout.n_phi, : layout.n_phi] - 5 * k1).max() <= 1e-13
     eigs = np.linalg.eigvalsh(k1.toarray())
@@ -182,18 +205,19 @@ def test_assemble_system_level1_shape_and_symmetry():
 def test_admissibility_checks():
     m = build_cartesian_mesh(1)
     layout = build_dof_layout(m)
+    flux = rt0_local_mass(m, layout.p1_triangles)
     bad_a = CoefficientSet(1.0, -2.0, 1.0)
     with pytest.raises(AdmissibilityError):
-        assemble_A(m, layout, bad_a)
+        assemble_A(m, layout, bad_a, flux)
     zero_beta = CoefficientSet(1.0, 1.0, 0.0)
     with pytest.raises(AdmissibilityError):
-        assemble_A(m, layout, zero_beta)
+        assemble_A(m, layout, zero_beta, flux)
     # the degenerate fixture is still assemblable with checks off
-    a = assemble_A(m, layout, zero_beta, check=False)
+    a = assemble_A(m, layout, zero_beta, flux, check=False)
     assert a.shape == (layout.n_x, layout.n_x)
     negative_beta = CoefficientSet(1.0, 1.0, -1.0)
     with pytest.raises(AdmissibilityError):
-        assemble_A(m, layout, negative_beta)
+        assemble_A(m, layout, negative_beta, flux)
 
 
 @pytest.mark.parametrize("beta", [np.nan, np.inf])
@@ -201,7 +225,33 @@ def test_admissibility_rejects_non_finite_beta(beta):
     m = build_cartesian_mesh(1)
     layout = build_dof_layout(m)
     with pytest.raises(AdmissibilityError, match="finite"):
-        assemble_A(m, layout, CoefficientSet(1.0, 1.0, beta))
+        assemble_A(m, layout, CoefficientSet(1.0, 1.0, beta), rt0_local_mass(m, layout.p1_triangles))
+
+
+@pytest.mark.parametrize("a1", [0.0, np.inf])
+def test_assemble_system_validates_before_assembling(a1):
+    m = build_cartesian_mesh(1)
+    case = dataclasses.replace(example1(), a1=a1)
+    with pytest.raises(AdmissibilityError, match="positive and finite"):
+        assemble_system(m, build_dof_layout(m), case)
+
+
+@derandomized
+@given(coefficients)
+def test_system_blocks_share_the_carried_matrices(coeffs):
+    # The solver decouples the potential through psi = p2 + a2 phi, which
+    # rests on these.
+    case = with_coefficients(example1(), coeffs)
+    ulp = np.finfo(float).eps
+    for level in (2, 4):
+        m = build_cartesian_mesh(level)
+        layout = build_dof_layout(m)
+        system = assemble_system(m, layout, case)
+        k, phi, n_phi, n_u1 = system.K, layout.phi_to_p2, layout.n_phi, layout.n_u1
+        assert abs(system.B[:n_phi, n_u1:] - k[phi]).max() == 0.0
+        c = system.C[:n_phi, :n_phi]
+        assert abs(c - coeffs.a2 * k[phi][:, phi]).max() <= 4 * ulp * abs(c).max()
+        assert np.abs(k.sum(axis=1)).max() <= 1e-13 * abs(k).max()
 
 
 @derandomized
@@ -225,7 +275,7 @@ def test_patch_case_residual(coeffs):
 def test_assembly_merge_order_independent():
     m = build_cartesian_mesh(2)
     layout = build_dof_layout(m)
-    a = assemble_A(m, layout, CoefficientSet(1.0, 5.0, 1.0)).tocoo()
+    a = assemble_A(m, layout, CoefficientSet(1.0, 5.0, 1.0), rt0_local_mass(m, layout.p1_triangles)).tocoo()
     rng = np.random.default_rng(11)
     perm = rng.permutation(a.nnz)
     shuffled = sp.coo_matrix(
@@ -240,8 +290,9 @@ def test_example3_weighted_stiffness():
     m = build_cartesian_mesh(2)
     layout = build_dof_layout(m)
     case = example3()
-    c = assemble_C(m, layout, case.coefficient_set())
-    plain = p1_stiffness_omega2(m, layout)[layout.phi_to_p2][:, layout.phi_to_p2]
+    k = p1_stiffness_omega2(m, layout)
+    c = assemble_C(layout, case.coefficient_set(), k)
+    plain = k[layout.phi_to_p2][:, layout.phi_to_p2]
     assert abs(c[: layout.n_phi, : layout.n_phi] - 5.0 * plain).max() <= 1e-12
 
 
@@ -314,7 +365,9 @@ def test_scatter_drops_residues_and_cancelled_sums():
 def test_non_finite_local_entries_are_kept():
     m = build_cartesian_mesh(2)
     layout = build_dof_layout(m)
-    a = assemble_A(m, layout, CoefficientSet(np.nan, 1.0, 1.0), check=False)
+    a = assemble_A(
+        m, layout, CoefficientSet(np.nan, 1.0, 1.0), rt0_local_mass(m, layout.p1_triangles, np.nan), check=False
+    )
     m_a = a[: layout.n_u1, : layout.n_u1]
     assert m_a.nnz > 0 and np.all(np.isnan(m_a.data))
 

@@ -18,6 +18,7 @@ from twodarcy.assembly import (
     assemble_A,
     assemble_C,
     p1_stiffness_omega2,
+    rt0_local_mass,
     rt0_mass,
 )
 from twodarcy.mesh import build_cartesian_mesh
@@ -34,11 +35,13 @@ derandomized = settings(derandomize=True, database=None, max_examples=50, deadli
 def _level4():
     m = build_cartesian_mesh(4)
     layout = build_dof_layout(m)
-    unit_a = assemble_A(m, layout, CoefficientSet(1.0, 1.0, 1.0))
+    unit_a = assemble_A(m, layout, CoefficientSet(1.0, 1.0, 1.0), rt0_local_mass(m, layout.p1_triangles))
+    k = p1_stiffness_omega2(m, layout)
     return m, layout, {
         "flux": rt0_mass(m, layout),
         "beta": unit_a[layout.n_u1:, layout.n_u1:],
-        "potential": p1_stiffness_omega2(m, layout)[layout.phi_to_p2][:, layout.phi_to_p2],
+        "stiffness": k,
+        "potential": k[layout.phi_to_p2][:, layout.phi_to_p2],
     }
 
 
@@ -67,8 +70,8 @@ def test_validate_rejects_any_bad_entry(coeffs):
 def test_blocks_are_coefficients_times_unit_blocks(coeffs):
     m, layout, unit = _level4()
     n_u1, n_phi = layout.n_u1, layout.n_phi
-    a = assemble_A(m, layout, coeffs)
-    c = assemble_C(m, layout, coeffs)
+    a = assemble_A(m, layout, coeffs, rt0_local_mass(m, layout.p1_triangles, coeffs.a1))
+    c = assemble_C(layout, coeffs, unit["stiffness"])
     _assert_scaled(a[:n_u1, :n_u1], coeffs.a1, unit["flux"])
     _assert_scaled(a[n_u1:, n_u1:], coeffs.beta, unit["beta"])
     _assert_scaled(c[:n_phi, :n_phi], coeffs.a2, unit["potential"])

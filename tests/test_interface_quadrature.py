@@ -20,6 +20,7 @@ from twodarcy.assembly import (
     assemble_A,
     assemble_rhs,
     assemble_system,
+    rt0_local_mass,
     rt0_mass,
 )
 from twodarcy.manufactured import example1, example2, example3, example4
@@ -122,7 +123,7 @@ def test_assemble_A_matches_per_edge_loop(case, level):
     m = build_cartesian_mesh(level)
     layout = build_dof_layout(m)
     coeffs = dataclasses.replace(case, beta=0.5 + case.a2).coefficient_set()
-    got = assemble_A(m, layout, coeffs)
+    got = assemble_A(m, layout, coeffs, rt0_local_mass(m, layout.p1_triangles, coeffs.a1))
     expected = reference_A(m, layout, coeffs)
     assert abs(got - expected).max() <= RTOL * abs(expected).max()
 

@@ -9,7 +9,13 @@ from twodarcy.analysis import error_norms
 from twodarcy.assembly import CoefficientSet, assemble_system
 from twodarcy.manufactured import derive_interface_data, example1, example2, example3, example4
 from twodarcy.mesh import build_cartesian_mesh
-from twodarcy.solver import SolverError, check_wellposedness, solve
+from twodarcy.solver import (
+    SolverError,
+    _hybrid_factorization,
+    _local_saddle_inverse,
+    check_wellposedness,
+    solve,
+)
 from twodarcy.spaces import build_dof_layout
 
 from oracles import full_lu_solve, with_coefficients
@@ -45,6 +51,39 @@ def test_inadmissible_flux_resistance_fails_honestly(a1):
         system = assemble_system(m, build_dof_layout(m), case, check=False)
         with pytest.raises(SolverError):
             solve(system)
+
+
+def test_local_saddle_inverse_matches_dense_inverse():
+    # General SPD blocks: the mesh's right triangles leave some cofactors unused.
+    rng = np.random.default_rng(2)
+    g = rng.standard_normal((60, 3, 3))
+    mass = g @ g.transpose(0, 2, 1) + 0.1 * np.eye(3)
+    s = rng.choice([-1.0, 1.0], size=(60, 3))
+    # an interface slot: identity row and column, no divergence
+    mass[:20, 0, :] = mass[:20, :, 0] = 0.0
+    mass[:20, 0, 0] = 1.0
+    s[:20, 0] = 0.0
+    saddle = np.zeros((60, 4, 4))
+    saddle[:, :3, :3] = mass
+    saddle[:, :3, 3] = -s
+    saddle[:, 3, :3] = s
+    expected = np.linalg.inv(saddle)
+    got = _local_saddle_inverse(mass, s)
+    assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+    with pytest.raises(SolverError, match="singular local saddle"):
+        _local_saddle_inverse(np.zeros((1, 3, 3)), s[-1:])
+
+
+@pytest.mark.parametrize("a2", [0.0, np.inf, np.nan])
+def test_inadmissible_potential_resistance_fails_honestly(a2):
+    # psi = p2 + a2 phi needs a positive finite a2; the solve raises, with no warning.
+    m = build_cartesian_mesh(1)
+    case = dataclasses.replace(example1(), a2=a2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        system = assemble_system(m, build_dof_layout(m), case, check=False)
+    with pytest.raises(SolverError):
+        solve(system)
 
 
 CASE_VARIANTS = {
@@ -98,6 +137,51 @@ def test_solve_matches_full_matrix_lu_over_coefficients(coeffs):
     _assert_matches_full_lu(
         assemble_system(m, build_dof_layout(m), with_coefficients(example4(), coeffs))
     )
+
+
+@pytest.mark.parametrize("a2", [1e-3, 1e3])
+@pytest.mark.parametrize("a1", [1e-3, 1e3])
+@pytest.mark.parametrize("beta", [1e-3, 1e3])
+def test_solve_matches_full_matrix_lu_at_coefficient_corners(a1, a2, beta):
+    # phi = (psi - p2) / a2 cancels most when a2 is far from the other two.
+    m = build_cartesian_mesh(4)
+    case = with_coefficients(example4(), CoefficientSet(a1, a2, beta))
+    _assert_matches_full_lu(assemble_system(m, build_dof_layout(m), case))
+
+
+@derandomized
+@given(coefficients)
+def test_solve_superposes_loads(coeffs):
+    m = build_cartesian_mesh(4)
+    system = assemble_system(m, build_dof_layout(m), with_coefficients(example4(), coeffs))
+    rng = np.random.default_rng(11)
+    # Every load is random, the potential rows of F2 (where psi0 enters) too.
+    f1a, f1b = rng.standard_normal((2, len(system.F1)))
+    f2a, f2b = rng.standard_normal((2, len(system.F2)))
+
+    def solution(f1, f2):
+        sol = solve(dataclasses.replace(system, F1=f1, F2=f2))
+        return np.concatenate([sol.u1, sol.p2, sol.phi, sol.p1])
+
+    both = solution(f1a + f1b, f2a + f2b)
+    parts = solution(f1a, f2a) + solution(f1b, f2b)
+    assert np.abs(both - parts).max() <= 1e-10 * np.abs(both).max()
+
+
+@derandomized
+@given(coefficients)
+def test_unrefined_solve_matches_full_matrix_lu(coeffs):
+    # The refinement step would hide a defect in the condensed solve that its
+    # own correction undoes (e.g. a load term left out), so check one pass.
+    m = build_cartesian_mesh(4)
+    system = assemble_system(m, build_dof_layout(m), with_coefficients(example4(), coeffs))
+    rng = np.random.default_rng(7)
+    system = dataclasses.replace(
+        system, F1=rng.standard_normal(system.F1.shape), F2=rng.standard_normal(system.F2.shape)
+    )
+    x = _hybrid_factorization(system)(system.rhs())
+    ref = full_lu_solve(system)
+    assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_residual_recorded_and_small():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twodarcy.assembly import assemble_B
+from twodarcy.assembly import assemble_B, p1_stiffness_omega2
 from twodarcy.mesh import EdgeKind, build_cartesian_mesh
 from twodarcy.quadrature import segment_rule
 from twodarcy.spaces import build_dof_layout, potential_to_velocity, rt0_basis
@@ -85,7 +85,7 @@ def test_rt0_div_value():
     # flux-normalized basis: divergence is +-1/|K|
     np.testing.assert_allclose(np.abs(div) * m.areas[tris][:, None], 1.0, rtol=1e-12)
     # and it is the p1 row of B (integral of the divergence) over the area
-    d_block = assemble_B(m, layout)[layout.n_phi:, : layout.n_u1].toarray()
+    d_block = assemble_B(m, layout, p1_stiffness_omega2(m, layout))[layout.n_phi:, : layout.n_u1].toarray()
     rows = layout.tri_to_p1[tris][:, None]
     cols = layout.edge_to_u1[m.tri_edges[tris]]
     np.testing.assert_allclose(div, d_block[rows, cols] / m.areas[tris][:, None], rtol=1e-12)
