@@ -3,6 +3,9 @@
 Region 1 carries an H(div) flux / cellwise pressure pair, region 2 a
 continuous nodal pressure / gradient velocity pair, coupled only through
 weak interface balance terms on the axes of the four-quadrant square.
+
+The top level exports the pipeline, from cases and meshes to the error
+study; block assemblers and quadrature rules stay in their own modules.
 """
 
 from .analysis import (
@@ -17,10 +20,6 @@ from .assembly import (
     AdmissibilityError,
     CoefficientSet,
     SaddleSystem,
-    assemble_A,
-    assemble_B,
-    assemble_C,
-    assemble_rhs,
     assemble_system,
 )
 from .manufactured import (
@@ -33,25 +32,17 @@ from .manufactured import (
 )
 from .mesh import (
     BipartiteMesh,
-    EdgeKind,
     build_cartesian_mesh,
-)
-from .quadrature import (
-    QuadRule,
-    segment_rule,
-    triangle_rule,
 )
 from .solver import (
     SolutionFields,
     SolverError,
-    WellposednessDiagnostics,
     check_wellposedness,
     solve,
 )
 from .spaces import (
     DofLayout,
     build_dof_layout,
-    potential_to_velocity,
 )
 
 __version__ = "0.1.0"

@@ -27,10 +27,10 @@ import numpy as np
 
 from .assembly import LINE_RULE, _LINE_HAT, _edge_points, _interface_signs, assemble_system
 from .manufactured import ManufacturedCase
-from .mesh import REGION_OF_QUADRANT, BipartiteMesh, build_cartesian_mesh, quadrants_of
+from .mesh import REGION_OF_QUADRANT, BipartiteMesh, _is_integer, build_cartesian_mesh, quadrants_of
 from .quadrature import segment_rule
 from .solver import SolutionFields, SolverError, solve
-from .spaces import DofLayout, build_dof_layout
+from .spaces import build_dof_layout, rt0_basis
 
 __all__ = [
     "COLUMNS",
@@ -71,42 +71,19 @@ class ErrorReport:
     norm_u2: float
 
     def errors(self) -> dict:
-        return {
-            "p1": self.e_p1,
-            "p2_l2": self.e_p2_l2,
-            "p2_h1": self.e_p2_h1,
-            "u1_l2": self.e_u1_l2,
-            "u1_hdiv": self.e_u1_hdiv,
-            "u2": self.e_u2,
-        }
+        return {c: getattr(self, f"e_{c}") for c in COLUMNS}
 
     def relative(self) -> dict:
         """Percentage errors, h-scaled against the exact norms."""
         h = 1.0 / self.level_inv
-        norms = {
-            "p1": self.norm_p1,
-            "p2_l2": self.norm_p2_l2,
-            "p2_h1": self.norm_p2_h1,
-            "u1_l2": self.norm_u1_l2,
-            "u1_hdiv": self.norm_u1_hdiv,
-            "u2": self.norm_u2,
-        }
-        return {k: 100.0 * e * h / norms[k] for k, e in self.errors().items()}
-
-
-def _rt0_coefficients(sol: SolutionFields, m: BipartiteMesh, layout: DofLayout):
-    tris = layout.p1_triangles
-    signs = m.tri_edge_signs[tris].astype(float)
-    return signs * sol.u1[layout.edge_to_u1[m.tri_edges[tris]]]
+        return {c: 100.0 * e * h / getattr(self, f"norm_{c}") for c, e in self.errors().items()}
 
 
 def u1_cell_values(sol: SolutionFields, m: BipartiteMesh) -> np.ndarray:
     """Flux field evaluated at the region-1 triangle centroids."""
-    layout = sol.layout
-    tris = layout.p1_triangles
-    svec = _rt0_coefficients(sol, m, layout)
-    sp_ = np.einsum("ti,tid->td", svec, m.vertices[m.triangles[tris]])
-    return (svec.sum(axis=1)[:, None] * m.centroids[tris] - sp_) / (2.0 * m.areas[tris][:, None])
+    tris = sol.layout.p1_triangles
+    basis = rt0_basis(m, tris, m.centroids[tris][:, None, :])[:, :, 0]     # (t, 3, 2)
+    return np.einsum("ti,tid->td", sol.u1[sol.layout.edge_to_u1[m.tri_edges[tris]]], basis)
 
 
 # Lower-left corner of the unit square of each quadrant id.
@@ -170,7 +147,7 @@ def error_norms(sol: SolutionFields, case: ManufacturedCase, m: BipartiteMesh,
     c1 = m.centroids[tris]
     qc1 = m.tri_quadrant[tris]
     u1h_c = u1_cell_values(sol, m)
-    div_h = _rt0_coefficients(sol, m, layout).sum(axis=1) / areas
+    div_h = (m.tri_edge_signs[tris] * sol.u1[layout.edge_to_u1[m.tri_edges[tris]]]).sum(axis=1) / areas
 
     e_p1 = math.sqrt(float(areas @ (sol.p1 - case.p(c1[:, 0], c1[:, 1], qc1)) ** 2))
     e_u1 = math.sqrt(float(
@@ -228,18 +205,18 @@ class ConvergenceReport:
         return [r.level_inv for r in self.reports]
 
 
-def convergence_study(case: ManufacturedCase, levels, degree: int = 10,
-                      on_level=None) -> ConvergenceReport:
+def convergence_study(case: ManufacturedCase, levels, on_level=None) -> ConvergenceReport:
     """Full mesh -> assemble -> solve -> norms pipeline over a level sweep.
 
-    ``levels`` must be strictly increasing powers of two.  ``on_level`` is
-    an optional callback ``(level, mesh, layout, solution)`` invoked after
-    each solve (used for field dumps).
+    ``levels`` must be strictly increasing powers of two, each an ``int``
+    or numpy integer (not a bool).  ``on_level`` is an optional callback
+    ``(level, mesh, layout, solution)`` invoked after each solve (used for
+    field dumps).
     """
-    levels = [int(k) for k in levels]
     for k in levels:
-        if k < 1 or (k & (k - 1)) != 0:
-            raise ValueError(f"levels must be powers of 2, got {k}")
+        if not _is_integer(k) or k < 1 or (k & (k - 1)) != 0:
+            raise ValueError(f"levels must be powers of 2, got {k!r}")
+    levels = [int(k) for k in levels]
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
 
@@ -253,7 +230,7 @@ def convergence_study(case: ManufacturedCase, levels, degree: int = 10,
         except SolverError as err:
             err.level = k
             raise
-        reports.append(error_norms(sol, case, m, degree=degree))
+        reports.append(error_norms(sol, case, m))
         if on_level is not None:
             on_level(k, m, layout, sol)
 

@@ -147,11 +147,6 @@ def _flux_scatter(m: BipartiteMesh, layout: DofLayout, local) -> sp.csr_matrix:
     return _scatter(local, dofs, dofs, (layout.n_u1, layout.n_u1))
 
 
-def rt0_mass(m: BipartiteMesh, layout: DofLayout, a: float = 1.0) -> sp.csr_matrix:
-    """Mass matrix of the flux basis over region 1, scaled by the resistance ``a``."""
-    return _flux_scatter(m, layout, rt0_local_mass(m, layout.p1_triangles, a))
-
-
 def rt0_divdiv(m: BipartiteMesh, layout: DofLayout) -> sp.csr_matrix:
     """Divergence-divergence matrix of the flux basis (H_div norm part)."""
     tris = layout.p1_triangles
@@ -199,20 +194,14 @@ def _interface_signs(m: BipartiteMesh) -> np.ndarray:
 # Operator blocks.
 
 
-def assemble_A(
-    m: BipartiteMesh,
-    layout: DofLayout,
-    coeffs: CoefficientSet,
-    flux_mass: np.ndarray,
-    check: bool = True,
-) -> sp.csr_matrix:
+def assemble_A(m: BipartiteMesh, layout: DofLayout, coeffs: CoefficientSet,
+               flux_mass: np.ndarray) -> sp.csr_matrix:
     """Flux mass, interface trace mass and the skew interface coupling.
 
     ``flux_mass`` holds the local masses ``rt0_local_mass(m,
-    layout.p1_triangles, coeffs.a1)``.
+    layout.p1_triangles, coeffs.a1)``.  The coefficients are not checked
+    here: ``assemble_system`` validates them.
     """
-    if check:
-        coeffs.validate()
     n_u1, n_p2 = layout.n_u1, layout.n_p2
     m_a = _flux_scatter(m, layout, flux_mass)
 
@@ -355,7 +344,7 @@ def assemble_system(m: BipartiteMesh, layout: DofLayout, case, check: bool = Tru
     if check:
         coeffs.validate()
     flux_mass = rt0_local_mass(m, layout.p1_triangles, coeffs.a1)
-    a = assemble_A(m, layout, coeffs, flux_mass, check=False)
+    a = assemble_A(m, layout, coeffs, flux_mass)
     k = p1_stiffness_omega2(m, layout)
     b = assemble_B(m, layout, k)
     c = assemble_C(layout, coeffs, k)

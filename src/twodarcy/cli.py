@@ -79,28 +79,24 @@ def _dump_fields(fields_dir, level, m, layout, sol):
     )
 
 
+def _print_row(label, values, spec):
+    """One table row: the label and each value right-aligned in 10 columns."""
+    print("  ".join([f"{label:>10}"] + [f"{v:{spec}}" for v in values]))
+
+
 def _print_table(report):
-    cols = analysis.COLUMNS
-    head = ["h_inv"] + [f"e_{c}" for c in cols]
-    print("  ".join(f"{h:>10s}" for h in head))
+    _print_row("h_inv", [f"e_{c}" for c in analysis.COLUMNS], ">10")
     for rep, rates in zip(report.reports, report.rates):
-        errors = rep.errors()
-        row = [f"{rep.level_inv:>10d}"] + [f"{errors[c]:>10.4e}" for c in cols]
-        print("  ".join(row))
+        _print_row(rep.level_inv, rep.errors().values(), ">10.4e")
         if rates is not None:
-            rrow = [f"{'rate':>10s}"] + [f"{rates[c]:>10.4f}" for c in cols]
-            print("  ".join(rrow))
+            _print_row("rate", rates.values(), ">10.4f")
 
 
 def _print_relative_table(report):
-    cols = analysis.COLUMNS
     print("relative errors (percent):")
-    head = ["h_inv"] + [f"rel_{c}" for c in cols]
-    print("  ".join(f"{h:>10s}" for h in head))
+    _print_row("h_inv", [f"rel_{c}" for c in analysis.COLUMNS], ">10")
     for rep in report.reports:
-        rel = rep.relative()
-        row = [f"{rep.level_inv:>10d}"] + [f"{rel[c]:>10.4f}" for c in cols]
-        print("  ".join(row))
+        _print_row(rep.level_inv, rep.relative().values(), ">10.4f")
 
 
 def run(config: RunConfig) -> int:

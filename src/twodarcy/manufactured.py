@@ -60,9 +60,6 @@ class ManufacturedCase:
     f_stress: Callable = None
     f_n: Callable = None
     g: Callable | None = None
-    # scalar whose quadrant-wise gradient equals the region-2 velocity;
-    # None stands for -p/a2, which is the correct potential whenever g = 0
-    potential: Callable | None = None
 
     # -- coefficient access -------------------------------------------------
 

@@ -210,6 +210,11 @@ def _finish_mesh(level_inv, vertices, triangles, tri_region, tri_quadrant):
     return mesh
 
 
+def _is_integer(value) -> bool:
+    """True for an ``int`` or numpy integer that is not a bool (levels, vertex ids)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def build_cartesian_mesh(level_inv: int) -> BipartiteMesh:
     """Uniform mesh of (2k)^2 square cells of side 1/k, split into triangles.
 
@@ -218,7 +223,7 @@ def build_cartesian_mesh(level_inv: int) -> BipartiteMesh:
     coordinates are (i - k)/k so the axes and the outer boundary are hit
     exactly for any k.
     """
-    if not isinstance(level_inv, (int, np.integer)) or level_inv < 1:
+    if not _is_integer(level_inv) or level_inv < 1:
         raise ValueError("level_inv must be a positive integer")
     k = int(level_inv)
     n = 2 * k + 1

@@ -35,15 +35,14 @@ class QuadRule:
 
     points: np.ndarray
     weights: np.ndarray
-    exact_degree: int
 
 
-def _frozen(points, weights, degree):
+def _frozen(points, weights):
     points = np.ascontiguousarray(points, dtype=float)
     weights = np.ascontiguousarray(weights, dtype=float)
     points.flags.writeable = False
     weights.flags.writeable = False
-    return QuadRule(points, weights, degree)
+    return QuadRule(points, weights)
 
 
 def _gauss01(n):
@@ -55,19 +54,13 @@ def _gauss01(n):
 def triangle_rule(min_degree: int) -> QuadRule:
     """Symmetric rule on the reference triangle, exact to >= ``min_degree``.
 
-    Degrees 1 and 2 are the classical centroid and edge-midpoint rules.
-    Higher degrees collapse a Gauss-Legendre tensor rule onto the triangle
-    (the Jacobian of the collapse map raises the first coordinate's degree
-    by one, which the node count accounts for) and symmetrize the result
-    over the six barycentric permutations.
+    A Gauss-Legendre tensor rule is collapsed onto the triangle (the
+    Jacobian of the collapse map raises the first coordinate's degree by
+    one, which the node count accounts for) and symmetrized over the six
+    barycentric permutations.
     """
     if not 1 <= min_degree <= MAX_TRIANGLE_DEGREE:
         raise ValueError(f"unsupported triangle rule degree: {min_degree}")
-    if min_degree == 1:
-        return _frozen([[1 / 3, 1 / 3, 1 / 3]], [0.5], 1)
-    if min_degree == 2:
-        points = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
-        return _frozen(points, [1 / 6] * 3, 2)
     d = min_degree
     u, wu = _gauss01((d + 3) // 2)
     v, wv = _gauss01((d + 2) // 2)
@@ -79,7 +72,7 @@ def triangle_rule(min_degree: int) -> QuadRule:
     perms = list(permutations(range(3)))
     points = np.concatenate([bary[:, p] for p in perms], axis=0)
     weights = np.concatenate([w] * len(perms)) / len(perms)
-    return _frozen(points, weights, d)
+    return _frozen(points, weights)
 
 
 @lru_cache(maxsize=None)
@@ -89,4 +82,4 @@ def segment_rule(min_degree: int) -> QuadRule:
         raise ValueError(f"unsupported segment rule degree: {min_degree}")
     n = (min_degree + 2) // 2
     t, w = _gauss01(n)
-    return _frozen(t, w, 2 * n - 1)
+    return _frozen(t, w)

@@ -24,10 +24,11 @@ import scipy.sparse.linalg as spla
 
 from .assembly import (
     SaddleSystem,
+    _flux_scatter,
     _scatter_entries,
     p1_mass_omega2,
     rt0_divdiv,
-    rt0_mass,
+    rt0_local_mass,
 )
 from .mesh import EdgeKind
 from .spaces import potential_to_velocity
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10
+DENSE_MAX_DIM = 2000  # largest system check_wellposedness factors densely
 
 
 class SolverError(RuntimeError):
@@ -279,7 +281,7 @@ class WellposednessDiagnostics:
 def x_norm_gram(system: SaddleSystem) -> sp.csr_matrix:
     """Gram matrix of the [u1, p2] norm: H_div on region 1, full H1 on region 2."""
     m, lo = system.mesh, system.layout
-    g_u1 = rt0_mass(m, lo) + rt0_divdiv(m, lo)
+    g_u1 = _flux_scatter(m, lo, rt0_local_mass(m, lo.p1_triangles)) + rt0_divdiv(m, lo)
     g_p2 = p1_mass_omega2(m, lo) + system.K
     return sp.block_diag([g_u1, g_p2], format="csr")
 
@@ -293,14 +295,14 @@ def y_norm_gram(system: SaddleSystem) -> sp.csr_matrix:
     return sp.block_diag([g_phi, g_p1], format="csr")
 
 
-def check_wellposedness(system: SaddleSystem, max_dim: int = 2000) -> WellposednessDiagnostics:
+def check_wellposedness(system: SaddleSystem) -> WellposednessDiagnostics:
     """Dense eigenvalue diagnostics of the inf-sup and coercivity constants.
 
-    Guarded to small systems; ``twodarcy --diagnostics`` runs it at coarse
-    levels, and it is never part of the solve path.
+    Guarded to ``DENSE_MAX_DIM`` unknowns; ``twodarcy --diagnostics`` runs
+    it at coarse levels, and it is never part of the solve path.
     """
-    if system.size > max_dim:
-        raise ValueError(f"system size {system.size} exceeds the dense guard {max_dim}")
+    if system.size > DENSE_MAX_DIM:
+        raise ValueError(f"system size {system.size} exceeds the dense guard {DENSE_MAX_DIM}")
     n_u1 = system.layout.n_u1
     n_phi = system.layout.n_phi
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import BipartiteMesh, EdgeKind
+from .mesh import BipartiteMesh, EdgeKind, _is_integer
 
 __all__ = [
     "DofLayout",
@@ -117,11 +117,8 @@ def build_dof_layout(m: BipartiteMesh, pin_vertex: int | None = None) -> DofLayo
 
     if pin_vertex is None:
         pin_vertex = int(p2_vertices[0])
-    elif (
-        isinstance(pin_vertex, bool)
-        or not isinstance(pin_vertex, (int, np.integer))
-        or not (0 <= pin_vertex < m.n_vertices and vert_to_p2[pin_vertex] >= 0)
-    ):
+    elif not (_is_integer(pin_vertex) and 0 <= pin_vertex < m.n_vertices
+              and vert_to_p2[pin_vertex] >= 0):
         raise ValueError(f"pin vertex {pin_vertex} is not a region-2 vertex")
     phi_vertices = p2_vertices[p2_vertices != pin_vertex]
     vert_to_phi = np.full(m.n_vertices, -1, dtype=np.int64)

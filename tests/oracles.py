@@ -142,15 +142,17 @@ def linear_patch_case(c0=0.3, cx=0.7, cy=-0.4):
         # forces u = -(grad p + g)/a to vanish identically
         return -grad_p(x, y, q)
 
-    def potential(x, y, q):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
     case = ManufacturedCase(
         name="linear_patch", a1=1.0, a2=1.0, beta=1.0, interface_mode="derived",
-        p=p, grad_p=grad_p, lap_p=lap_p, g=g, potential=potential,
+        p=p, grad_p=grad_p, lap_p=lap_p, g=g,
     )
     f_stress, f_n = derive_interface_data(case)
     return dataclasses.replace(case, f_stress=f_stress, f_n=f_n)
+
+
+def patch_potential(x, y, q):
+    """Velocity potential of ``linear_patch_case``: its velocity vanishes."""
+    return np.zeros_like(np.asarray(x, dtype=float))
 
 
 def with_coefficients(case: ManufacturedCase, coeffs) -> ManufacturedCase:
@@ -208,14 +210,15 @@ def _omega2_quadrants(x, y):
 
 
 def interpolate_exact(case: ManufacturedCase, m: BipartiteMesh,
-                      layout: DofLayout) -> np.ndarray:
+                      layout: DofLayout, potential=None) -> np.ndarray:
     """Natural interpolant of the exact fields as a global dof vector.
 
     Edge dofs are exact integrated fluxes (region-1 one-sided values on the
     interface), the nodal pressure interpolates vertex values, the cell
     pressure takes cell means, and the potential is the nodal interpolant
-    of the case's velocity potential shifted to vanish at the pinned
-    vertex.
+    of the velocity potential ``potential(x, y, quadrant)`` shifted to
+    vanish at the pinned vertex.  ``None`` stands for -p/a2, the velocity
+    potential of every case without gravity-type forcing.
     """
     x = np.zeros(layout.size)
 
@@ -232,13 +235,13 @@ def interpolate_exact(case: ManufacturedCase, m: BipartiteMesh,
     vx, vy = m.vertices[layout.p2_vertices].T
     quadrant = _omega2_quadrants(vx, vy)
     x[layout.offset_p2:layout.offset_phi] = case.p(vx, vy, quadrant)
-    if case.potential is not None:
-        potential = case.potential(vx, vy, quadrant)
+    if potential is None:
+        nodal = -case.p(vx, vy, quadrant) / case.a2
     else:
-        potential = -case.p(vx, vy, quadrant) / case.a2
+        nodal = potential(vx, vy, quadrant)
     free = layout.p2_vertices != layout.pinned_vertex
     x[layout.offset_phi:layout.offset_p1] = (
-        potential[free] - potential[layout.vert_to_p2[layout.pinned_vertex]]
+        nodal[free] - nodal[layout.vert_to_p2[layout.pinned_vertex]]
     )
 
     # cell means of the exact pressure (its L2 projection onto constants)

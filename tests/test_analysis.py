@@ -20,7 +20,7 @@ from twodarcy.quadrature import triangle_rule
 from twodarcy.solver import SolutionFields, solve
 from twodarcy.spaces import build_dof_layout
 
-from oracles import dual_residual_norm, interpolate_exact
+from oracles import dual_residual_norm, interpolate_exact, patch_potential
 
 
 def _fields_from_vector(x, system):
@@ -41,7 +41,7 @@ def test_exact_discrete_fixture_has_zero_errors(patch_case):
     m = build_cartesian_mesh(2)
     layout = build_dof_layout(m)
     system = assemble_system(m, layout, patch_case)
-    xhat = interpolate_exact(patch_case, m, layout)
+    xhat = interpolate_exact(patch_case, m, layout, patch_potential)
     sol = _fields_from_vector(xhat, system)
     report = error_norms(sol, patch_case, m)
     for value in report.errors().values():
@@ -113,6 +113,19 @@ def test_convergence_study_levels_validated():
         convergence_study(case, [4, 2])
     with pytest.raises(ValueError):
         convergence_study(case, [0, 1])
+
+
+@pytest.mark.parametrize("levels", [[1, 2.5], [1.0, 2.0], ["1", "2"], [True, 2]],
+                         ids=["fraction", "float", "str", "bool"])
+def test_convergence_study_rejects_non_integer_levels(levels):
+    # int() would truncate 2.5 to 2 and read True as 1
+    with pytest.raises(ValueError, match="powers of 2"):
+        convergence_study(example1(), levels)
+
+
+def test_convergence_study_accepts_numpy_integer_levels():
+    report = convergence_study(example1(), np.array([1, 2]))
+    assert report.levels() == [1, 2]
 
 
 def test_convergence_study_shape_and_callback():

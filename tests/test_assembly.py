@@ -16,7 +16,6 @@ from twodarcy.assembly import (
     assemble_system,
     p1_stiffness_omega2,
     rt0_local_mass,
-    rt0_mass,
 )
 from twodarcy.manufactured import example1, example2, example3, example4
 from twodarcy.mesh import EdgeKind, build_cartesian_mesh
@@ -24,7 +23,7 @@ from twodarcy.quadrature import triangle_rule
 from twodarcy.solver import solve
 from twodarcy.spaces import build_dof_layout, rt0_basis
 
-from oracles import interpolate_exact, linear_patch_case, with_coefficients
+from oracles import interpolate_exact, linear_patch_case, patch_potential, with_coefficients
 from test_coefficients import coefficients, derandomized
 
 
@@ -61,13 +60,11 @@ def test_rt0_mass_matches_symbolic_integration():
                 if j != i:
                     exact[dofs[j], dofs[i]] += val
 
-    mass = rt0_mass(m, layout).toarray()
+    # the flux block of A, scattered as assemble_A does
+    mass = assembly._flux_scatter(m, layout, rt0_local_mass(m, layout.p1_triangles)).toarray()
     # the whole matrix, hypotenuse rows and shared-edge sums included
     np.testing.assert_allclose(mass, exact, rtol=0.0, atol=1e-14)
     assert np.count_nonzero(exact) == np.count_nonzero(mass)
-    np.testing.assert_allclose(
-        rt0_mass(m, layout, 2.5).toarray(), 2.5 * mass, rtol=0.0, atol=4 * np.finfo(float).eps * mass.max()
-    )
 
 
 def test_rt0_local_mass_matches_quadrature_of_the_basis():
@@ -203,29 +200,26 @@ def test_assemble_system_level1_shape_and_symmetry():
 
 
 def test_admissibility_checks():
+    # assemble_system is the one place where the coefficients are checked
     m = build_cartesian_mesh(1)
     layout = build_dof_layout(m)
-    flux = rt0_local_mass(m, layout.p1_triangles)
-    bad_a = CoefficientSet(1.0, -2.0, 1.0)
     with pytest.raises(AdmissibilityError):
-        assemble_A(m, layout, bad_a, flux)
-    zero_beta = CoefficientSet(1.0, 1.0, 0.0)
+        assemble_system(m, layout, dataclasses.replace(example1(), a2=-2.0))
+    zero_beta = dataclasses.replace(example1(), beta=0.0)
     with pytest.raises(AdmissibilityError):
-        assemble_A(m, layout, zero_beta, flux)
+        assemble_system(m, layout, zero_beta)
     # the degenerate fixture is still assemblable with checks off
-    a = assemble_A(m, layout, zero_beta, flux, check=False)
-    assert a.shape == (layout.n_x, layout.n_x)
-    negative_beta = CoefficientSet(1.0, 1.0, -1.0)
+    system = assemble_system(m, layout, zero_beta, check=False)
+    assert system.A.shape == (layout.n_x, layout.n_x)
     with pytest.raises(AdmissibilityError):
-        assemble_A(m, layout, negative_beta, flux)
+        assemble_system(m, layout, dataclasses.replace(example1(), beta=-1.0))
 
 
 @pytest.mark.parametrize("beta", [np.nan, np.inf])
 def test_admissibility_rejects_non_finite_beta(beta):
     m = build_cartesian_mesh(1)
-    layout = build_dof_layout(m)
     with pytest.raises(AdmissibilityError, match="finite"):
-        assemble_A(m, layout, CoefficientSet(1.0, 1.0, beta), rt0_local_mass(m, layout.p1_triangles))
+        assemble_system(m, build_dof_layout(m), dataclasses.replace(example1(), beta=beta))
 
 
 @pytest.mark.parametrize("a1", [0.0, np.inf])
@@ -263,7 +257,7 @@ def test_patch_case_residual(coeffs):
         m = build_cartesian_mesh(level)
         layout = build_dof_layout(m)
         system = assemble_system(m, layout, case)
-        xhat = interpolate_exact(case, m, layout)
+        xhat = interpolate_exact(case, m, layout, patch_potential)
         rhs = system.rhs()
         residual = system.matrix() @ xhat - rhs
         assert np.abs(residual).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
@@ -365,9 +359,7 @@ def test_scatter_drops_residues_and_cancelled_sums():
 def test_non_finite_local_entries_are_kept():
     m = build_cartesian_mesh(2)
     layout = build_dof_layout(m)
-    a = assemble_A(
-        m, layout, CoefficientSet(np.nan, 1.0, 1.0), rt0_local_mass(m, layout.p1_triangles, np.nan), check=False
-    )
+    a = assemble_A(m, layout, CoefficientSet(np.nan, 1.0, 1.0), rt0_local_mass(m, layout.p1_triangles, np.nan))
     m_a = a[: layout.n_u1, : layout.n_u1]
     assert m_a.nnz > 0 and np.all(np.isnan(m_a.data))
 

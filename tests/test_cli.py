@@ -126,19 +126,28 @@ def test_solver_failure_names_failing_level(monkeypatch, capsys):
 
 
 # References written by `twodarcy --example N --interface-mode MODE --max-level 8
-# --csv ...`; a change to them is a change of published results.
+# --csv ...` (the .csv files) and its stdout (the .stdout files); a change to
+# them is a change of published results.
 GOLDEN = Path(__file__).parent / "data"
-
-
-@pytest.mark.parametrize("example, mode", [
+VARIANTS = [
     (1, "derived"), (2, "derived"), (2, "paper_literal"), (3, "derived"),
     (3, "paper_literal"), (4, "derived"), (4, "constant_projection"),
-])
+]
+
+
+@pytest.mark.parametrize("example, mode", VARIANTS)
 def test_csv_matches_committed_reference(example, mode, tmp_path):
     path = tmp_path / "out.csv"
     assert main(["--example", str(example), "--interface-mode", mode,
                  "--max-level", "8", "--csv", str(path)]) == 0
     assert path.read_bytes() == (GOLDEN / f"example{example}_{mode}_8.csv").read_bytes()
+
+
+@pytest.mark.parametrize("example, mode", VARIANTS)
+def test_stdout_matches_committed_reference(example, mode, capsys):
+    assert main(["--example", str(example), "--interface-mode", mode, "--max-level", "8"]) == 0
+    out = capsys.readouterr().out.encode("ascii")
+    assert out == (GOLDEN / f"example{example}_{mode}_8.stdout").read_bytes()
 
 
 def test_binding_csv_cell_matches_committed_reference(tmp_path):

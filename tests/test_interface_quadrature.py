@@ -16,12 +16,12 @@ from twodarcy.analysis import interface_flux_residuals
 from twodarcy.assembly import (
     LINE_RULE,
     _edge_points,
+    _flux_scatter,
     _interface_signs,
     assemble_A,
     assemble_rhs,
     assemble_system,
     rt0_local_mass,
-    rt0_mass,
 )
 from twodarcy.manufactured import example1, example2, example3, example4
 from twodarcy.mesh import build_cartesian_mesh
@@ -75,7 +75,7 @@ def reference_A(m, layout, coeffs):
             s_vals.append(couple[j])
     m_beta = sp.coo_matrix((vals, (rows, cols)), shape=(layout.n_p2, layout.n_p2))
     s = sp.coo_matrix((s_vals, (s_rows, s_cols)), shape=(layout.n_u1, layout.n_p2))
-    m_a = rt0_mass(m, layout, coeffs.a1)
+    m_a = _flux_scatter(m, layout, rt0_local_mass(m, layout.p1_triangles, coeffs.a1))
     return sp.bmat([[m_a, s], [-s.T, m_beta]], format="csr")
 
 

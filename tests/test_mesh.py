@@ -32,7 +32,7 @@ def test_level2_counts():
     np.testing.assert_allclose(m.edge_lengths[m.interface_edges], 0.5)
 
 
-@pytest.mark.parametrize("level", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 8, pytest.param(np.int64(6), id="int64")])
 def test_count_identities_and_area(level):
     m = build_cartesian_mesh(level)
     assert m.n_triangles == 2 * (2 * level) ** 2
@@ -46,6 +46,13 @@ def test_rejects_nonpositive_level():
         build_cartesian_mesh(0)
     with pytest.raises(ValueError):
         build_cartesian_mesh(-3)
+
+
+@pytest.mark.parametrize("level", [True, 2.0, 2.5, "2"])
+def test_rejects_non_integer_level(level):
+    # a bool is an int, but True is not a level
+    with pytest.raises(ValueError, match="positive integer"):
+        build_cartesian_mesh(level)
 
 
 def test_origin_is_a_single_vertex():

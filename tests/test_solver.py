@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 
 from twodarcy.analysis import error_norms
-from twodarcy.assembly import CoefficientSet, assemble_system
+from twodarcy.assembly import CoefficientSet, _interface_signs, assemble_system
 from twodarcy.manufactured import derive_interface_data, example1, example2, example3, example4
 from twodarcy.mesh import build_cartesian_mesh
 from twodarcy.solver import (
@@ -219,6 +219,24 @@ def test_pin_independence(coeffs):
     assert np.abs(shift - shift[0]).max() <= 1e-10 * np.abs(nodal_a).max()
 
 
+@derandomized
+@given(coefficients)
+def test_interface_balance(coeffs):
+    # The sum of the p2 rows: the rows of K sum to zero, each coupling row of
+    # S sums to s_e, and the trace mass sums to beta |e| (p2_a + p2_b) / 2.
+    m = build_cartesian_mesh(4)
+    layout = build_dof_layout(m)
+    e = m.interface_edges
+    for base in (example1(), example4()):
+        system = assemble_system(m, layout, with_coefficients(base, coeffs))
+        sol = solve(system)
+        flux = _interface_signs(m) * sol.u1[layout.edge_to_u1[e]]
+        storage = coeffs.beta * m.edge_lengths[e] * sol.p2[layout.vert_to_p2[m.edges[e]]].sum(axis=1) / 2
+        load = system.F1[layout.offset_p2:]
+        scale = max(np.abs(terms).max() for terms in (flux, storage, load))
+        assert abs(flux.sum() - (storage.sum() - load.sum())) <= 1e-10 * scale
+
+
 def test_linearity_in_the_data():
     m, case, system, sol = _solve_example1(2)
     lam = 3.7
@@ -287,8 +305,8 @@ def test_infsup_independent_of_resistance_scale():
 
 
 def test_dense_guard():
-    m = build_cartesian_mesh(8)
+    m = build_cartesian_mesh(16)  # 3,777 unknowns, above DENSE_MAX_DIM
     layout = build_dof_layout(m)
     system = assemble_system(m, layout, example1())
-    with pytest.raises(ValueError):
-        check_wellposedness(system, max_dim=100)
+    with pytest.raises(ValueError, match="dense guard"):
+        check_wellposedness(system)
