@@ -79,8 +79,17 @@ class ErrorReport:
         return {c: 100.0 * e * h / getattr(self, f"norm_{c}") for c, e in self.errors().items()}
 
 
+def _check_mesh(sol: SolutionFields, m: BipartiteMesh) -> None:
+    """Raise ValueError unless ``m`` has the triangles and edges of the solution's mesh."""
+    layout = sol.layout
+    if (len(layout.tri_to_p1) != m.n_triangles or len(layout.edge_to_u1) != m.n_edges
+            or layout.n_p1 != len(sol.p1)):
+        raise ValueError("solution fields do not belong to this mesh")
+
+
 def u1_cell_values(sol: SolutionFields, m: BipartiteMesh) -> np.ndarray:
     """Flux field evaluated at the region-1 triangle centroids."""
+    _check_mesh(sol, m)
     tris = sol.layout.p1_triangles
     basis = rt0_basis(m, tris, m.centroids[tris][:, None, :])[:, :, 0]     # (t, 3, 2)
     return np.einsum("ti,tid->td", sol.u1[sol.layout.edge_to_u1[m.tri_edges[tris]]], basis)
@@ -137,9 +146,8 @@ def error_norms(sol: SolutionFields, case: ManufacturedCase, m: BipartiteMesh,
     they are computed once per (case, degree) with a per-quadrant Gauss
     rule and reused at every level.
     """
+    _check_mesh(sol, m)
     layout = sol.layout
-    if len(layout.tri_to_p1) != m.n_triangles or layout.n_p1 != len(sol.p1):
-        raise ValueError("solution fields do not belong to this mesh")
 
     # Region 1: cell pressure, flux and its divergence at centroids.
     tris = layout.p1_triangles
@@ -258,6 +266,7 @@ def write_csv(report: ConvergenceReport, path) -> None:
 def interface_flux_residuals(sol: SolutionFields, case: ManufacturedCase,
                              m: BipartiteMesh) -> np.ndarray:
     """Weak normal-flux balance defect, integrated per interface edge."""
+    _check_mesh(sol, m)
     layout = sol.layout
     e = m.interface_edges
     length = m.edge_lengths[e]

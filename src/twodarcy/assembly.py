@@ -326,16 +326,8 @@ class SaddleSystem:
     def Bt(self) -> sp.csc_matrix:
         return self.B.T
 
-    def matrix(self) -> sp.csr_matrix:
-        # All-CSR blocks take scipy's stacking fast path.
-        return sp.bmat([[self.A, -self.Bt.tocsr()], [self.B, self.C]], format="csr")
-
     def rhs(self) -> np.ndarray:
         return np.concatenate([self.F1, self.F2])
-
-    @property
-    def size(self) -> int:
-        return self.layout.size
 
 
 def assemble_system(m: BipartiteMesh, layout: DofLayout, case, check: bool = True) -> SaddleSystem:

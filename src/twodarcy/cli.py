@@ -13,7 +13,7 @@ import numpy as np
 from . import analysis, manufactured
 from ._vtk import write_unstructured_grid
 from .assembly import assemble_system
-from .mesh import build_cartesian_mesh
+from .mesh import _is_integer, build_cartesian_mesh
 from .solver import SolverError, check_wellposedness, solve
 from .spaces import build_dof_layout
 
@@ -45,9 +45,9 @@ class RunConfig:
     diagnostics: bool = False
 
     def validate(self) -> None:
-        if self.example not in (1, 2, 3, 4):
+        if not _is_integer(self.example) or self.example not in (1, 2, 3, 4):
             raise ConfigError("example must be one of 1, 2, 3, 4")
-        if self.max_level not in ALLOWED_LEVELS:
+        if not _is_integer(self.max_level) or self.max_level not in ALLOWED_LEVELS:
             raise ConfigError(f"max level must be one of {ALLOWED_LEVELS}")
         if self.interface_mode == "constant_projection" and self.example != 4:
             raise ConfigError("constant_projection interface mode is valid only with example 4")
@@ -169,17 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = RunConfig(
-        example=args.example,
-        interface_mode=args.interface_mode,
-        max_level=args.max_level,
-        beta=args.beta,
-        csv_path=args.csv_path,
-        fields_dir=args.fields_dir,
-        diagnostics=args.diagnostics,
-    )
     try:
-        return run(config)
+        return run(RunConfig(**vars(args)))
     except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -110,14 +110,13 @@ def _classify_interface(x, y, tol=1e-12):
     return quadrants_of(x - nx, y - ny), quadrants_of(x + nx, y + ny), n
 
 
-def derive_interface_data(case: ManufacturedCase, beta: float | None = None):
+def derive_interface_data(case: ManufacturedCase):
     """Interface fields induced by the exact solution via the balance relations.
 
     Returns ``(f_stress, f_n)`` callables that satisfy the normal-stress and
     normal-flux balances exactly at every interface point, using one-sided
     limits and the region-1 outer normal.
     """
-    b = case.beta if beta is None else beta
 
     def f_stress(x, y):
         q1, q2, _ = _classify_interface(x, y)
@@ -127,7 +126,7 @@ def derive_interface_data(case: ManufacturedCase, beta: float | None = None):
         q1, q2, n = _classify_interface(x, y)
         u1n = np.einsum("...d,...d->...", case.u(x, y, q1), n)
         u2n = np.einsum("...d,...d->...", case.u(x, y, q2), n)
-        return u1n - u2n - b * case.p(x, y, q2)
+        return u1n - u2n - case.beta * case.p(x, y, q2)
 
     return f_stress, f_n
 

@@ -78,15 +78,10 @@ class SolutionFields:
     @classmethod
     def from_vector(cls, x, system: SaddleSystem, residual: float) -> "SolutionFields":
         lo = system.layout
-        phi = x[lo.offset_phi:lo.offset_phi + lo.n_phi]
+        u1, p2, phi, p1 = np.split(x.copy(), [lo.offset_p2, lo.offset_phi, lo.offset_p1])
         return cls(
-            u1=x[lo.offset_u1:lo.offset_u1 + lo.n_u1].copy(),
-            p2=x[lo.offset_p2:lo.offset_p2 + lo.n_p2].copy(),
-            phi=phi.copy(),
-            u2=potential_to_velocity(phi, system.mesh, lo),
-            p1=x[lo.offset_p1:lo.offset_p1 + lo.n_p1].copy(),
-            residual=residual,
-            layout=lo,
+            u1=u1, p2=p2, phi=phi, u2=potential_to_velocity(phi, system.mesh, lo), p1=p1,
+            residual=residual, layout=lo,
         )
 
 
@@ -100,6 +95,10 @@ def _factor(matrix: sp.spmatrix):
             options={"SymmetricMode": True},
         )
     except RuntimeError as err:
+        # SuperLU's allocation failures: "SUPERLU_MALLOC fails for ...",
+        # "malloc fails ...", "Not enough memory to perform factorization.".
+        if any(word in str(err).lower() for word in ("malloc", "memory")):
+            raise SolverError(f"factorization ran out of memory: {err}") from err
         raise SolverError(f"singular factorization: {err}") from err
 
 
@@ -251,19 +250,24 @@ def solve(system: SaddleSystem) -> SolutionFields:
     ``_hybrid_factorization``); SuperLU factors the region-2 Laplacian of
     psi and the condensed [multipliers and interface fluxes | p2] system,
     both with a positive diagonal, with a symmetric-mode minimum-degree
-    ordering.  One step of iterative refinement against the
-    residual of the full ``system.matrix()`` follows, and the guard checks
-    that residual relative to the largest load entry.
+    ordering.  One step of iterative refinement against the residual of
+    the full saddle system, applied block by block, follows, and the guard
+    checks that residual relative to the largest load entry.
     """
-    matrix = system.matrix()
+    n_x = system.layout.n_x
+    A, B, Bt, C = system.A, system.B, system.Bt, system.C
+
+    def apply(x):
+        return np.concatenate([A @ x[:n_x] - Bt @ x[n_x:], B @ x[:n_x] + C @ x[n_x:]])
+
     rhs = system.rhs()
     solve_full = _hybrid_factorization(system)
     x = solve_full(rhs)
-    x += solve_full(rhs - matrix @ x)
+    x += solve_full(rhs - apply(x))
     if not np.all(np.isfinite(x)):
         raise SolverError("factorization produced non-finite values")
     scale = max(float(np.abs(rhs).max()), 1e-30)
-    residual = float(np.abs(matrix @ x - rhs).max()) / scale
+    residual = float(np.abs(apply(x) - rhs).max()) / scale
     if residual > RESIDUAL_TOL:
         raise SolverError(f"solver residual {residual:.3e} above {RESIDUAL_TOL:.1e}")
     return SolutionFields.from_vector(x, system, residual)
@@ -301,9 +305,8 @@ def check_wellposedness(system: SaddleSystem) -> WellposednessDiagnostics:
     Guarded to ``DENSE_MAX_DIM`` unknowns; ``twodarcy --diagnostics`` runs
     it at coarse levels, and it is never part of the solve path.
     """
-    if system.size > DENSE_MAX_DIM:
-        raise ValueError(f"system size {system.size} exceeds the dense guard {DENSE_MAX_DIM}")
-    n_u1 = system.layout.n_u1
+    if system.layout.size > DENSE_MAX_DIM:
+        raise ValueError(f"system size {system.layout.size} exceeds the dense guard {DENSE_MAX_DIM}")
     n_phi = system.layout.n_phi
 
     nx = x_norm_gram(system).toarray()

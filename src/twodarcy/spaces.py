@@ -80,11 +80,7 @@ class DofLayout:
     def size(self) -> int:
         return self.n_x + self.n_y
 
-    # Offsets of the blocks in the global vector [u1 | p2 | phi | p1].
-    @property
-    def offset_u1(self) -> int:
-        return 0
-
+    # Offsets of the blocks in the global vector [u1 | p2 | phi | p1]; u1 starts at 0.
     @property
     def offset_p2(self) -> int:
         return self.n_u1

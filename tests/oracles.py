@@ -4,8 +4,8 @@ None of these runs in the package: pointwise quadrature on one element,
 the hat functions, a sampled check that every triangle lies in the region
 it is tagged with, an exactly representable patch case, a finite-difference
 check of the closed-form calculus of a manufactured case, the exact-field
-interpolant with its residual in the discrete dual norm, and a sparse LU
-of the whole unhybridized saddle matrix.
+interpolant with its residual in the discrete dual norm, and the whole
+unhybridized saddle matrix with its sparse LU.
 """
 
 from __future__ import annotations
@@ -255,15 +255,21 @@ def interpolate_exact(case: ManufacturedCase, m: BipartiteMesh,
 
 def dual_residual_norm(system, x: np.ndarray) -> float:
     """Residual of a candidate vector in the discrete dual norm."""
-    r = system.matrix() @ x - system.rhs()
+    r = full_matrix(system) @ x - system.rhs()
     gram = sp.block_diag([x_norm_gram(system), y_norm_gram(system)], format="csc")
     z = spla.spsolve(gram, r)
     return math.sqrt(abs(float(r @ z)))
 
 
-# -- direct solve of the whole saddle matrix ----------------------------------
+# -- the whole saddle matrix and its direct solve -----------------------------
+
+def full_matrix(system) -> sp.csr_matrix:
+    """The stacked saddle matrix [[A, -B^T], [B, C]] of ``system``."""
+    # All-CSR blocks take scipy's stacking fast path.
+    return sp.bmat([[system.A, -system.Bt.tocsr()], [system.B, system.C]], format="csr")
+
 
 def full_lu_solve(system) -> np.ndarray:
     """Solution vector [u1 | p2 | phi | p1] from SuperLU (COLAMD, partial pivoting)
-    of the full, unhybridized ``system.matrix()``."""
-    return spla.splu(system.matrix().tocsc()).solve(system.rhs())
+    of the full, unhybridized ``full_matrix(system)``."""
+    return spla.splu(full_matrix(system).tocsc()).solve(system.rhs())

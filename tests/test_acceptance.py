@@ -216,7 +216,7 @@ def test_criterion_7a_wellposedness_diagnostics():
         assert diag.c_definiteness > 0
         values.append(diag)
     base = td.example1()
-    f_stress, f_n = derive_interface_data(base, beta=0.0)
+    f_stress, f_n = derive_interface_data(dataclasses.replace(base, beta=0.0))
     degenerate = dataclasses.replace(base, beta=0.0, f_stress=f_stress, f_n=f_n)
     m = build_cartesian_mesh(2)
     layout = build_dof_layout(m)

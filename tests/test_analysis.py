@@ -105,6 +105,24 @@ def test_error_norms_rejects_wrong_mesh():
         error_norms(sol, case, other)
 
 
+@pytest.mark.parametrize("other", ["level2", "level8", "one_edge_fewer"])
+@pytest.mark.parametrize("helper", [
+    error_norms, interface_flux_residuals, lambda sol, case, m: analysis.u1_cell_values(sol, m),
+], ids=["error_norms", "interface_flux_residuals", "u1_cell_values"])
+def test_analysis_helpers_reject_wrong_mesh(helper, other):
+    case = example1()
+    m = build_cartesian_mesh(4)
+    sol = solve(assemble_system(m, build_dof_layout(m), case))
+    wrong = {
+        "level2": lambda: build_cartesian_mesh(2),
+        "level8": lambda: build_cartesian_mesh(8),
+        # same triangles, so only the edge count tells the meshes apart
+        "one_edge_fewer": lambda: dataclasses.replace(m, edges=m.edges[:-1]),
+    }[other]()
+    with pytest.raises(ValueError, match="do not belong to this mesh"):
+        helper(sol, case, wrong)
+
+
 def test_convergence_study_levels_validated():
     case = example1()
     with pytest.raises(ValueError):

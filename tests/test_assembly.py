@@ -23,7 +23,7 @@ from twodarcy.quadrature import triangle_rule
 from twodarcy.solver import solve
 from twodarcy.spaces import build_dof_layout, rt0_basis
 
-from oracles import interpolate_exact, linear_patch_case, patch_potential, with_coefficients
+from oracles import full_matrix, interpolate_exact, linear_patch_case, patch_potential, with_coefficients
 from test_coefficients import coefficients, derandomized
 
 
@@ -192,7 +192,7 @@ def test_assemble_system_level1_shape_and_symmetry():
     m = build_cartesian_mesh(1)
     layout = build_dof_layout(m)
     system = assemble_system(m, layout, example1())
-    k = system.matrix()
+    k = full_matrix(system)
     assert k.shape == (27, 27)
     n_u1 = layout.n_u1
     assert abs(system.A[:n_u1, n_u1:] + system.A[n_u1:, :n_u1].T).max() <= 1e-14
@@ -259,7 +259,7 @@ def test_patch_case_residual(coeffs):
         system = assemble_system(m, layout, case)
         xhat = interpolate_exact(case, m, layout, patch_potential)
         rhs = system.rhs()
-        residual = system.matrix() @ xhat - rhs
+        residual = full_matrix(system) @ xhat - rhs
         assert np.abs(residual).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
         sol = solve(system)
         x = np.concatenate([sol.u1, sol.p2, sol.phi, sol.p1])
@@ -314,7 +314,7 @@ def _reference_scatter(local, row_dofs, col_dofs, shape):
 
 
 def _blocks(system):
-    return {"A": system.A, "B": system.B, "C": system.C, "matrix": system.matrix()}
+    return {"A": system.A, "B": system.B, "C": system.C, "matrix": full_matrix(system)}
 
 
 def _reference_system(monkeypatch, m, layout, case):
@@ -373,7 +373,7 @@ def test_solve_matches_reference_matrix_at_level6(monkeypatch):
     layout = build_dof_layout(m)
     case = example4()
     ref = _reference_system(monkeypatch, m, layout, case)
-    expected = splu(ref.matrix().tocsc()).solve(ref.rhs())
+    expected = splu(full_matrix(ref).tocsc()).solve(ref.rhs())
     sol = solve(assemble_system(m, layout, case))
     got = np.concatenate([sol.u1, sol.p2, sol.phi, sol.p1])
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()

@@ -19,6 +19,25 @@ def test_invalid_configs_rejected():
         RunConfig(example=7).validate()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("example", True, "example"),
+    ("example", 1.0, "example"),
+    ("max_level", True, "max level"),
+    ("max_level", 2.0, "max level"),
+])
+def test_non_integer_example_and_level_rejected(field, value, message, capsys):
+    config = RunConfig(**{"example": 1, "max_level": 1, field: value})
+    with pytest.raises(ConfigError, match=message):
+        config.validate()
+    with pytest.raises(ConfigError, match=message):
+        run(config)
+    assert capsys.readouterr().out == ""
+
+
+def test_numpy_integer_example_and_level_accepted():
+    RunConfig(example=np.int64(1), max_level=np.int32(2)).validate()
+
+
 @pytest.mark.parametrize("beta", ["nan", "inf"])
 def test_main_rejects_non_finite_beta(beta, capsys):
     code = main(["--example", "1", "--max-level", "1", "--beta", beta])

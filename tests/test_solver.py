@@ -3,8 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given
 
+from twodarcy import solver
 from twodarcy.analysis import error_norms
 from twodarcy.assembly import CoefficientSet, _interface_signs, assemble_system
 from twodarcy.manufactured import derive_interface_data, example1, example2, example3, example4
@@ -18,7 +20,7 @@ from twodarcy.solver import (
 )
 from twodarcy.spaces import build_dof_layout
 
-from oracles import full_lu_solve, with_coefficients
+from oracles import full_lu_solve, full_matrix, with_coefficients
 from test_coefficients import coefficients, derandomized
 
 
@@ -86,6 +88,63 @@ def test_inadmissible_potential_resistance_fails_honestly(a2):
         solve(system)
 
 
+@pytest.mark.parametrize("message, expected", [
+    ("SUPERLU_MALLOC fails for buf in mxCallocInt()", "factorization ran out of memory"),
+    ("cLUWorkInit: malloc fails for local iworkptr[]", "factorization ran out of memory"),
+    ("Not enough memory to perform factorization.", "factorization ran out of memory"),
+    ("Factor is exactly singular", "singular factorization"),
+])
+def test_factorization_failure_is_named(message, expected, monkeypatch):
+    def failing_splu(*args, **kwargs):
+        raise RuntimeError(message)
+
+    m = build_cartesian_mesh(1)
+    system = assemble_system(m, build_dof_layout(m), example1())
+    monkeypatch.setattr(solver.spla, "splu", failing_splu)
+    with pytest.raises(SolverError, match=f"^{expected}: ") as info:
+        solve(system)
+    assert str(info.value).endswith(message)
+
+
+def _perturbed_factorization(perturb):
+    """A ``_hybrid_factorization`` whose solve passes each result through ``perturb``."""
+    def factorization(system):
+        solve_full = _hybrid_factorization(system)
+        return lambda b: perturb(solve_full(b))
+    return factorization
+
+
+def test_guard_rejects_a_fixed_solve_error(monkeypatch):
+    # Refinement cannot remove an error that every solve adds again.
+    m = build_cartesian_mesh(4)
+    system = assemble_system(m, build_dof_layout(m), example4())
+    exact = solve(system)
+    x = np.concatenate([exact.u1, exact.p2, exact.phi, exact.p1])
+    offset = 1e-6 * np.abs(x).max() * np.random.default_rng(4).uniform(-1.0, 1.0, x.shape)
+    monkeypatch.setattr(solver, "_hybrid_factorization", _perturbed_factorization(lambda y: y + offset))
+    with pytest.raises(SolverError, match="solver residual"):
+        solve(system)
+
+
+def test_guard_rejects_a_non_finite_solve(monkeypatch):
+    m = build_cartesian_mesh(2)
+    system = assemble_system(m, build_dof_layout(m), example1())
+    monkeypatch.setattr(solver, "_hybrid_factorization",
+                        _perturbed_factorization(lambda y: np.full_like(y, np.nan)))
+    with pytest.raises(SolverError, match="non-finite"):
+        solve(system)
+
+
+def test_solve_builds_no_stacked_matrix(monkeypatch):
+    def no_bmat(*args, **kwargs):
+        raise AssertionError("solve stacked the saddle blocks")
+
+    m = build_cartesian_mesh(4)
+    system = assemble_system(m, build_dof_layout(m), example4())
+    monkeypatch.setattr(sp, "bmat", no_bmat)
+    assert solve(system).residual <= solver.RESIDUAL_TOL
+
+
 CASE_VARIANTS = {
     "example1": example1,
     "example2": example2,
@@ -109,6 +168,19 @@ def _assert_matches_full_lu(system):
 def test_solve_matches_full_matrix_lu(variant, level):
     m = build_cartesian_mesh(level)
     _assert_matches_full_lu(assemble_system(m, build_dof_layout(m), CASE_VARIANTS[variant]()))
+
+
+@pytest.mark.parametrize("level", [8, 32])
+@pytest.mark.parametrize("variant", sorted(CASE_VARIANTS))
+def test_blockwise_residual_matches_full_matrix(variant, level):
+    m = build_cartesian_mesh(level)
+    system = assemble_system(m, build_dof_layout(m), CASE_VARIANTS[variant]())
+    sol = solve(system)
+    x = np.concatenate([sol.u1, sol.p2, sol.phi, sol.p1])
+    rhs = system.rhs()
+    stacked = np.abs(full_matrix(system) @ x - rhs).max() / np.abs(rhs).max()
+    assert sol.residual <= 1e-13 and stacked <= 1e-13
+    assert abs(sol.residual - stacked) <= 1e-13
 
 
 def test_solve_matches_full_matrix_lu_for_random_loads():
@@ -284,7 +356,7 @@ def test_beta_zero_collapses_kernel_coercivity():
     m = build_cartesian_mesh(2)
     layout = build_dof_layout(m)
     base = example1()
-    f_stress, f_n = derive_interface_data(base, beta=0.0)
+    f_stress, f_n = derive_interface_data(dataclasses.replace(base, beta=0.0))
     degenerate = dataclasses.replace(base, beta=0.0, f_stress=f_stress, f_n=f_n)
     system = assemble_system(m, layout, degenerate, check=False)
     diag = check_wellposedness(system)
