@@ -11,9 +11,9 @@ to solver tolerance, so the H_div column coincides with the L2 column.
 
 Exact-solution norms (denominators of the relative errors) are continuous
 L2/H1/H_div norms.  They do not depend on the mesh, so they are integrated
-once per (case, degree) with a tensor Gauss rule on each unit quadrant and
-cached.  Relative errors follow the h-scaled convention of the
-constant-flux study: 100 * error * h / exact-norm.
+once per case with a tensor Gauss rule on each unit quadrant and cached.
+Relative errors follow the h-scaled convention of the constant-flux study:
+100 * error * h / exact-norm.
 """
 
 from __future__ import annotations
@@ -101,6 +101,10 @@ _QUADRANT_CORNERS = {
 }
 
 
+# The exact-norm rule integrates the square of a field of this per-direction degree exactly.
+NORM_DEGREE = 10
+
+
 @lru_cache(maxsize=64)
 def _exact_norms(case: ManufacturedCase, degree: int) -> MappingProxyType:
     """Continuous exact-solution norms, keyed on the case's fields and ``degree``.
@@ -136,15 +140,13 @@ def _exact_norms(case: ManufacturedCase, degree: int) -> MappingProxyType:
     })
 
 
-def error_norms(sol: SolutionFields, case: ManufacturedCase, m: BipartiteMesh,
-                degree: int = 10) -> ErrorReport:
+def error_norms(sol: SolutionFields, case: ManufacturedCase, m: BipartiteMesh) -> ErrorReport:
     """Cell-sampled error norms against the exact fields.
 
-    ``degree`` controls only the rule used for the exact-solution norms;
-    the error columns themselves are centroid-sampled discrete norms and
-    carry no quadrature degree.  The exact norms do not depend on the mesh:
-    they are computed once per (case, degree) with a per-quadrant Gauss
-    rule and reused at every level.
+    The error columns are centroid-sampled discrete norms and carry no
+    quadrature degree.  The exact norms do not depend on the mesh: they are
+    computed once per case with a per-quadrant Gauss rule set by
+    ``NORM_DEGREE`` and reused at every level.
     """
     _check_mesh(sol, m)
     layout = sol.layout
@@ -190,7 +192,7 @@ def error_norms(sol: SolutionFields, case: ManufacturedCase, m: BipartiteMesh,
         e_u1_l2=e_u1,
         e_u1_hdiv=math.hypot(e_u1, e_div),
         e_u2=e_u2,
-        **_exact_norms(case, degree),
+        **_exact_norms(case, NORM_DEGREE),
     )
 
 

@@ -330,11 +330,10 @@ class SaddleSystem:
         return np.concatenate([self.F1, self.F2])
 
 
-def assemble_system(m: BipartiteMesh, layout: DofLayout, case, check: bool = True) -> SaddleSystem:
+def assemble_system(m: BipartiteMesh, layout: DofLayout, case) -> SaddleSystem:
     """Compose the four blocks and the load vectors for one case."""
     coeffs = case.coefficient_set()
-    if check:
-        coeffs.validate()
+    coeffs.validate()
     flux_mass = rt0_local_mass(m, layout.p1_triangles, coeffs.a1)
     a = assemble_A(m, layout, coeffs, flux_mass)
     k = p1_stiffness_omega2(m, layout)

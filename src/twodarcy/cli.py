@@ -3,60 +3,26 @@
 from __future__ import annotations
 
 import argparse
-import math
+import functools
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import analysis, manufactured
 from ._vtk import write_unstructured_grid
 from .assembly import assemble_system
-from .mesh import _is_integer, build_cartesian_mesh
-from .solver import SolverError, check_wellposedness, solve
+from .mesh import build_cartesian_mesh
+from .solver import SolverError, check_wellposedness, solve  # noqa: F401
 from .spaces import build_dof_layout
 
-__all__ = ["RunConfig", "ConfigError", "run", "main", "console_main"]
+__all__ = ["main", "console_main"]
+
+# perfbench/tracing.py wraps main, _dump_fields, write_unstructured_grid,
+# build_cartesian_mesh, build_dof_layout, assemble_system and solve here by name.
 
 ALLOWED_LEVELS = (1, 2, 4, 8, 16, 32, 64)
 DIAGNOSTIC_MAX_LEVEL = 4
-
-_FACTORIES = {
-    1: lambda mode, beta: manufactured.example1(beta=beta),
-    2: lambda mode, beta: manufactured.example2(interface_mode=mode, beta=beta),
-    3: lambda mode, beta: manufactured.example3(interface_mode=mode, beta=beta),
-    4: lambda mode, beta: manufactured.example4(interface_mode=mode, beta=beta),
-}
-
-
-class ConfigError(ValueError):
-    """An option combination violates a run invariant."""
-
-
-@dataclass
-class RunConfig:
-    example: int
-    interface_mode: str = "derived"
-    max_level: int = 32
-    beta: float | None = None
-    csv_path: str | None = None
-    fields_dir: str | None = None
-    diagnostics: bool = False
-
-    def validate(self) -> None:
-        if not _is_integer(self.example) or self.example not in (1, 2, 3, 4):
-            raise ConfigError("example must be one of 1, 2, 3, 4")
-        if not _is_integer(self.max_level) or self.max_level not in ALLOWED_LEVELS:
-            raise ConfigError(f"max level must be one of {ALLOWED_LEVELS}")
-        if self.interface_mode == "constant_projection" and self.example != 4:
-            raise ConfigError("constant_projection interface mode is valid only with example 4")
-        if self.interface_mode == "paper_literal" and self.example not in (2, 3):
-            raise ConfigError("paper_literal interface mode is valid only with examples 2 and 3")
-        if self.interface_mode not in ("derived", "paper_literal", "constant_projection"):
-            raise ConfigError(f"unknown interface mode {self.interface_mode!r}")
-        if self.beta is not None and not (math.isfinite(self.beta) and self.beta > 0):
-            raise ConfigError("beta override must be positive and finite")
 
 
 def _dump_fields(fields_dir, level, m, layout, sol):
@@ -99,21 +65,45 @@ def _print_relative_table(report):
         _print_row(rep.level_inv, rep.relative().values(), ">10.4f")
 
 
-def run(config: RunConfig) -> int:
-    """Execute one study; returns a process exit status."""
-    config.validate()
-    beta = 1.0 if config.beta is None else config.beta
-    case = _FACTORIES[config.example](config.interface_mode, beta)
-    levels = [k for k in ALLOWED_LEVELS if k <= config.max_level]
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="twodarcy",
+        description="Convergence studies for the two-region mixed Darcy solver.",
+    )
+    parser.add_argument("--example", type=int, required=True,
+                        choices=sorted(manufactured.EXAMPLES), help="manufactured case")
+    parser.add_argument(
+        "--interface-mode",
+        default="derived",
+        choices=("derived", "paper_literal", "constant_projection"),
+        help="interface data variant (default: derived oracle)",
+    )
+    parser.add_argument("--max-level", type=int, default=32, choices=ALLOWED_LEVELS,
+                        help="finest inverse mesh size (default 32)")
+    parser.add_argument("--beta", type=float, default=1.0,
+                        help="interface storage coefficient, positive and finite (default 1)")
+    parser.add_argument("--csv", dest="csv_path", default=None,
+                        help="write the convergence table to this CSV file")
+    parser.add_argument("--fields", dest="fields_dir", default=None,
+                        help="write per-level VTK field dumps into this directory")
+    parser.add_argument("--diagnostics", action="store_true",
+                        help="print well-posedness diagnostics at coarse levels")
+    return parser
 
-    if config.fields_dir:
-        os.makedirs(config.fields_dir, exist_ok=True)
-        on_level = lambda level, m, layout, sol: _dump_fields(
-            config.fields_dir, level, m, layout, sol
-        )
-    else:
-        on_level = None
 
+def main(argv=None) -> int:
+    """Run one study; returns its exit status. Rejected options exit 2 before any work."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        case = manufactured.EXAMPLES[args.example](interface_mode=args.interface_mode,
+                                                   beta=args.beta)
+        case.coefficient_set().validate()
+    except ValueError as err:
+        parser.error(str(err))
+    levels = [k for k in ALLOWED_LEVELS if k <= args.max_level]
+
+    on_level = functools.partial(_dump_fields, args.fields_dir) if args.fields_dir else None
     try:
         report = analysis.convergence_study(case, levels, on_level=on_level)
     except SolverError as err:
@@ -121,12 +111,12 @@ def run(config: RunConfig) -> int:
         return 1
 
     _print_table(report)
-    if config.interface_mode == "constant_projection":
+    if args.interface_mode == "constant_projection":
         _print_relative_table(report)
-    if config.csv_path:
-        analysis.write_csv(report, config.csv_path)
+    if args.csv_path:
+        analysis.write_csv(report, args.csv_path)
 
-    if config.diagnostics:
+    if args.diagnostics:
         for k in levels:
             if k > DIAGNOSTIC_MAX_LEVEL:
                 continue
@@ -140,40 +130,6 @@ def run(config: RunConfig) -> int:
                 f"c_definiteness={diag.c_definiteness:.6e}"
             )
     return 0
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="twodarcy",
-        description="Convergence studies for the two-region mixed Darcy solver.",
-    )
-    parser.add_argument("--example", type=int, required=True, help="case number, 1..4")
-    parser.add_argument(
-        "--interface-mode",
-        default="derived",
-        choices=("derived", "paper_literal", "constant_projection"),
-        help="interface data variant (default: derived oracle)",
-    )
-    parser.add_argument("--max-level", type=int, default=32,
-                        help="finest inverse mesh size, a power of 2 (default 32)")
-    parser.add_argument("--beta", type=float, default=None,
-                        help="override the interface storage coefficient")
-    parser.add_argument("--csv", dest="csv_path", default=None,
-                        help="write the convergence table to this CSV file")
-    parser.add_argument("--fields", dest="fields_dir", default=None,
-                        help="write per-level VTK field dumps into this directory")
-    parser.add_argument("--diagnostics", action="store_true",
-                        help="print well-posedness diagnostics at coarse levels")
-    return parser
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        return run(RunConfig(**vars(args)))
-    except (ConfigError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
 
 
 def console_main() -> None:

@@ -36,6 +36,7 @@ __all__ = [
     "example2",
     "example3",
     "example4",
+    "EXAMPLES",
     "derive_interface_data",
 ]
 
@@ -170,8 +171,9 @@ def _polynomial_forms():
     return p, grad_p, lap_p
 
 
-def example1(beta: float = 1.0) -> ManufacturedCase:
+def example1(interface_mode: str = "derived", beta: float = 1.0) -> ManufacturedCase:
     """Continuous separable polynomial pressure; unit resistance everywhere."""
+    _check_mode(interface_mode, ("derived",), "example1")
     p, grad_p, lap_p = _polynomial_forms()
     case = ManufacturedCase(
         name="example1", a1=1.0, a2=1.0, beta=beta, interface_mode="derived",
@@ -296,3 +298,7 @@ def example4(interface_mode: str = "derived", beta: float = 1.0) -> Manufactured
         return np.full_like(np.asarray(x, dtype=float), -1.0 / np.sqrt(2.0))
 
     return dataclasses.replace(case, f_stress=derived_stress, f_n=f_n)
+
+
+# The case factories by example number, each taking (interface_mode, beta).
+EXAMPLES = {1: example1, 2: example2, 3: example3, 4: example4}

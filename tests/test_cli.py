@@ -1,55 +1,47 @@
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from twodarcy.cli import ConfigError, RunConfig, main, run
+import twodarcy.analysis
+import twodarcy.cli
+from twodarcy.cli import main
 
 
-def test_invalid_configs_rejected():
-    with pytest.raises(ConfigError, match="constant_projection"):
-        RunConfig(example=1, interface_mode="constant_projection").validate()
-    with pytest.raises(ConfigError, match="paper_literal"):
-        RunConfig(example=4, interface_mode="paper_literal").validate()
-    with pytest.raises(ConfigError, match="max level"):
-        RunConfig(example=1, max_level=12).validate()
-    with pytest.raises(ConfigError, match="beta"):
-        RunConfig(example=1, beta=-1.0).validate()
-    with pytest.raises(ConfigError, match="example"):
-        RunConfig(example=7).validate()
+BETA_RULE = "beta must be positive and finite"
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("example", True, "example"),
-    ("example", 1.0, "example"),
-    ("max_level", True, "max level"),
-    ("max_level", 2.0, "max level"),
+@pytest.mark.parametrize("options, message", [
+    pytest.param(["--example", "7"], "--example", id="example-7"),
+    pytest.param(["--example", "1.0"], "--example", id="example-1.0"),
+    pytest.param(["--example", "1", "--max-level", "12"], "--max-level", id="max-level-12"),
+    pytest.param(["--example", "1", "--max-level", "2.0"], "--max-level", id="max-level-2.0"),
+    pytest.param(["--example", "1", "--max-level", "128"], "--max-level", id="max-level-128"),
+    pytest.param(["--example", "1", "--interface-mode", "bogus"], "--interface-mode",
+                 id="interface-mode-bogus"),
+    pytest.param(["--example", "1", "--interface-mode", "constant_projection"],
+                 "example1 supports interface modes", id="example1-constant_projection"),
+    pytest.param(["--example", "4", "--interface-mode", "paper_literal"],
+                 "example4 supports interface modes", id="example4-paper_literal"),
+    pytest.param(["--example", "1", "--beta", "-1"], BETA_RULE, id="beta-minus1"),
+    pytest.param(["--example", "1", "--beta", "0"], BETA_RULE, id="beta-0"),
+    pytest.param(["--example", "1", "--beta", "nan"], BETA_RULE, id="beta-nan"),
+    pytest.param(["--example", "1", "--beta", "inf"], BETA_RULE, id="beta-inf"),
 ])
-def test_non_integer_example_and_level_rejected(field, value, message, capsys):
-    config = RunConfig(**{"example": 1, "max_level": 1, field: value})
-    with pytest.raises(ConfigError, match=message):
-        config.validate()
-    with pytest.raises(ConfigError, match=message):
-        run(config)
-    assert capsys.readouterr().out == ""
+def test_rejected_options_exit_2_before_any_work(options, message, tmp_path,
+                                                 monkeypatch, capsys):
+    def no_mesh(*args):
+        raise AssertionError("a mesh was built for rejected options")
 
-
-def test_numpy_integer_example_and_level_accepted():
-    RunConfig(example=np.int64(1), max_level=np.int32(2)).validate()
-
-
-@pytest.mark.parametrize("beta", ["nan", "inf"])
-def test_main_rejects_non_finite_beta(beta, capsys):
-    code = main(["--example", "1", "--max-level", "1", "--beta", beta])
-    assert code == 2
-    assert "beta override must be positive and finite" in capsys.readouterr().err
-
-
-def test_main_reports_config_error(capsys):
-    code = main(["--example", "4", "--interface-mode", "paper_literal"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "paper_literal" in err
+    monkeypatch.setattr(twodarcy.analysis, "build_cartesian_mesh", no_mesh)
+    monkeypatch.setattr(twodarcy.cli, "build_cartesian_mesh", no_mesh)
+    csv = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(options + ["--csv", str(csv)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "twodarcy: error:" in captured.err and message in captured.err
+    assert not csv.exists()
 
 
 def test_run_writes_csv_and_fields(tmp_path, capsys):

@@ -146,6 +146,8 @@ def test_example4_constant_projection_value():
 
 
 def test_invalid_modes_rejected():
+    with pytest.raises(ValueError, match="example1 supports interface modes"):
+        example1(interface_mode="paper_literal")
     with pytest.raises(ValueError):
         example2(interface_mode="constant_projection")
     with pytest.raises(ValueError):

@@ -8,8 +8,8 @@ from hypothesis import example, given
 
 from twodarcy import solver
 from twodarcy.analysis import error_norms
-from twodarcy.assembly import CoefficientSet, _interface_signs, assemble_system
-from twodarcy.manufactured import derive_interface_data, example1, example2, example3, example4
+from twodarcy.assembly import CoefficientSet, _interface_signs, assemble_A, assemble_system
+from twodarcy.manufactured import example1, example2, example3, example4
 from twodarcy.mesh import build_cartesian_mesh
 from twodarcy.solver import (
     SolverError,
@@ -45,12 +45,12 @@ def test_zero_rhs_gives_zero_solution():
 
 @pytest.mark.parametrize("a1", [0.0, np.nan])
 def test_inadmissible_flux_resistance_fails_honestly(a1):
-    # a1 = 0 divides the region-1 source by zero, a1 = nan poisons it.
+    # a1 = 0 makes the local flux masses singular, a1 = nan poisons them.
     m = build_cartesian_mesh(1)
-    case = dataclasses.replace(example1(), a1=a1)
+    system = assemble_system(m, build_dof_layout(m), example1())
+    system = dataclasses.replace(system, flux_mass=system.flux_mass * a1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        system = assemble_system(m, build_dof_layout(m), case, check=False)
         with pytest.raises(SolverError):
             solve(system)
 
@@ -80,10 +80,8 @@ def test_local_saddle_inverse_matches_dense_inverse():
 def test_inadmissible_potential_resistance_fails_honestly(a2):
     # psi = p2 + a2 phi needs a positive finite a2; the solve raises, with no warning.
     m = build_cartesian_mesh(1)
-    case = dataclasses.replace(example1(), a2=a2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        system = assemble_system(m, build_dof_layout(m), case, check=False)
+    system = assemble_system(m, build_dof_layout(m), example1())
+    system = dataclasses.replace(system, coeffs=CoefficientSet(1.0, a2, 1.0))
     with pytest.raises(SolverError):
         solve(system)
 
@@ -355,10 +353,11 @@ def test_wellposedness_levels_stable():
 def test_beta_zero_collapses_kernel_coercivity():
     m = build_cartesian_mesh(2)
     layout = build_dof_layout(m)
-    base = example1()
-    f_stress, f_n = derive_interface_data(dataclasses.replace(base, beta=0.0))
-    degenerate = dataclasses.replace(base, beta=0.0, f_stress=f_stress, f_n=f_n)
-    system = assemble_system(m, layout, degenerate, check=False)
+    system = assemble_system(m, layout, example1())
+    zero_beta = CoefficientSet(1.0, 1.0, 0.0)
+    system = dataclasses.replace(
+        system, A=assemble_A(m, layout, zero_beta, system.flux_mass), coeffs=zero_beta
+    )
     diag = check_wellposedness(system)
     assert abs(diag.kernel_coercivity) <= 1e-10
     assert diag.inf_sup > 0
