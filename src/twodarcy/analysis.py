@@ -211,9 +211,6 @@ class ConvergenceReport:
     reports: tuple
     rates: tuple  # first entry None, then {column: rate}
 
-    def levels(self):
-        return [r.level_inv for r in self.reports]
-
 
 def convergence_study(case: ManufacturedCase, levels, on_level=None) -> ConvergenceReport:
     """Full mesh -> assemble -> solve -> norms pipeline over a level sweep.

@@ -111,16 +111,20 @@ def _scatter_entries(local, row_dofs, col_dofs):
     return local.ravel()[keep], rows[keep], cols[keep]
 
 
-def _scatter(local, row_dofs, col_dofs, shape) -> sp.csr_matrix:
-    """Sum the ``_scatter_entries`` of (t, r, c) local matrices into a CSR matrix.
+def _scatter(parts, shape) -> sp.csr_matrix:
+    """Sum the ``_scatter_entries`` of (local, row_dofs, col_dofs) parts into one CSR matrix.
 
+    A part holds (t, r, c) local matrices on (t, r) row and (t, c) column
+    dofs of the block; its rounding residues are judged within it.
     Duplicates are summed by scipy in an order that can change with the
     other entries of their row.  No zero is stored: sums that cancel are
     removed.
     """
-    vals, rows, cols = _scatter_entries(local, row_dofs, col_dofs)
+    vals, rows, cols = map(np.concatenate, zip(*(_scatter_entries(*part) for part in parts)))
     out = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
     out.eliminate_zeros()
+    # scipy leaves a summed matrix on views of the unsummed arrays; hold only its entries.
+    out.data, out.indices = out.data.copy(), out.indices.copy()
     return out
 
 
@@ -141,29 +145,13 @@ def rt0_local_mass(m: BipartiteMesh, tris, a: float = 1.0) -> np.ndarray:
     return (scale[:, None, None] * s[:, :, None] * s[:, None, :]) * moments
 
 
-def _flux_scatter(m: BipartiteMesh, layout: DofLayout, local) -> sp.csr_matrix:
-    """Sum (t, 3, 3) local matrices of ``layout.p1_triangles`` onto the u1 dofs."""
-    dofs = layout.edge_to_u1[m.tri_edges[layout.p1_triangles]]
-    return _scatter(local, dofs, dofs, (layout.n_u1, layout.n_u1))
-
-
-def rt0_divdiv(m: BipartiteMesh, layout: DofLayout) -> sp.csr_matrix:
-    """Divergence-divergence matrix of the flux basis (H_div norm part)."""
-    tris = layout.p1_triangles
-    signs = m.tri_edge_signs[tris].astype(float)
-    return _flux_scatter(m, layout, np.einsum("ti,tj->tij", signs, signs) / m.areas[tris][:, None, None])
-
-
-_P1_MASS_REF = (np.full((3, 3), 1.0) + np.eye(3)) / 12.0
 _P1_TRACE_MASS_REF = (np.full((2, 2), 1.0) + np.eye(2)) / 6.0
 
 
-def p1_mass_omega2(m: BipartiteMesh, layout: DofLayout) -> sp.csr_matrix:
-    """Plain nodal mass matrix over region 2."""
-    tris = layout.u2_triangles
-    local = m.areas[tris][:, None, None] * _P1_MASS_REF[None, :, :]
-    dofs = layout.vert_to_p2[m.triangles[tris]]
-    return _scatter(local, dofs, dofs, (layout.n_p2, layout.n_p2))
+def _p1_local_stiffness(m: BipartiteMesh, tris) -> np.ndarray:
+    """(t, 3, 3) unit nodal stiffness matrices of ``tris``."""
+    grads = m.hat_gradients[tris]
+    return m.areas[tris][:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
 
 
 def p1_stiffness_omega2(m: BipartiteMesh, layout: DofLayout) -> sp.csr_matrix:
@@ -172,10 +160,8 @@ def p1_stiffness_omega2(m: BipartiteMesh, layout: DofLayout) -> sp.csr_matrix:
     Its rows (and columns) ``layout.phi_to_p2`` are the potential stiffness.
     """
     tris = layout.u2_triangles
-    grads = m.hat_gradients[tris]
-    local = m.areas[tris][:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
     dofs = layout.vert_to_p2[m.triangles[tris]]
-    return _scatter(local, dofs, dofs, (layout.n_p2, layout.n_p2))
+    return _scatter([(_p1_local_stiffness(m, tris), dofs, dofs)], (layout.n_p2, layout.n_p2))
 
 
 def _edge_points(m: BipartiteMesh, edges, rule) -> np.ndarray:
@@ -202,43 +188,43 @@ def assemble_A(m: BipartiteMesh, layout: DofLayout, coeffs: CoefficientSet,
     layout.p1_triangles, coeffs.a1)``.  The coefficients are not checked
     here: ``assemble_system`` validates them.
     """
-    n_u1, n_p2 = layout.n_u1, layout.n_p2
-    m_a = _flux_scatter(m, layout, flux_mass)
-
+    u1 = layout.edge_to_u1[m.tri_edges[layout.p1_triangles]]
     e = m.interface_edges
-    p2 = layout.vert_to_p2[m.edges[e]]                       # (ni, 2)
-    local = (coeffs.beta * m.edge_lengths[e])[:, None, None] * _P1_TRACE_MASS_REF
-    m_beta = _scatter(local, p2, p2, (n_p2, n_p2))
+    e_u1 = layout.edge_to_u1[e][:, None]
+    p2 = layout.offset_p2 + layout.vert_to_p2[m.edges[e]]   # (ni, 2) rows and columns of A
+    trace = (coeffs.beta * m.edge_lengths[e])[:, None, None] * _P1_TRACE_MASS_REF
     # Normal trace of the edge's own flux basis is +-1 / length, so the
     # coupling entries are +-1/2 independent of the mesh size.
     couple = _interface_signs(m)[:, None] * (LINE_RULE.weights @ _LINE_HAT)
-    s = _scatter(couple[:, None, :], layout.edge_to_u1[e][:, None], p2, (n_u1, n_p2))
-    return sp.bmat([[m_a, s], [-s.T, m_beta]], format="csr")
+    parts = [(flux_mass, u1, u1), (couple[:, None, :], e_u1, p2), (-couple[:, :, None], p2, e_u1),
+             (trace, p2, p2)]
+    return _scatter(parts, (layout.n_x, layout.n_x))
 
 
 def assemble_B(m: BipartiteMesh, layout: DofLayout, k: sp.csr_matrix) -> sp.csr_matrix:
     """Divergence pairing with p1 and gradient pairing with the potential.
 
     ``k`` is the unit region-2 stiffness ``p1_stiffness_omega2(m, layout)``;
-    the gradient pairing is its potential rows.
+    the gradient pairing is its potential rows, moved past the u1 columns.
     """
     g = k[layout.phi_to_p2]                                  # (n_phi, n_p2)
+    g = sp.csr_matrix((g.data, g.indices + layout.offset_p2, g.indptr), shape=(layout.n_phi, layout.n_x))
     tris = layout.p1_triangles
     d = _scatter(
-        m.tri_edge_signs[tris].astype(float)[:, None, :],    # integral of div = sign
-        layout.tri_to_p1[tris][:, None],
-        layout.edge_to_u1[m.tri_edges[tris]],
-        (layout.n_p1, layout.n_u1),
+        [(m.tri_edge_signs[tris].astype(float)[:, None, :],  # integral of div = sign
+          layout.tri_to_p1[tris][:, None],
+          layout.edge_to_u1[m.tri_edges[tris]])],
+        (layout.n_p1, layout.n_x),
     )
-    return sp.bmat([[None, g], [d, None]], format="csr")
+    return sp.vstack([g, d], format="csr")
 
 
 def assemble_C(layout: DofLayout, coeffs: CoefficientSet, k: sp.csr_matrix) -> sp.csr_matrix:
     """a2-weighted potential stiffness from the unit region-2 stiffness ``k``; the p1 block is zero."""
     phi = layout.phi_to_p2
-    return sp.block_diag(
-        [coeffs.a2 * k[phi][:, phi], sp.csr_matrix((layout.n_p1, layout.n_p1))], format="csr"
-    )
+    c = coeffs.a2 * k[phi][:, phi]
+    c.resize((layout.n_y, layout.n_y))
+    return c
 
 
 def assemble_rhs(m: BipartiteMesh, layout: DofLayout, case) -> tuple[np.ndarray, np.ndarray]:

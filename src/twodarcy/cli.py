@@ -101,6 +101,11 @@ def main(argv=None) -> int:
         case.coefficient_set().validate()
     except ValueError as err:
         parser.error(str(err))
+    if args.csv_path and (os.path.isdir(args.csv_path)
+                          or not os.path.isdir(os.path.dirname(os.path.abspath(args.csv_path)))):
+        parser.error(f"--csv: cannot write a file at {args.csv_path}")
+    if args.fields_dir and os.path.exists(args.fields_dir) and not os.path.isdir(args.fields_dir):
+        parser.error(f"--fields: {args.fields_dir} exists and is not a directory")
     levels = [k for k in ALLOWED_LEVELS if k <= args.max_level]
 
     on_level = functools.partial(_dump_fields, args.fields_dir) if args.fields_dir else None
@@ -134,3 +139,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

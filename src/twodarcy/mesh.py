@@ -86,10 +86,6 @@ class BipartiteMesh:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    @property
-    def h(self) -> float:
-        return 1.0 / self.level_inv
-
     @cached_property
     def areas(self) -> np.ndarray:
         p = self.vertices[self.triangles]

@@ -22,14 +22,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (
-    SaddleSystem,
-    _flux_scatter,
-    _scatter_entries,
-    p1_mass_omega2,
-    rt0_divdiv,
-    rt0_local_mass,
-)
+from .assembly import SaddleSystem, _p1_local_stiffness, _scatter, _scatter_entries, rt0_local_mass
 from .mesh import EdgeKind
 from .spaces import potential_to_velocity
 
@@ -285,18 +278,23 @@ class WellposednessDiagnostics:
 def x_norm_gram(system: SaddleSystem) -> sp.csr_matrix:
     """Gram matrix of the [u1, p2] norm: H_div on region 1, full H1 on region 2."""
     m, lo = system.mesh, system.layout
-    g_u1 = _flux_scatter(m, lo, rt0_local_mass(m, lo.p1_triangles)) + rt0_divdiv(m, lo)
-    g_p2 = p1_mass_omega2(m, lo) + system.K
-    return sp.block_diag([g_u1, g_p2], format="csr")
+    tris1, tris2 = lo.p1_triangles, lo.u2_triangles
+    signs = m.tri_edge_signs[tris1].astype(float)
+    g_u1 = rt0_local_mass(m, tris1) + np.einsum("ti,tj->tij", signs, signs) / m.areas[tris1][:, None, None]
+    g_p2 = m.areas[tris2][:, None, None] * ((1.0 + np.eye(3)) / 12.0) + _p1_local_stiffness(m, tris2)
+    u1 = lo.edge_to_u1[m.tri_edges[tris1]]
+    p2 = lo.offset_p2 + lo.vert_to_p2[m.triangles[tris2]]
+    return _scatter([(g_u1, u1, u1), (g_p2, p2, p2)], (lo.n_x, lo.n_x))
 
 
 def y_norm_gram(system: SaddleSystem) -> sp.csr_matrix:
     """Gram matrix of the [u2, p1] norm: gradient L2 and cell L2."""
     m, lo = system.mesh, system.layout
-    phi = lo.phi_to_p2
-    g_phi = system.K[phi][:, phi]
-    g_p1 = sp.diags(m.areas[lo.p1_triangles])
-    return sp.block_diag([g_phi, g_p1], format="csr")
+    tris1, tris2 = lo.p1_triangles, lo.u2_triangles
+    phi = lo.vert_to_phi[m.triangles[tris2]]
+    p1 = lo.n_phi + lo.tri_to_p1[tris1][:, None]
+    return _scatter([(_p1_local_stiffness(m, tris2), phi, phi), (m.areas[tris1][:, None, None], p1, p1)],
+                    (lo.n_y, lo.n_y))
 
 
 def check_wellposedness(system: SaddleSystem) -> WellposednessDiagnostics:

@@ -4,8 +4,9 @@ None of these runs in the package: pointwise quadrature on one element,
 the hat functions, a sampled check that every triangle lies in the region
 it is tagged with, an exactly representable patch case, a finite-difference
 check of the closed-form calculus of a manufactured case, the exact-field
-interpolant with its residual in the discrete dual norm, and the whole
-unhybridized saddle matrix with its sparse LU.
+interpolant with its residual in the discrete dual norm, the flux mass
+matrix on its own, and the whole unhybridized saddle matrix with its
+sparse LU.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from twodarcy.assembly import LINE_RULE, _edge_points, _region_points
+from twodarcy.assembly import LINE_RULE, _edge_points, _region_points, _scatter
 from twodarcy.manufactured import ManufacturedCase, derive_interface_data
 from twodarcy.mesh import BipartiteMesh, quadrants_of
 from twodarcy.quadrature import QuadRule, triangle_rule
@@ -259,6 +260,18 @@ def dual_residual_norm(system, x: np.ndarray) -> float:
     gram = sp.block_diag([x_norm_gram(system), y_norm_gram(system)], format="csc")
     z = spla.spsolve(gram, r)
     return math.sqrt(abs(float(r @ z)))
+
+
+# -- the flux mass on its own --------------------------------------------------
+
+def flux_scatter(m: BipartiteMesh, layout: DofLayout, local) -> sp.csr_matrix:
+    """Sum (t, 3, 3) local matrices of ``layout.p1_triangles`` onto the u1 dofs.
+
+    With the local masses ``rt0_local_mass`` this is the flux block of A,
+    scattered as ``assemble_A`` scatters it.
+    """
+    dofs = layout.edge_to_u1[m.tri_edges[layout.p1_triangles]]
+    return _scatter([(local, dofs, dofs)], (layout.n_u1, layout.n_u1))
 
 
 # -- the whole saddle matrix and its direct solve -----------------------------

@@ -143,7 +143,7 @@ def test_convergence_study_rejects_non_integer_levels(levels):
 
 def test_convergence_study_accepts_numpy_integer_levels():
     report = convergence_study(example1(), np.array([1, 2]))
-    assert report.levels() == [1, 2]
+    assert [r.level_inv for r in report.reports] == [1, 2]
 
 
 def test_convergence_study_shape_and_callback():
@@ -154,7 +154,7 @@ def test_convergence_study_shape_and_callback():
     )
     assert isinstance(report, ConvergenceReport)
     assert seen == [1, 2, 4]
-    assert report.levels() == [1, 2, 4]
+    assert [r.level_inv for r in report.reports] == [1, 2, 4]
     assert report.rates[0] is None
     assert set(report.rates[1]) == {"p1", "p2_l2", "p2_h1", "u1_l2", "u1_hdiv", "u2"}
 

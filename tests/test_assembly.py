@@ -23,7 +23,7 @@ from twodarcy.quadrature import triangle_rule
 from twodarcy.solver import solve
 from twodarcy.spaces import build_dof_layout, rt0_basis
 
-from oracles import full_matrix, interpolate_exact, linear_patch_case, patch_potential, with_coefficients
+from oracles import flux_scatter, full_matrix, interpolate_exact, linear_patch_case, patch_potential, with_coefficients
 from test_coefficients import coefficients, derandomized
 
 
@@ -61,7 +61,7 @@ def test_rt0_mass_matches_symbolic_integration():
                     exact[dofs[j], dofs[i]] += val
 
     # the flux block of A, scattered as assemble_A does
-    mass = assembly._flux_scatter(m, layout, rt0_local_mass(m, layout.p1_triangles)).toarray()
+    mass = flux_scatter(m, layout, rt0_local_mass(m, layout.p1_triangles)).toarray()
     # the whole matrix, hypotenuse rows and shared-edge sums included
     np.testing.assert_allclose(mass, exact, rtol=0.0, atol=1e-14)
     assert np.count_nonzero(exact) == np.count_nonzero(mass)
@@ -75,7 +75,7 @@ def test_rt0_local_mass_matches_quadrature_of_the_basis():
     m = build_cartesian_mesh(4)
     rng = np.random.default_rng(5)
     inner = np.all(np.abs(m.vertices) < 1.0, axis=1)
-    moved = m.vertices + inner[:, None] * rng.uniform(-0.2, 0.2, m.vertices.shape) * m.h
+    moved = m.vertices + inner[:, None] * rng.uniform(-0.2, 0.2, m.vertices.shape) / m.level_inv
     m = dataclasses.replace(m, vertices=moved)
     tris = build_dof_layout(m).p1_triangles
     rule = triangle_rule(2)
@@ -93,7 +93,7 @@ def test_trace_mass_block_values():
     coeffs = CoefficientSet(1.0, 1.0, 1.0)
     a = assemble_A(m, layout, coeffs, rt0_local_mass(m, layout.p1_triangles, coeffs.a1))
     block = a[layout.n_u1:, layout.n_u1:]
-    h = m.h
+    h = 1 / m.level_inv
     v_end = layout.vert_to_p2[_vertex_index(m, 1.0, 0.0)]
     v_mid = layout.vert_to_p2[_vertex_index(m, 0.5, 0.0)]
     # the endpoint vertex (1,0) belongs to a single interface edge
@@ -185,7 +185,7 @@ def test_rhs_examples(patch_case):
         g=None,
     )
     _, f2_one = assemble_rhs(m, layout, one_case)
-    np.testing.assert_allclose(f2_one[layout.n_phi:], m.h**2 / 2.0, atol=1e-15)
+    np.testing.assert_allclose(f2_one[layout.n_phi:], 0.5 / m.level_inv**2, atol=1e-15)
 
 
 def test_assemble_system_level1_shape_and_symmetry():
@@ -302,12 +302,19 @@ CASES = [
 CASE_IDS = [f"{c.name}-{c.interface_mode}" for c in CASES]
 
 
-def _reference_scatter(local, row_dofs, col_dofs, shape):
-    """The scatter that stores every local entry, zeros included."""
-    rows = np.repeat(row_dofs, col_dofs.shape[1], axis=1).ravel()
-    cols = np.tile(col_dofs, (1, row_dofs.shape[1])).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    return sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
+def _reference_scatter(parts, shape):
+    """The scatter that stores every local entry of every part, zeros included."""
+    vals, rows, cols = [], [], []
+    for local, row_dofs, col_dofs in parts:
+        r = np.repeat(row_dofs, col_dofs.shape[1], axis=1).ravel()
+        c = np.tile(col_dofs, (1, row_dofs.shape[1])).ravel()
+        keep = (r >= 0) & (c >= 0)
+        vals.append(local.ravel()[keep])
+        rows.append(r[keep])
+        cols.append(c[keep])
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
+    ).tocsr()
 
 
 def _blocks(system):
@@ -348,9 +355,19 @@ def test_scatter_drops_residues_and_cancelled_sums():
         [[-1.0, 9.0], [5.0, 9.0]],      # -1 cancels the 1 above; 9s sit on dof -1
     ])
     rows = np.array([[0, 1], [0, 1]])
-    out = assembly._scatter(local, rows, np.array([[0, 1], [1, -1]]), (2, 2))
+    out = assembly._scatter([(local, rows, np.array([[0, 1], [1, -1]]))], (2, 2))
     np.testing.assert_array_equal(out.toarray(), [[2.0, 0.0], [0.0, 9.0]])
     assert out.nnz == 2 and np.all(out.data != 0.0)
+
+
+def test_scatter_sums_parts_into_one_matrix():
+    parts = [
+        (np.array([[[1.0, 2.0]]]), np.array([[0]]), np.array([[0, 1]])),
+        (np.array([[[4.0], [8.0]]]), np.array([[0, -1]]), np.array([[1]])),  # 8 sits on dof -1
+    ]
+    out = assembly._scatter(parts, (2, 2))
+    np.testing.assert_array_equal(out.toarray(), [[1.0, 6.0], [0.0, 0.0]])
+    assert out.nnz == 2
 
 
 def test_non_finite_local_entries_are_kept():

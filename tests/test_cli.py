@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,10 @@ BETA_RULE = "beta must be positive and finite"
     pytest.param(["--example", "1", "--beta", "0"], BETA_RULE, id="beta-0"),
     pytest.param(["--example", "1", "--beta", "nan"], BETA_RULE, id="beta-nan"),
     pytest.param(["--example", "1", "--beta", "inf"], BETA_RULE, id="beta-inf"),
+    pytest.param(["--example", "1", "--csv", "/nonexistent/x.csv"], "--csv", id="csv-no-directory"),
+    pytest.param(["--example", "1", "--csv", str(Path(__file__).parent)], "--csv",
+                 id="csv-names-a-directory"),
+    pytest.param(["--example", "1", "--fields", __file__], "--fields", id="fields-names-a-file"),
 ])
 def test_rejected_options_exit_2_before_any_work(options, message, tmp_path,
                                                  monkeypatch, capsys):
@@ -36,12 +43,21 @@ def test_rejected_options_exit_2_before_any_work(options, message, tmp_path,
     monkeypatch.setattr(twodarcy.cli, "build_cartesian_mesh", no_mesh)
     csv = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as exit_info:
-        main(options + ["--csv", str(csv)])
+        main(["--csv", str(csv)] + options)
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "twodarcy: error:" in captured.err and message in captured.err
     assert not csv.exists()
+
+
+def test_module_entry_point_runs_main():
+    src = str(Path(twodarcy.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "twodarcy.cli", "--example", "7"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert "--example" in done.stderr
 
 
 def test_run_writes_csv_and_fields(tmp_path, capsys):
@@ -137,7 +153,8 @@ def test_solver_failure_names_failing_level(monkeypatch, capsys):
 
 
 # References written by `twodarcy --example N --interface-mode MODE --max-level 8
-# --csv ...` (the .csv files) and its stdout (the .stdout files); a change to
+# --csv ...` (the .csv files) and its stdout (the .stdout files), and the
+# `--diagnostics` stdout of example 2 paper_literal up to level 4; a change to
 # them is a change of published results.
 GOLDEN = Path(__file__).parent / "data"
 VARIANTS = [
@@ -159,6 +176,13 @@ def test_stdout_matches_committed_reference(example, mode, capsys):
     assert main(["--example", str(example), "--interface-mode", mode, "--max-level", "8"]) == 0
     out = capsys.readouterr().out.encode("ascii")
     assert out == (GOLDEN / f"example{example}_{mode}_8.stdout").read_bytes()
+
+
+def test_diagnostics_match_committed_reference(capsys):
+    assert main(["--example", "2", "--interface-mode", "paper_literal", "--max-level", "4",
+                 "--diagnostics"]) == 0
+    out = capsys.readouterr().out.encode("ascii")
+    assert out == (GOLDEN / "example2_paper_literal_4_diagnostics.stdout").read_bytes()
 
 
 def test_binding_csv_cell_matches_committed_reference(tmp_path):

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from twodarcy.assembly import (
     AdmissibilityError,
     CoefficientSet,
-    _flux_scatter,
     assemble_A,
     assemble_C,
     p1_stiffness_omega2,
@@ -23,6 +22,8 @@ from twodarcy.assembly import (
 )
 from twodarcy.mesh import build_cartesian_mesh
 from twodarcy.spaces import build_dof_layout
+
+from oracles import flux_scatter
 
 ULP = np.finfo(float).eps
 
@@ -38,7 +39,7 @@ def _level4():
     unit_a = assemble_A(m, layout, CoefficientSet(1.0, 1.0, 1.0), rt0_local_mass(m, layout.p1_triangles))
     k = p1_stiffness_omega2(m, layout)
     return m, layout, {
-        "flux": _flux_scatter(m, layout, rt0_local_mass(m, layout.p1_triangles)),
+        "flux": flux_scatter(m, layout, rt0_local_mass(m, layout.p1_triangles)),
         "beta": unit_a[layout.n_u1:, layout.n_u1:],
         "stiffness": k,
         "potential": k[layout.phi_to_p2][:, layout.phi_to_p2],

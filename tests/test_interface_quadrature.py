@@ -16,7 +16,6 @@ from twodarcy.analysis import interface_flux_residuals
 from twodarcy.assembly import (
     LINE_RULE,
     _edge_points,
-    _flux_scatter,
     _interface_signs,
     assemble_A,
     assemble_rhs,
@@ -28,6 +27,8 @@ from twodarcy.mesh import build_cartesian_mesh
 from twodarcy.quadrature import segment_rule
 from twodarcy.solver import solve
 from twodarcy.spaces import build_dof_layout
+
+from oracles import flux_scatter
 
 CASES = [
     example1(),
@@ -75,7 +76,7 @@ def reference_A(m, layout, coeffs):
             s_vals.append(couple[j])
     m_beta = sp.coo_matrix((vals, (rows, cols)), shape=(layout.n_p2, layout.n_p2))
     s = sp.coo_matrix((s_vals, (s_rows, s_cols)), shape=(layout.n_u1, layout.n_p2))
-    m_a = _flux_scatter(m, layout, rt0_local_mass(m, layout.p1_triangles, coeffs.a1))
+    m_a = flux_scatter(m, layout, rt0_local_mass(m, layout.p1_triangles, coeffs.a1))
     return sp.bmat([[m_a, s], [-s.T, m_beta]], format="csr")
 
 
@@ -148,7 +149,8 @@ def test_interface_flux_residuals_match_per_edge_loop(case):
     expected = reference_flux_residuals(sol, case, m)
     assert got.shape == expected.shape == (len(m.interface_edges),)
     # the defect cancels O(1) terms, so scale by the size of those terms
-    scale = m.h * max(np.abs(sol.u1).max() / m.h, np.abs(sol.u2).max(), np.abs(sol.p2).max(), 1.0)
+    h = 1 / m.level_inv
+    scale = h * max(np.abs(sol.u1).max() / h, np.abs(sol.u2).max(), np.abs(sol.p2).max(), 1.0)
     _assert_close(got, expected, scale)
 
 

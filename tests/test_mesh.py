@@ -162,7 +162,7 @@ def test_validate_flags_flipped_tag():
 
 def test_validate_flags_translated_mesh():
     m = build_cartesian_mesh(2)
-    shifted = dataclasses.replace(m, vertices=m.vertices + [m.h / 2, 0.0])
+    shifted = dataclasses.replace(m, vertices=m.vertices + [0.5 / m.level_inv, 0.0])
     report = validate_consistency(shifted)
     assert not report.ok
     reasons = {reason for _, reason in report.violations}
@@ -253,8 +253,8 @@ def test_validate_matches_per_triangle_loop():
     region[[5, 40, 77]] = 3 - region[[5, 40, 77]]
     cases = [
         dataclasses.replace(m, tri_region=region),
-        dataclasses.replace(m, vertices=m.vertices + [m.h / 2, 0.0]),
-        dataclasses.replace(m, vertices=m.vertices + [m.h / 3, -m.h / 5]),
+        dataclasses.replace(m, vertices=m.vertices + [0.5 / m.level_inv, 0.0]),
+        dataclasses.replace(m, vertices=m.vertices + [1 / (3 * m.level_inv), -1 / (5 * m.level_inv)]),
         # collapse every vertex onto the x-axis: all samples lie on the cross
         dataclasses.replace(m, vertices=m.vertices * [1.0, 0.0]),
     ]

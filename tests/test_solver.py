@@ -143,6 +143,18 @@ def test_solve_builds_no_stacked_matrix(monkeypatch):
     assert solve(system).residual <= solver.RESIDUAL_TOL
 
 
+def test_assembly_and_diagnostics_scatter_every_block(monkeypatch):
+    def no_stacking(*args, **kwargs):
+        raise AssertionError("a block was stacked instead of scattered")
+
+    monkeypatch.setattr(sp, "bmat", no_stacking)
+    monkeypatch.setattr(sp, "block_diag", no_stacking)
+    m = build_cartesian_mesh(2)
+    system = assemble_system(m, build_dof_layout(m), example2("paper_literal"))
+    diag = check_wellposedness(system)
+    assert min(diag.inf_sup, diag.kernel_coercivity, diag.c_definiteness) > 0.0
+
+
 CASE_VARIANTS = {
     "example1": example1,
     "example2": example2,

@@ -129,7 +129,7 @@ def test_p1_hats_delta_and_partition():
 
 def test_p1_grad_magnitudes_on_right_triangle():
     m = build_cartesian_mesh(2)
-    h = m.h
+    h = 1 / m.level_inv
     norms = sorted(np.linalg.norm(m.hat_gradients[0], axis=1))
     np.testing.assert_allclose(norms, [1 / h, 1 / h, np.sqrt(2) / h], rtol=1e-12)
 
