@@ -11,10 +11,10 @@ the two equations, with the interface convention that the normal points
 from region 1 into region 2: the (p2-row, u1-column) coupling enters with a
 minus sign and its transpose with a plus sign.
 
-The unit P1 stiffness ``K`` of region 2 on the p2 dofs is assembled once:
-the gradient pairing in B is its potential rows ``K[phi_to_p2]``, C is
-``a2 * K[phi_to_p2][:, phi_to_p2]``, and the system carries it for the
-solver.
+The unit P1 stiffness ``K`` of region 2 on the p2 dofs is assembled once
+per mesh: the gradient pairing in B is its potential rows
+``K[phi_to_p2]``, C is ``a2 * K[phi_to_p2][:, phi_to_p2]``, and the system
+carries it for the solver.
 
 The coefficients are three region constants: the flow resistances ``a1``
 and ``a2`` of the two regions and the interface storage ``beta``.  Each
@@ -36,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import BipartiteMesh
+from .mesh import BipartiteMesh, _read_only
 from .quadrature import segment_rule, triangle_rule
-from .spaces import DofLayout, rt0_basis
+from .spaces import DofLayout, _is_own_layout, rt0_basis
 
 __all__ = [
     "AdmissibilityError",
@@ -316,14 +316,30 @@ class SaddleSystem:
         return np.concatenate([self.F1, self.F2])
 
 
+def _geometric_operators(m: BipartiteMesh, layout: DofLayout) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """``K`` and ``B``, built once and kept read-only on ``layout`` if it is ``m``'s own layout.
+
+    A layout paired with another mesh, e.g. a ``dataclasses.replace``d one, gets fresh ones.
+    """
+    own = _is_own_layout(m, layout)
+    if own and "_operators" in vars(layout):
+        return layout._operators
+    k = p1_stiffness_omega2(m, layout)
+    b = assemble_B(m, layout, k)
+    if own:
+        for array in (k.data, k.indices, k.indptr, b.data, b.indices, b.indptr):
+            _read_only(array)
+        layout._operators = k, b
+    return k, b
+
+
 def assemble_system(m: BipartiteMesh, layout: DofLayout, case) -> SaddleSystem:
     """Compose the four blocks and the load vectors for one case."""
     coeffs = case.coefficient_set()
     coeffs.validate()
     flux_mass = rt0_local_mass(m, layout.p1_triangles, coeffs.a1)
     a = assemble_A(m, layout, coeffs, flux_mass)
-    k = p1_stiffness_omega2(m, layout)
-    b = assemble_B(m, layout, k)
+    k, b = _geometric_operators(m, layout)
     c = assemble_C(layout, coeffs, k)
     f1, f2 = assemble_rhs(m, layout, case)
     return SaddleSystem(

@@ -18,6 +18,8 @@ degrees) fixes the flux orientation used by the vector basis downstream.
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -42,6 +44,24 @@ def quadrants_of(x, y):
                     np.where(np.asarray(x) > 0, 4, 3))
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _freeze_fields(obj):
+    """Make every array attribute of ``obj`` read-only; return ``obj``."""
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            _read_only(value)
+    return obj
+
+
+def _cached_array(method):
+    """``cached_property`` of a read-only array: meshes are shared (see ``build_cartesian_mesh``)."""
+    return cached_property(functools.wraps(method)(lambda self: _read_only(method(self))))
+
+
 class EdgeKind(IntEnum):
     INTERIOR_1 = 0
     INTERIOR_2 = 1
@@ -54,7 +74,10 @@ class EdgeKind(IntEnum):
 class BipartiteMesh:
     """Triangulation of the two-region domain with tagged connectivity.
 
-    Treat instances as immutable once built; all derived geometry is cached.
+    Instances are immutable once built: every array field and all cached
+    derived geometry are read-only, as a mesh is shared by every caller of
+    its level (see ``build_cartesian_mesh``).  To change one, copy first,
+    e.g. ``dataclasses.replace(m, vertices=m.vertices.copy())``.
     ``edge_tris`` uses -1 for the missing neighbour of boundary edges, and
     ``tri_edges[t, i]`` is the edge opposite local vertex i of triangle t.
     """
@@ -86,18 +109,18 @@ class BipartiteMesh:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    @cached_property
+    @_cached_array
     def areas(self) -> np.ndarray:
         p = self.vertices[self.triangles]
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
-    @cached_property
+    @_cached_array
     def centroids(self) -> np.ndarray:
         return self.vertices[self.triangles].mean(axis=1)
 
-    @cached_property
+    @_cached_array
     def hat_gradients(self) -> np.ndarray:
         """(nt, 3, 2) constant gradients of the hat functions of every triangle."""
         p = self.vertices[self.triangles]
@@ -105,19 +128,19 @@ class BipartiteMesh:
         perp = np.stack([-d[..., 1], d[..., 0]], axis=-1)
         return perp / (2.0 * self.areas)[:, None, None]
 
-    @cached_property
+    @_cached_array
     def edge_vectors(self) -> np.ndarray:
         return self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
 
-    @cached_property
+    @_cached_array
     def edge_lengths(self) -> np.ndarray:
         return np.hypot(self.edge_vectors[:, 0], self.edge_vectors[:, 1])
 
-    @cached_property
+    @_cached_array
     def edge_midpoints(self) -> np.ndarray:
         return 0.5 * (self.vertices[self.edges[:, 0]] + self.vertices[self.edges[:, 1]])
 
-    @cached_property
+    @_cached_array
     def edge_normals(self) -> np.ndarray:
         """Unit normals of all edges: the lo->hi tangent rotated by -90 degrees."""
         t = self.edge_vectors / self.edge_lengths[:, None]
@@ -203,12 +226,16 @@ def _finish_mesh(level_inv, vertices, triangles, tri_region, tri_quadrant):
     mesh.interface_normals = n
     mesh.interface_tri1 = tri1
     mesh.interface_tri2 = tri2
-    return mesh
+    return _freeze_fields(mesh)
 
 
 def _is_integer(value) -> bool:
     """True for an ``int`` or numpy integer that is not a bool (levels, vertex ids)."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+# Level -> the mesh of that level while some caller still holds it.
+_LIVE_MESHES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def build_cartesian_mesh(level_inv: int) -> BipartiteMesh:
@@ -217,11 +244,15 @@ def build_cartesian_mesh(level_inv: int) -> BipartiteMesh:
     Cells are split along the lower-left to upper-right diagonal; cells in
     quadrants Q1 and Q3 are tagged region 1, the others region 2.  Vertex
     coordinates are (i - k)/k so the axes and the outer boundary are hit
-    exactly for any k.
+    exactly for any k.  The mesh of a level is shared while a caller holds
+    it; nothing it caches refers back to it, so it dies with its last holder.
     """
     if not _is_integer(level_inv) or level_inv < 1:
         raise ValueError("level_inv must be a positive integer")
     k = int(level_inv)
+    held = _LIVE_MESHES.get(k)
+    if held is not None:
+        return held
     n = 2 * k + 1
     coords = (np.arange(n) - k) / float(k)
     X, Y = np.meshgrid(coords, coords, indexing="xy")
@@ -244,4 +275,4 @@ def build_cartesian_mesh(level_inv: int) -> BipartiteMesh:
     tri_quadrant = np.repeat(quadrants_of(ci + 0.5 - k, cj + 0.5 - k), 2).astype(np.int8)
     tri_region = REGION_OF_QUADRANT[tri_quadrant].astype(np.int8)
 
-    return _finish_mesh(k, vertices, triangles, tri_region, tri_quadrant)
+    return _LIVE_MESHES.setdefault(k, _finish_mesh(k, vertices, triangles, tri_region, tri_quadrant))

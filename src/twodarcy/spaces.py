@@ -19,10 +19,11 @@ natural in this formulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .mesh import BipartiteMesh, EdgeKind, _is_integer
+from .mesh import BipartiteMesh, EdgeKind, _freeze_fields, _is_integer, _read_only
 
 __all__ = [
     "DofLayout",
@@ -34,7 +35,7 @@ __all__ = [
 
 @dataclass
 class DofLayout:
-    """Block index maps for the four unknown fields of one mesh."""
+    """Block index maps for the four unknown fields of one mesh; its arrays are read-only."""
 
     u1_edges: np.ndarray      # edge ids carrying flux dofs, ascending
     edge_to_u1: np.ndarray    # (ne,) block-local index or -1
@@ -59,10 +60,10 @@ class DofLayout:
     def n_phi(self) -> int:
         return self.n_p2 - 1
 
-    @property
+    @cached_property
     def phi_to_p2(self) -> np.ndarray:
         """(n_phi,) p2-block index of each potential dof: every p2 dof but the pinned one."""
-        return np.flatnonzero(self.p2_vertices != self.pinned_vertex)
+        return _read_only(np.flatnonzero(self.p2_vertices != self.pinned_vertex))
 
     @property
     def n_p1(self) -> int:
@@ -100,8 +101,14 @@ def build_dof_layout(m: BipartiteMesh, pin_vertex: int | None = None) -> DofLayo
     The potential is pinned to zero at the smallest-index region-2 vertex
     unless ``pin_vertex`` overrides it; any region-2 vertex yields the same
     gradient field.  An override must be an ``int`` or numpy integer (not a
-    bool).
+    bool).  The layout of each pin is built once and kept on ``m``.
     """
+    if pin_vertex is not None and not _is_integer(pin_vertex):
+        raise ValueError(f"pin vertex {pin_vertex} is not a region-2 vertex")
+    layouts = vars(m).setdefault("_layouts", {})
+    key = None if pin_vertex is None else int(pin_vertex)
+    if key in layouts:
+        return layouts[key]
     u1_kinds = (EdgeKind.INTERIOR_1, EdgeKind.BOUNDARY_1, EdgeKind.INTERFACE)
     u1_edges = np.flatnonzero(np.isin(m.edge_kind, u1_kinds))
     edge_to_u1 = np.full(m.n_edges, -1, dtype=np.int64)
@@ -113,8 +120,7 @@ def build_dof_layout(m: BipartiteMesh, pin_vertex: int | None = None) -> DofLayo
 
     if pin_vertex is None:
         pin_vertex = int(p2_vertices[0])
-    elif not (_is_integer(pin_vertex) and 0 <= pin_vertex < m.n_vertices
-              and vert_to_p2[pin_vertex] >= 0):
+    elif not (0 <= pin_vertex < m.n_vertices and vert_to_p2[pin_vertex] >= 0):
         raise ValueError(f"pin vertex {pin_vertex} is not a region-2 vertex")
     phi_vertices = p2_vertices[p2_vertices != pin_vertex]
     vert_to_phi = np.full(m.n_vertices, -1, dtype=np.int64)
@@ -127,7 +133,7 @@ def build_dof_layout(m: BipartiteMesh, pin_vertex: int | None = None) -> DofLayo
     tri_to_u2 = np.full(m.n_triangles, -1, dtype=np.int64)
     tri_to_u2[u2_triangles] = np.arange(len(u2_triangles))
 
-    return DofLayout(
+    return layouts.setdefault(key, _freeze_fields(DofLayout(
         u1_edges=u1_edges,
         edge_to_u1=edge_to_u1,
         p2_vertices=p2_vertices,
@@ -138,7 +144,12 @@ def build_dof_layout(m: BipartiteMesh, pin_vertex: int | None = None) -> DofLayo
         tri_to_p1=tri_to_p1,
         u2_triangles=u2_triangles,
         tri_to_u2=tri_to_u2,
-    )
+    )))
+
+
+def _is_own_layout(m: BipartiteMesh, layout: DofLayout) -> bool:
+    """True when ``layout`` is one that ``build_dof_layout`` built for, and keeps on, ``m``."""
+    return any(layout is own for own in vars(m).get("_layouts", {}).values())
 
 
 def rt0_basis(m: BipartiteMesh, tris, x) -> np.ndarray:
