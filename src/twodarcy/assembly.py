@@ -36,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import BipartiteMesh, _read_only
+from .mesh import BipartiteMesh, _kept
 from .quadrature import segment_rule, triangle_rule
-from .spaces import DofLayout, _is_own_layout, rt0_basis
+from .spaces import DofLayout, rt0_basis
 
 __all__ = [
     "AdmissibilityError",
@@ -316,21 +316,10 @@ class SaddleSystem:
         return np.concatenate([self.F1, self.F2])
 
 
-def _geometric_operators(m: BipartiteMesh, layout: DofLayout) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """``K`` and ``B``, built once and kept read-only on ``layout`` if it is ``m``'s own layout.
-
-    A layout paired with another mesh, e.g. a ``dataclasses.replace``d one, gets fresh ones.
-    """
-    own = _is_own_layout(m, layout)
-    if own and "_operators" in vars(layout):
-        return layout._operators
+def _unit_operators(m: BipartiteMesh, layout: DofLayout) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """``K`` and ``B``: they depend on the mesh and the pin alone."""
     k = p1_stiffness_omega2(m, layout)
-    b = assemble_B(m, layout, k)
-    if own:
-        for array in (k.data, k.indices, k.indptr, b.data, b.indices, b.indptr):
-            _read_only(array)
-        layout._operators = k, b
-    return k, b
+    return k, assemble_B(m, layout, k)
 
 
 def assemble_system(m: BipartiteMesh, layout: DofLayout, case) -> SaddleSystem:
@@ -339,7 +328,7 @@ def assemble_system(m: BipartiteMesh, layout: DofLayout, case) -> SaddleSystem:
     coeffs.validate()
     flux_mass = rt0_local_mass(m, layout.p1_triangles, coeffs.a1)
     a = assemble_A(m, layout, coeffs, flux_mass)
-    k, b = _geometric_operators(m, layout)
+    k, b = _kept(m, ("operators", layout.pinned_vertex), lambda: _unit_operators(m, layout))
     c = assemble_C(layout, coeffs, k)
     f1, f2 = assemble_rhs(m, layout, case)
     return SaddleSystem(

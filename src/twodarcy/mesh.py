@@ -49,12 +49,24 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _freeze_fields(obj):
-    """Make every array attribute of ``obj`` read-only; return ``obj``."""
-    for value in vars(obj).values():
-        if isinstance(value, np.ndarray):
-            _read_only(value)
-    return obj
+def _freeze(value):
+    """Make the array attributes of ``value``, or of each item of a tuple ``value``, read-only."""
+    for item in value if isinstance(value, tuple) else (value,):
+        for attribute in vars(item).values():
+            if isinstance(attribute, np.ndarray):
+                _read_only(attribute)
+    return value
+
+
+def _kept(m, key, build):
+    """``build()``, built once per ``key`` and kept read-only on ``m``, as a mesh is shared.
+
+    What is kept must not refer back to ``m``, so that ``m`` dies with its last holder.
+    """
+    kept = vars(m).setdefault("_kept", {})
+    if key not in kept:
+        kept[key] = _freeze(build())
+    return kept[key]
 
 
 def _cached_array(method):
@@ -70,14 +82,15 @@ class EdgeKind(IntEnum):
     BOUNDARY_2 = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class BipartiteMesh:
     """Triangulation of the two-region domain with tagged connectivity.
 
-    Instances are immutable once built: every array field and all cached
-    derived geometry are read-only, as a mesh is shared by every caller of
-    its level (see ``build_cartesian_mesh``).  To change one, copy first,
-    e.g. ``dataclasses.replace(m, vertices=m.vertices.copy())``.
+    Instances are immutable once built: fields cannot be rebound, and every
+    array field and all cached derived geometry are read-only, as a mesh is
+    shared by every caller of its level (see ``build_cartesian_mesh``).  To
+    change one, copy first, e.g.
+    ``dataclasses.replace(m, vertices=m.vertices.copy())``.
     ``edge_tris`` uses -1 for the missing neighbour of boundary edges, and
     ``tri_edges[t, i]`` is the edge opposite local vertex i of triangle t.
     """
@@ -210,7 +223,7 @@ def _finish_mesh(level_inv, vertices, triangles, tri_region, tri_quadrant):
     n_e = mesh.edge_normals[tri_edges]                       # (nt, 3, 2)
     mids = mesh.edge_midpoints[tri_edges]                    # (nt, 3, 2)
     out = np.einsum("tid,tid->ti", n_e, mids - mesh.centroids[:, None, :])
-    mesh.tri_edge_signs = np.where(out > 0, 1, -1).astype(np.int8)
+    signs = np.where(out > 0, 1, -1).astype(np.int8)
 
     iface = mesh.interface_edges
     t0 = edge_tris[iface, 0]
@@ -223,10 +236,10 @@ def _finish_mesh(level_inv, vertices, triangles, tri_region, tri_quadrant):
     n = mesh.edge_normals[iface]
     towards_2 = np.einsum("id,id->i", n, mesh.centroids[tri2] - mesh.edge_midpoints[iface])
     n = np.where(towards_2[:, None] > 0, n, -n)
-    mesh.interface_normals = n
-    mesh.interface_tri1 = tri1
-    mesh.interface_tri2 = tri2
-    return _freeze_fields(mesh)
+    # The frozen mesh's last fields need its own geometry, so they are set in place.
+    vars(mesh).update(tri_edge_signs=signs, interface_normals=n, interface_tri1=tri1,
+                      interface_tri2=tri2)
+    return _freeze(mesh)
 
 
 def _is_integer(value) -> bool:

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import BipartiteMesh, EdgeKind, _freeze_fields, _is_integer, _read_only
+from .mesh import BipartiteMesh, EdgeKind, _is_integer, _kept, _read_only
 
 __all__ = [
     "DofLayout",
@@ -33,9 +33,9 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DofLayout:
-    """Block index maps for the four unknown fields of one mesh; its arrays are read-only."""
+    """Block index maps for the four unknown fields of one mesh; immutable, its arrays read-only."""
 
     u1_edges: np.ndarray      # edge ids carrying flux dofs, ascending
     edge_to_u1: np.ndarray    # (ne,) block-local index or -1
@@ -105,10 +105,11 @@ def build_dof_layout(m: BipartiteMesh, pin_vertex: int | None = None) -> DofLayo
     """
     if pin_vertex is not None and not _is_integer(pin_vertex):
         raise ValueError(f"pin vertex {pin_vertex} is not a region-2 vertex")
-    layouts = vars(m).setdefault("_layouts", {})
-    key = None if pin_vertex is None else int(pin_vertex)
-    if key in layouts:
-        return layouts[key]
+    pin = None if pin_vertex is None else int(pin_vertex)
+    return _kept(m, ("layout", pin), lambda: _new_dof_layout(m, pin))
+
+
+def _new_dof_layout(m: BipartiteMesh, pin_vertex: int | None) -> DofLayout:
     u1_kinds = (EdgeKind.INTERIOR_1, EdgeKind.BOUNDARY_1, EdgeKind.INTERFACE)
     u1_edges = np.flatnonzero(np.isin(m.edge_kind, u1_kinds))
     edge_to_u1 = np.full(m.n_edges, -1, dtype=np.int64)
@@ -133,7 +134,7 @@ def build_dof_layout(m: BipartiteMesh, pin_vertex: int | None = None) -> DofLayo
     tri_to_u2 = np.full(m.n_triangles, -1, dtype=np.int64)
     tri_to_u2[u2_triangles] = np.arange(len(u2_triangles))
 
-    return layouts.setdefault(key, _freeze_fields(DofLayout(
+    return DofLayout(
         u1_edges=u1_edges,
         edge_to_u1=edge_to_u1,
         p2_vertices=p2_vertices,
@@ -144,12 +145,7 @@ def build_dof_layout(m: BipartiteMesh, pin_vertex: int | None = None) -> DofLayo
         tri_to_p1=tri_to_p1,
         u2_triangles=u2_triangles,
         tri_to_u2=tri_to_u2,
-    )))
-
-
-def _is_own_layout(m: BipartiteMesh, layout: DofLayout) -> bool:
-    """True when ``layout`` is one that ``build_dof_layout`` built for, and keeps on, ``m``."""
-    return any(layout is own for own in vars(m).get("_layouts", {}).values())
+    )
 
 
 def rt0_basis(m: BipartiteMesh, tris, x) -> np.ndarray:

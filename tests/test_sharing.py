@@ -72,6 +72,9 @@ def test_shared_arrays_are_read_only():
     for array in arrays.values():
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 0
+    for shared, field in ((m, "vertices"), (layout, "pinned_vertex")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(shared, field, getattr(shared, field))
 
 
 def _fields(m, case):
@@ -85,7 +88,7 @@ def test_held_and_rebuilt_meshes_give_equal_solutions():
     rebuilt = []
     for case in cases:
         m = build_cartesian_mesh(8)
-        assert "_layouts" not in vars(m)  # a fresh mesh, nothing cached on it
+        assert "_kept" not in vars(m)  # a fresh mesh, nothing cached on it
         rebuilt.append(_fields(m, case))
         del m
     held = build_cartesian_mesh(8)
