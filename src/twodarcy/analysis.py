@@ -10,9 +10,10 @@ with the centroid-sampled source; with the centroid-rule loads these agree
 to solver tolerance, so the H_div column coincides with the L2 column.
 
 Exact-solution norms (denominators of the relative errors) are continuous
-L2/H1/H_div norms.  They do not depend on the mesh, so they are integrated
-once per case with a tensor Gauss rule on each unit quadrant and cached.
-Relative errors follow the h-scaled convention of the constant-flux study:
+L2/H1/H_div norms.  They do not depend on the mesh, so ``exact_norms``
+integrates them once per case with a tensor Gauss rule on each unit
+quadrant; only the relative table of the constant-flux study reads them.
+Relative errors follow the h-scaled convention of that study:
 100 * error * h / exact-norm.
 """
 
@@ -20,8 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -37,6 +36,7 @@ __all__ = [
     "ErrorReport",
     "ConvergenceReport",
     "error_norms",
+    "exact_norms",
     "rate",
     "convergence_study",
     "write_csv",
@@ -54,7 +54,7 @@ CSV_HEADER = (
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Error norms of one solve plus the matching exact-solution norms."""
+    """Error norms of one solve."""
 
     level_inv: int
     e_p1: float
@@ -63,20 +63,14 @@ class ErrorReport:
     e_u1_l2: float
     e_u1_hdiv: float
     e_u2: float
-    norm_p1: float
-    norm_p2_l2: float
-    norm_p2_h1: float
-    norm_u1_l2: float
-    norm_u1_hdiv: float
-    norm_u2: float
 
     def errors(self) -> dict:
         return {c: getattr(self, f"e_{c}") for c in COLUMNS}
 
-    def relative(self) -> dict:
-        """Percentage errors, h-scaled against the exact norms."""
+    def relative(self, norms: dict) -> dict:
+        """Percentage errors, h-scaled against the exact ``norms`` (see ``exact_norms``)."""
         h = 1.0 / self.level_inv
-        return {c: 100.0 * e * h / getattr(self, f"norm_{c}") for c, e in self.errors().items()}
+        return {c: 100.0 * e * h / norms[c] for c, e in self.errors().items()}
 
 
 def _check_mesh(sol: SolutionFields, m: BipartiteMesh) -> None:
@@ -105,12 +99,9 @@ _QUADRANT_CORNERS = {
 NORM_DEGREE = 10
 
 
-@lru_cache(maxsize=64)
-def _exact_norms(case: ManufacturedCase, degree: int) -> MappingProxyType:
-    """Continuous exact-solution norms, keyed on the case's fields and ``degree``.
+def exact_norms(case: ManufacturedCase, degree: int = NORM_DEGREE) -> dict:
+    """Continuous exact-solution norms of ``case``, keyed like ``COLUMNS``.
 
-    The key is the whole case (dataclass equality), not its name, so
-    variants of one example with other coefficients get their own entry.
     Each field is integrated over the quadrants of its region, one by one,
     with a tensor Gauss rule exact for per-direction degree ``2 * degree``
     (the square of a degree ``degree`` field), evaluating the closed forms
@@ -130,23 +121,21 @@ def _exact_norms(case: ManufacturedCase, degree: int) -> MappingProxyType:
 
     norm_u1 = l2(case.u, 1)
     norm_p2 = l2(case.p, 2)
-    return MappingProxyType({
-        "norm_p1": l2(case.p, 1),
-        "norm_p2_l2": norm_p2,
-        "norm_p2_h1": math.hypot(norm_p2, l2(case.grad_p, 2)),
-        "norm_u1_l2": norm_u1,
-        "norm_u1_hdiv": math.hypot(norm_u1, l2(case.F, 1)),
-        "norm_u2": l2(case.u, 2),
-    })
+    return {
+        "p1": l2(case.p, 1),
+        "p2_l2": norm_p2,
+        "p2_h1": math.hypot(norm_p2, l2(case.grad_p, 2)),
+        "u1_l2": norm_u1,
+        "u1_hdiv": math.hypot(norm_u1, l2(case.F, 1)),
+        "u2": l2(case.u, 2),
+    }
 
 
 def error_norms(sol: SolutionFields, case: ManufacturedCase, m: BipartiteMesh) -> ErrorReport:
     """Cell-sampled error norms against the exact fields.
 
     The error columns are centroid-sampled discrete norms and carry no
-    quadrature degree.  The exact norms do not depend on the mesh: they are
-    computed once per case with a per-quadrant Gauss rule set by
-    ``NORM_DEGREE`` and reused at every level.
+    quadrature degree.
     """
     _check_mesh(sol, m)
     layout = sol.layout
@@ -192,7 +181,6 @@ def error_norms(sol: SolutionFields, case: ManufacturedCase, m: BipartiteMesh) -
         e_u1_l2=e_u1,
         e_u1_hdiv=math.hypot(e_u1, e_div),
         e_u2=e_u2,
-        **_exact_norms(case, NORM_DEGREE),
     )
 
 
@@ -207,7 +195,6 @@ def rate(e_coarse: float, e_fine: float) -> float:
 class ConvergenceReport:
     """Per-level error reports and the successive rates between them."""
 
-    case_name: str
     reports: tuple
     rates: tuple  # first entry None, then {column: rate}
 
@@ -215,11 +202,14 @@ class ConvergenceReport:
 def convergence_study(case: ManufacturedCase, levels, on_level=None) -> ConvergenceReport:
     """Full mesh -> assemble -> solve -> norms pipeline over a level sweep.
 
-    ``levels`` must be strictly increasing powers of two, each an ``int``
-    or numpy integer (not a bool).  ``on_level`` is an optional callback
-    ``(level, mesh, layout, solution)`` invoked after each solve (used for
-    field dumps).
+    ``levels`` is a non-empty iterable of strictly increasing powers of
+    two, each an ``int`` or numpy integer (not a bool).  ``on_level`` is an
+    optional callback ``(level, mesh, layout, solution)`` invoked after
+    each solve (used for field dumps).
     """
+    levels = list(levels)
+    if not levels:
+        raise ValueError("levels must not be empty")
     for k in levels:
         if not _is_integer(k) or k < 1 or (k & (k - 1)) != 0:
             raise ValueError(f"levels must be powers of 2, got {k!r}")
@@ -245,7 +235,7 @@ def convergence_study(case: ManufacturedCase, levels, on_level=None) -> Converge
     for prev, curr in zip(reports, reports[1:]):
         ep, ec = prev.errors(), curr.errors()
         rates.append({c: rate(ep[c], ec[c]) for c in COLUMNS})
-    return ConvergenceReport(case_name=case.name, reports=tuple(reports), rates=tuple(rates))
+    return ConvergenceReport(reports=tuple(reports), rates=tuple(rates))
 
 
 def write_csv(report: ConvergenceReport, path) -> None:

@@ -58,11 +58,12 @@ def _print_table(report):
             _print_row("rate", rates.values(), ">10.4f")
 
 
-def _print_relative_table(report):
+def _print_relative_table(report, case):
+    norms = analysis.exact_norms(case)
     print("relative errors (percent):")
     _print_row("h_inv", [f"rel_{c}" for c in analysis.COLUMNS], ">10")
     for rep in report.reports:
-        _print_row(rep.level_inv, rep.relative().values(), ">10.4f")
+        _print_row(rep.level_inv, rep.relative(norms).values(), ">10.4f")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,6 +102,9 @@ def main(argv=None) -> int:
         case.coefficient_set().validate()
     except ValueError as err:
         parser.error(str(err))
+    for option, path in (("--csv", args.csv_path), ("--fields", args.fields_dir)):
+        if path == "":
+            parser.error(f"{option}: the path is empty")
     if args.csv_path and (os.path.isdir(args.csv_path)
                           or not os.path.isdir(os.path.dirname(os.path.abspath(args.csv_path)))):
         parser.error(f"--csv: cannot write a file at {args.csv_path}")
@@ -117,7 +121,7 @@ def main(argv=None) -> int:
 
     _print_table(report)
     if args.interface_mode == "constant_projection":
-        _print_relative_table(report)
+        _print_relative_table(report, case)
     if args.csv_path:
         analysis.write_csv(report, args.csv_path)
 

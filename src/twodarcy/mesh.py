@@ -10,7 +10,7 @@ that layout: ``quadrants_of`` maps coordinate signs to quadrants and
 A level-k mesh cuts the square into (2k)^2 cells of side 1/k, each split
 along its lower-left to upper-right diagonal.
 
-Every interface edge stores the unit normal of its region-1 neighbour, i.e.
+Every interface edge has the unit normal of its region-1 neighbour, i.e.
 the normal pointing from region 1 into region 2.  Edges are stored with the
 lower vertex index first; the global edge normal (tangent rotated by -90
 degrees) fixes the flux orientation used by the vector basis downstream.
@@ -86,11 +86,14 @@ class EdgeKind(IntEnum):
 class BipartiteMesh:
     """Triangulation of the two-region domain with tagged connectivity.
 
-    Instances are immutable once built: fields cannot be rebound, and every
-    array field and all cached derived geometry are read-only, as a mesh is
-    shared by every caller of its level (see ``build_cartesian_mesh``).  To
-    change one, copy first, e.g.
-    ``dataclasses.replace(m, vertices=m.vertices.copy())``.
+    The fields are the grid, its tags and its topology; everything that
+    depends on vertex positions (areas, normals, edge signs, ...) is derived
+    from them on first use and cached.  Instances are immutable once built:
+    fields cannot be rebound, and every array field and all cached derived
+    geometry are read-only, as a mesh is shared by every caller of its level
+    (see ``build_cartesian_mesh``).  To change one, copy first, e.g.
+    ``dataclasses.replace(m, vertices=m.vertices.copy())``; the copy derives
+    its own geometry.
     ``edge_tris`` uses -1 for the missing neighbour of boundary edges, and
     ``tri_edges[t, i]`` is the edge opposite local vertex i of triangle t.
     """
@@ -104,11 +107,9 @@ class BipartiteMesh:
     edge_tris: np.ndarray       # (ne, 2) int
     edge_kind: np.ndarray       # (ne,) int8, EdgeKind values
     tri_edges: np.ndarray       # (nt, 3) int
-    tri_edge_signs: np.ndarray  # (nt, 3) int8, +-1 vs the global edge normal
-    interface_edges: np.ndarray    # (ni,) edge ids
-    interface_normals: np.ndarray  # (ni, 2) region-1 outer normals
-    interface_tri1: np.ndarray     # (ni,) region-1 neighbour
-    interface_tri2: np.ndarray     # (ni,) region-2 neighbour
+    interface_edges: np.ndarray  # (ni,) edge ids
+    interface_tri1: np.ndarray   # (ni,) region-1 neighbour
+    interface_tri2: np.ndarray   # (ni,) region-2 neighbour
 
     @property
     def n_vertices(self) -> int:
@@ -159,6 +160,21 @@ class BipartiteMesh:
         t = self.edge_vectors / self.edge_lengths[:, None]
         return np.column_stack([t[:, 1], -t[:, 0]])
 
+    @_cached_array
+    def tri_edge_signs(self) -> np.ndarray:
+        """(nt, 3) int8: +1 where the global normal of a triangle's edge points out of it, else -1."""
+        out = np.einsum("tid,tid->ti", self.edge_normals[self.tri_edges],
+                        self.edge_midpoints[self.tri_edges] - self.centroids[:, None, :])
+        return np.where(out > 0, 1, -1).astype(np.int8)
+
+    @_cached_array
+    def interface_normals(self) -> np.ndarray:
+        """(ni, 2) region-1 outer normals: the global normal flipped towards the region-2 centroid."""
+        n = self.edge_normals[self.interface_edges]
+        towards_2 = np.einsum("id,id->i", n, self.centroids[self.interface_tri2]
+                              - self.edge_midpoints[self.interface_edges])
+        return np.where(towards_2[:, None] > 0, n, -n)
+
 
 def _connectivity(triangles: np.ndarray):
     """Edge table, edge->triangle adjacency and triangle->edge map.
@@ -191,7 +207,6 @@ def _connectivity(triangles: np.ndarray):
 
 def _finish_mesh(level_inv, vertices, triangles, tri_region, tri_quadrant):
     edges, edge_tris, tri_edges = _connectivity(triangles)
-    ne = len(edges)
 
     region_of = tri_region[edge_tris[:, 0]]
     other = edge_tris[:, 1]
@@ -202,7 +217,11 @@ def _finish_mesh(level_inv, vertices, triangles, tri_region, tri_quadrant):
     mixed = ~on_boundary & (tri_region[edge_tris[:, 0]] != tri_region[np.where(other < 0, 0, other)])
     kind[mixed] = EdgeKind.INTERFACE
 
-    mesh = BipartiteMesh(
+    iface = np.flatnonzero(kind == EdgeKind.INTERFACE)
+    t0 = edge_tris[iface, 0]
+    t1 = edge_tris[iface, 1]
+    first_is_1 = tri_region[t0] == 1
+    return _freeze(BipartiteMesh(
         level_inv=level_inv,
         vertices=vertices,
         triangles=triangles,
@@ -212,34 +231,10 @@ def _finish_mesh(level_inv, vertices, triangles, tri_region, tri_quadrant):
         edge_tris=edge_tris,
         edge_kind=kind,
         tri_edges=tri_edges,
-        tri_edge_signs=np.zeros((len(triangles), 3), dtype=np.int8),
-        interface_edges=np.flatnonzero(kind == EdgeKind.INTERFACE),
-        interface_normals=np.zeros((0, 2)),
-        interface_tri1=np.zeros(0, dtype=np.int64),
-        interface_tri2=np.zeros(0, dtype=np.int64),
-    )
-
-    # Orientation sign of each triangle's edges against the global normal.
-    n_e = mesh.edge_normals[tri_edges]                       # (nt, 3, 2)
-    mids = mesh.edge_midpoints[tri_edges]                    # (nt, 3, 2)
-    out = np.einsum("tid,tid->ti", n_e, mids - mesh.centroids[:, None, :])
-    signs = np.where(out > 0, 1, -1).astype(np.int8)
-
-    iface = mesh.interface_edges
-    t0 = edge_tris[iface, 0]
-    t1 = edge_tris[iface, 1]
-    first_is_1 = tri_region[t0] == 1
-    tri1 = np.where(first_is_1, t0, t1)
-    tri2 = np.where(first_is_1, t1, t0)
-    # Region-1 outer normal: global edge normal flipped to point at the
-    # region-2 neighbour's centroid.
-    n = mesh.edge_normals[iface]
-    towards_2 = np.einsum("id,id->i", n, mesh.centroids[tri2] - mesh.edge_midpoints[iface])
-    n = np.where(towards_2[:, None] > 0, n, -n)
-    # The frozen mesh's last fields need its own geometry, so they are set in place.
-    vars(mesh).update(tri_edge_signs=signs, interface_normals=n, interface_tri1=tri1,
-                      interface_tri2=tri2)
-    return _freeze(mesh)
+        interface_edges=iface,
+        interface_tri1=np.where(first_is_1, t0, t1),
+        interface_tri2=np.where(first_is_1, t1, t0),
+    ))
 
 
 def _is_integer(value) -> bool:

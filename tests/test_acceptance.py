@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import twodarcy as td
-from twodarcy.analysis import NORM_DEGREE, _exact_norms, convergence_study, write_csv
+from twodarcy.analysis import NORM_DEGREE, convergence_study, exact_norms, write_csv
 from twodarcy.assembly import CoefficientSet, assemble_A, assemble_system
 from twodarcy.mesh import build_cartesian_mesh
 from twodarcy.solver import check_wellposedness, solve
@@ -184,7 +184,8 @@ def test_criterion_6_example4_constant_projection(ex4_const_study):
     # absolute errors stagnate: no convergence to the exact solution
     assert rows[32].e_p1 >= 0.9 * rows[8].e_p1
     assert rows[32].e_u2 >= 0.8 * rows[8].e_u2
-    rel = {k: rows[k].relative() for k in (8, 16, 32)}
+    norms = exact_norms(td.example4(interface_mode="constant_projection"))
+    rel = {k: rows[k].relative(norms) for k in (8, 16, 32)}
     p1_factors = (rel[8]["p1"] / rel[16]["p1"], rel[16]["p1"] / rel[32]["p1"])
     u2_factors = (rel[8]["u2"] / rel[16]["u2"], rel[16]["u2"] / rel[32]["u2"])
     print(f"[criterion 6] p1 percentage {rel[8]['p1']:.4f} -> {rel[16]['p1']:.4f} "
@@ -231,8 +232,8 @@ def test_criterion_7a_wellposedness_diagnostics():
 def test_criterion_7b_quadrature_saturation():
     # Only the exact norms, the denominators of the relative errors, use a rule.
     case = td.example1()
-    low = _exact_norms(case, NORM_DEGREE)
-    high = _exact_norms(case, 2 * NORM_DEGREE)
+    low = exact_norms(case, NORM_DEGREE)
+    high = exact_norms(case, 2 * NORM_DEGREE)
     worst = max(abs(low[k] - high[k]) / low[k] for k in low)
     print(f"[criterion 7b] doubling the norm quadrature degree moves the exact norms "
           f"by {worst:.2e} (limit 1e-6)")

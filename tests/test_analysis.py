@@ -14,6 +14,7 @@ from twodarcy.analysis import (
     write_csv,
 )
 from twodarcy.assembly import assemble_system
+from twodarcy.cli import main
 from twodarcy.manufactured import example1, example2, example3, example4
 from twodarcy.mesh import build_cartesian_mesh, quadrants_of
 from twodarcy.quadrature import triangle_rule
@@ -82,7 +83,7 @@ def test_report_invariants():
     assert report.e_u1_hdiv >= report.e_u1_l2
     assert report.e_p2_h1 >= report.e_p2_l2
     assert all(v >= 0 for v in report.errors().values())
-    rel = report.relative()
+    rel = report.relative(analysis.exact_norms(case))
     assert set(rel) == {"p1", "p2_l2", "p2_h1", "u1_l2", "u1_hdiv", "u2"}
     assert all(np.isfinite(v) and v > 0 for v in rel.values())
 
@@ -133,6 +134,13 @@ def test_convergence_study_levels_validated():
         convergence_study(case, [0, 1])
 
 
+@pytest.mark.parametrize("levels", [[], (), np.array([], dtype=int)], ids=["list", "tuple", "array"])
+def test_convergence_study_rejects_empty_levels(levels):
+    # an empty study would return no report but one rate entry
+    with pytest.raises(ValueError, match="must not be empty"):
+        convergence_study(example1(), levels)
+
+
 @pytest.mark.parametrize("levels", [[1, 2.5], [1.0, 2.0], ["1", "2"], [True, 2]],
                          ids=["fraction", "float", "str", "bool"])
 def test_convergence_study_rejects_non_integer_levels(levels):
@@ -144,6 +152,12 @@ def test_convergence_study_rejects_non_integer_levels(levels):
 def test_convergence_study_accepts_numpy_integer_levels():
     report = convergence_study(example1(), np.array([1, 2]))
     assert [r.level_inv for r in report.reports] == [1, 2]
+
+
+def test_convergence_study_accepts_a_generator_of_levels():
+    report = convergence_study(example1(), (k for k in (1, 2)))
+    assert [r.level_inv for r in report.reports] == [1, 2]
+    assert len(report.rates) == 2
 
 
 def test_convergence_study_shape_and_callback():
@@ -181,8 +195,8 @@ def test_csv_format_and_determinism(tmp_path):
 
 def test_quadrature_saturation_level8():
     case = example1()
-    low = analysis._exact_norms(case, analysis.NORM_DEGREE)
-    high = analysis._exact_norms(case, 2 * analysis.NORM_DEGREE)
+    low = analysis.exact_norms(case, analysis.NORM_DEGREE)
+    high = analysis.exact_norms(case, 2 * analysis.NORM_DEGREE)
     for key in low:
         assert abs(low[key] - high[key]) <= 1e-6 * low[key]
 
@@ -201,12 +215,12 @@ def _triangle_rule_norms(case, m):
         return math.sqrt(float(2.0 * m.areas[tris] @ (values @ rule.weights)))
 
     return {
-        "norm_p1": l2(case.p, 1),
-        "norm_p2_l2": l2(case.p, 2),
-        "norm_p2_h1": math.hypot(l2(case.p, 2), l2(case.grad_p, 2)),
-        "norm_u1_l2": l2(case.u, 1),
-        "norm_u1_hdiv": math.hypot(l2(case.u, 1), l2(case.F, 1)),
-        "norm_u2": l2(case.u, 2),
+        "p1": l2(case.p, 1),
+        "p2_l2": l2(case.p, 2),
+        "p2_h1": math.hypot(l2(case.p, 2), l2(case.grad_p, 2)),
+        "u1_l2": l2(case.u, 1),
+        "u1_hdiv": math.hypot(l2(case.u, 1), l2(case.F, 1)),
+        "u2": l2(case.u, 2),
     }
 
 
@@ -220,28 +234,29 @@ def _triangle_rule_norms(case, m):
     example4("constant_projection"),
 ], ids=lambda c: f"{c.name}-{c.interface_mode}")
 def test_exact_norms_match_triangle_rule_level8(case):
-    m = build_cartesian_mesh(8)
-    layout = build_dof_layout(m)
-    report = error_norms(solve(assemble_system(m, layout, case)), case, m)
-    for name, expected in _triangle_rule_norms(case, m).items():
-        assert abs(getattr(report, name) - expected) <= 1e-9 * expected, name
+    norms = analysis.exact_norms(case)
+    assert set(norms) == set(analysis.COLUMNS)
+    for name, expected in _triangle_rule_norms(case, build_cartesian_mesh(8)).items():
+        assert abs(norms[name] - expected) <= 1e-9 * expected, name
 
 
-def test_study_integrates_exact_norms_once():
-    before = analysis._exact_norms.cache_info()
-    convergence_study(example1(), [1, 2, 4])
-    after = analysis._exact_norms.cache_info()
-    assert after.misses - before.misses == 1
-    assert after.hits - before.hits == 2
+def test_exact_norms_are_integrated_only_for_the_relative_table(monkeypatch, capsys):
+    calls = []
+    exact_norms = analysis.exact_norms
+    monkeypatch.setattr(analysis, "exact_norms", lambda *args: calls.append(1) or exact_norms(*args))
+    convergence_study(example4(), [1, 2, 4])
+    assert calls == []
+    assert main(["--example", "4", "--interface-mode", "constant_projection",
+                 "--max-level", "4"]) == 0
+    assert "relative errors (percent):" in capsys.readouterr().out
+    assert calls == [1]
 
 
 def test_exact_norms_follow_case_coefficients():
     base = example1()
     variant = dataclasses.replace(base, a2=5.0)
-    m = build_cartesian_mesh(1)
-    sol = solve(assemble_system(m, build_dof_layout(m), base))
-    norm_u2 = error_norms(sol, base, m).norm_u2
-    assert math.isclose(error_norms(sol, variant, m).norm_u2, norm_u2 / 5.0, rel_tol=1e-12)
+    norm_u2 = analysis.exact_norms(base)["u2"]
+    assert math.isclose(analysis.exact_norms(variant)["u2"], norm_u2 / 5.0, rel_tol=1e-12)
 
 
 def test_interface_flux_residuals_decrease():

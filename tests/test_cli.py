@@ -33,6 +33,9 @@ BETA_RULE = "beta must be positive and finite"
     pytest.param(["--example", "1", "--csv", str(Path(__file__).parent)], "--csv",
                  id="csv-names-a-directory"),
     pytest.param(["--example", "1", "--fields", __file__], "--fields", id="fields-names-a-file"),
+    pytest.param(["--example", "1", "--max-level", "1", "--csv", ""], "--csv", id="csv-empty"),
+    pytest.param(["--example", "1", "--max-level", "1", "--fields", ""], "--fields",
+                 id="fields-empty"),
 ])
 def test_rejected_options_exit_2_before_any_work(options, message, tmp_path,
                                                  monkeypatch, capsys):

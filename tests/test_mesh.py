@@ -97,6 +97,20 @@ def test_interface_normal_convention():
         assert m.tri_region[m.interface_tri2[pos]] == 2
 
 
+def test_a_rotated_copy_derives_its_own_signs_and_normals():
+    m = build_cartesian_mesh(2)
+    rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])  # row vectors turn by +90 degrees
+    turned = dataclasses.replace(m, vertices=m.vertices @ rotation)
+    n = turned.interface_normals
+    across = turned.centroids[turned.interface_tri2] - turned.centroids[turned.interface_tri1]
+    assert np.all(np.einsum("id,id->i", n, across) > 0)
+    np.testing.assert_allclose(n, m.interface_normals @ rotation, atol=1e-15)
+    out = np.einsum("tid,tid->ti", turned.edge_normals[turned.tri_edges],
+                    turned.edge_midpoints[turned.tri_edges] - turned.centroids[:, None, :])
+    np.testing.assert_array_equal(turned.tri_edge_signs, np.sign(out))
+    np.testing.assert_array_equal(turned.tri_edge_signs, m.tri_edge_signs)
+
+
 def test_edge_kinds_partition():
     m = build_cartesian_mesh(2)
     kinds = m.edge_kind

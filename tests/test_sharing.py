@@ -20,7 +20,7 @@ from twodarcy.solver import solve
 from twodarcy.spaces import build_dof_layout
 
 GEOMETRY = ("areas", "centroids", "hat_gradients", "edge_vectors", "edge_lengths",
-            "edge_midpoints", "edge_normals")
+            "edge_midpoints", "edge_normals", "tri_edge_signs", "interface_normals")
 
 
 def test_a_held_level_is_shared():
@@ -68,7 +68,7 @@ def test_shared_arrays_are_read_only():
     arrays["layout.phi_to_p2"] = layout.phi_to_p2
     arrays["K.data"] = system.K.data
     arrays["B.data"] = system.B.data
-    assert len(arrays) == 13 + len(GEOMETRY) + 9 + 1 + 2
+    assert len(arrays) == 11 + len(GEOMETRY) + 9 + 1 + 2
     for array in arrays.values():
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 0
