@@ -24,8 +24,8 @@ stiffness and the P1 trace mass on the interface.  Volume sources are
 integrated with the one-point centroid rule, the verification convention
 for lowest-order elements on structured grids: it makes the discrete flux
 divergence equal the centroid-sampled source exactly, so the cell-sampled
-divergence error vanishes.  Interface line integrals and gravity-type
-forcing use the 6-point Gauss and degree-10 rules.
+divergence error vanishes.  Interface line integrals use the 6-point Gauss
+rule.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import BipartiteMesh, _kept
-from .quadrature import segment_rule, triangle_rule
-from .spaces import DofLayout, rt0_basis
+from .quadrature import segment_rule
+from .spaces import DofLayout
 
 __all__ = [
     "AdmissibilityError",
@@ -51,7 +51,6 @@ __all__ = [
     "assemble_system",
 ]
 
-LOAD_RULE = triangle_rule(10)
 LINE_RULE = segment_rule(11)  # 6-point Gauss
 _LINE_HAT = np.column_stack([1.0 - LINE_RULE.points, LINE_RULE.points])
 
@@ -80,11 +79,6 @@ class CoefficientSet:
 
 # ---------------------------------------------------------------------------
 # Elementary matrices (also reused by the well-posedness diagnostics).
-
-
-def _region_points(m, tris, rule):
-    """(t, q, 2) points of a triangle ``rule`` on ``tris``."""
-    return np.einsum("qi,tid->tqd", rule.points, m.vertices[m.triangles[tris]])
 
 
 # A local entry this small next to the largest of its element matrix is the
@@ -230,8 +224,7 @@ def assemble_C(layout: DofLayout, coeffs: CoefficientSet, k: sp.csr_matrix) -> s
 def assemble_rhs(m: BipartiteMesh, layout: DofLayout, case) -> tuple[np.ndarray, np.ndarray]:
     """Load vectors over the [u1, p2] and [phi, p1] test blocks.
 
-    ``case`` provides F, g and interface data as evaluable fields; the g
-    terms are skipped when the case declares no gravity-type forcing.
+    ``case`` provides F and the interface data as evaluable fields.
     Volume sources are sampled at centroids (one-point rule).
     """
     f1 = np.zeros(layout.n_x)
@@ -256,25 +249,6 @@ def assemble_rhs(m: BipartiteMesh, layout: DofLayout, case) -> tuple[np.ndarray,
     f2[layout.n_phi + layout.tri_to_p1[tris1]] = areas1 * np.asarray(
         case.F(c1[:, 0], c1[:, 1], m.tri_quadrant[tris1]), dtype=float
     )
-
-    if case.g is not None:
-        # Load points lie strictly inside their triangle, so each takes its
-        # triangle's quadrant.
-        pts1 = _region_points(m, tris1, LOAD_RULE)
-        g1 = case.g(pts1[..., 0], pts1[..., 1], m.tri_quadrant[tris1][:, None])
-        phi = rt0_basis(m, tris1, pts1)
-        vol = 2.0 * areas1[:, None] * np.einsum("q,tqd,tiqd->ti", LOAD_RULE.weights, g1, phi)
-        np.add.at(f1, layout.edge_to_u1[m.tri_edges[tris1]].ravel(), -vol.ravel())
-
-        pts2 = _region_points(m, tris2, LOAD_RULE)
-        g2 = case.g(pts2[..., 0], pts2[..., 1], m.tri_quadrant[tris2][:, None])
-        grads = m.hat_gradients[tris2]
-        gmean = 2.0 * areas2[:, None] * np.einsum("q,tqd->td", LOAD_RULE.weights, g2)
-        vol2 = np.einsum("td,tid->ti", gmean, grads)
-        rows = layout.vert_to_phi[m.triangles[tris2]].ravel()
-        vals = -vol2.ravel()
-        keep = rows >= 0
-        np.add.at(f2, rows[keep], vals[keep])
 
     e = m.interface_edges
     x = _edge_points(m, e, LINE_RULE)

@@ -46,8 +46,7 @@ class ManufacturedCase:
     """Exact fields and data of one verification problem.
 
     ``p``, ``grad_p`` and ``lap_p`` take (x, y, quadrant) with scalar or
-    array quadrants; ``f_stress`` and ``f_n`` take interface points; ``g``
-    is an optional vector forcing (x, y, quadrant) -> (..., 2).
+    array quadrants; ``f_stress`` and ``f_n`` take interface points.
     """
 
     name: str
@@ -60,7 +59,6 @@ class ManufacturedCase:
     lap_p: Callable
     f_stress: Callable = None
     f_n: Callable = None
-    g: Callable | None = None
 
     # -- coefficient access -------------------------------------------------
 
@@ -73,19 +71,11 @@ class ManufacturedCase:
     # -- derived fields -----------------------------------------------------
 
     def u(self, x, y, q):
-        """Seepage velocity -(grad(p) + g)/a with one-sided quadrant forms."""
-        a = self.a_of_quadrant(q)
-        flux = -self.grad_p(x, y, q)
-        if self.g is not None:
-            flux = flux - self.g(x, y, q)
-        return flux / a[..., None]
+        """Seepage velocity -grad(p)/a with one-sided quadrant forms."""
+        return -self.grad_p(x, y, q) / self.a_of_quadrant(q)[..., None]
 
     def F(self, x, y, q):
-        """Mass source div(u) = -lap(p)/a.
-
-        Valid because the resistance is region-constant and any gravity
-        forcing used here is divergence-free per quadrant.
-        """
+        """Mass source div(u) = -lap(p)/a, as the resistance is region-constant."""
         return -self.lap_p(x, y, q) / self.a_of_quadrant(q)
 
     def p_at(self, x, y):

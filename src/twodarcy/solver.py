@@ -125,6 +125,26 @@ def _local_saddle_inverse(mass: np.ndarray, s: np.ndarray) -> np.ndarray:
     return inverse
 
 
+def _condensed_entries(local: np.ndarray, slot_h: np.ndarray, iface: np.ndarray):
+    """(values, rows, cols) of the (t, 3, 3) condensed element matrices on the hybrid ``slot_h``.
+
+    In a triangle with an interface slot (``iface``), multiplier entries
+    scale like 1/a1 and interface entries like a1.  So such a triangle is
+    scattered as three element matrices, one per pairing of slot kinds
+    (multiplier-multiplier, mixed, interface-interface), and its rounding
+    residues are judged within each.
+    """
+    tris = np.flatnonzero(iface[:, 0] | iface[:, 1] | iface[:, 2])
+    rest = slot_h.copy()
+    rest[tris] = -1                                     # scattered by pairing instead
+    kinds = iface[tris].astype(np.int8)
+    pairing = kinds[:, :, None] + kinds[:, None, :]
+    split = np.concatenate([np.where(pairing == k, local[tris], 0.0) for k in range(3)])
+    slots = np.tile(slot_h[tris], (3, 1))
+    parts = [(local, rest, rest), (split, slots, slots)]
+    return map(np.concatenate, zip(*(_scatter_entries(*part) for part in parts)))
+
+
 def _hybrid_factorization(system: SaddleSystem):
     """Factor the hybridized ``system`` once; return its solve.
 
@@ -202,7 +222,7 @@ def _hybrid_factorization(system: SaddleSystem):
     rows, cols = to_hybrid[a_coo.row], to_hybrid[a_coo.col]
     kept = (rows >= 0) & (cols >= 0)
     k = system.K.tocoo()
-    vals, h_rows, h_cols = _scatter_entries(-(reduce @ weights), slot_h, slot_h)
+    vals, h_rows, h_cols = _condensed_entries(-(reduce @ weights), slot_h, iface)
     hybrid = sp.csc_matrix((
         np.concatenate([a_coo.data[kept], k.data / a2, vals]),
         (np.concatenate([rows[kept], k.row + n_h, h_rows]),

@@ -1,12 +1,13 @@
 """Reference implementations the tests compare the solve path against.
 
-None of these runs in the package: pointwise quadrature on one element,
-the hat functions, a sampled check that every triangle lies in the region
-it is tagged with, an exactly representable patch case, a finite-difference
-check of the closed-form calculus of a manufactured case, the exact-field
-interpolant with its residual in the discrete dual norm, the flux mass
-matrix on its own, and the whole unhybridized saddle matrix with its
-sparse LU.
+None of these runs in the package: the symmetric triangle rule and
+pointwise quadrature on one element, the hat functions, a sampled check
+that every triangle lies in the region it is tagged with, an exactly
+representable patch case with the volume load that balances its pressure
+gradient, a finite-difference check of the closed-form calculus of a
+manufactured case, the exact-field interpolant with its residual in the
+discrete dual norm, the flux mass matrix on its own, and the whole
+unhybridized saddle matrix with its sparse LU.
 """
 
 from __future__ import annotations
@@ -14,20 +15,52 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from twodarcy.assembly import LINE_RULE, _edge_points, _region_points, _scatter
+from twodarcy.assembly import LINE_RULE, _edge_points, _scatter, assemble_system
 from twodarcy.manufactured import ManufacturedCase, derive_interface_data
 from twodarcy.mesh import BipartiteMesh, quadrants_of
-from twodarcy.quadrature import QuadRule, triangle_rule
+from twodarcy.quadrature import QuadRule, _frozen, _gauss01
 from twodarcy.solver import x_norm_gram, y_norm_gram
 from twodarcy.spaces import DofLayout
 
 
-# -- quadrature on one physical element ---------------------------------------
+# -- quadrature on the reference triangle and one physical element -------------
+
+MAX_TRIANGLE_DEGREE = 25
+
+
+@lru_cache(maxsize=None)
+def triangle_rule(min_degree: int) -> QuadRule:
+    """Symmetric rule on the reference triangle, exact to >= ``min_degree``.
+
+    The reference triangle is {(x, y): x >= 0, y >= 0, x + y <= 1}; nodes
+    are barycentric and the weights sum to its measure 1/2.  A
+    Gauss-Legendre tensor rule is collapsed onto the triangle (the Jacobian
+    of the collapse map raises the first coordinate's degree by one, which
+    the node count accounts for) and symmetrized over the six barycentric
+    permutations.
+    """
+    if not 1 <= min_degree <= MAX_TRIANGLE_DEGREE:
+        raise ValueError(f"unsupported triangle rule degree: {min_degree}")
+    d = min_degree
+    u, wu = _gauss01((d + 3) // 2)
+    v, wv = _gauss01((d + 2) // 2)
+    uu, vv = np.meshgrid(u, v, indexing="ij")
+    x = uu.ravel()
+    y = (vv * (1.0 - uu)).ravel()
+    w = (np.outer(wu, wv) * (1.0 - uu)).ravel()
+    bary = np.column_stack([1.0 - x - y, x, y])
+    perms = list(permutations(range(3)))
+    points = np.concatenate([bary[:, p] for p in perms], axis=0)
+    weights = np.concatenate([w] * len(perms)) / len(perms)
+    return _frozen(points, weights)
+
 
 def integrate_on_triangle(f, tri, rule: QuadRule) -> float:
     """Integrate the scalar field ``f(x, y)`` over a physical triangle.
@@ -114,14 +147,26 @@ def validate_consistency(m: BipartiteMesh, tol: float = 1e-12) -> ConsistencyRep
 
 # -- manufactured cases ---------------------------------------------------------
 
+@dataclass(frozen=True)
+class StillCase(ManufacturedCase):
+    """A case with a body force g = -grad p that balances the pressure gradient.
+
+    Nothing flows: the velocity -(grad p + g)/a is zero everywhere.  The
+    package assembles no body force; ``assemble_patch_system`` adds its load.
+    """
+
+    def u(self, x, y, q):
+        return np.zeros_like(self.grad_p(x, y, q))
+
+
 def linear_patch_case(c0=0.3, cx=0.7, cy=-0.4):
     """Exactly representable fixture: linear pressure on region 2, zero flow.
 
     The pressure is c0 + cx*x + cy*y on region 2 and zero on region 1, the
-    velocity is zero everywhere (the gravity term balances the gradient),
-    and all data follow from the derived interface balance.  Every field
-    lies in the discrete spaces, so a correct assembly reproduces it to
-    machine precision.
+    velocity is zero everywhere (a ``StillCase``), and all data follow from
+    the derived interface balance.  Every field lies in the discrete spaces,
+    so a correct assembly with the body force's load
+    (``assemble_patch_system``) reproduces it to machine precision.
     """
 
     def p(x, y, q):
@@ -139,16 +184,30 @@ def linear_patch_case(c0=0.3, cx=0.7, cy=-0.4):
     def lap_p(x, y, q):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def g(x, y, q):
-        # forces u = -(grad p + g)/a to vanish identically
-        return -grad_p(x, y, q)
-
-    case = ManufacturedCase(
+    case = StillCase(
         name="linear_patch", a1=1.0, a2=1.0, beta=1.0, interface_mode="derived",
-        p=p, grad_p=grad_p, lap_p=lap_p, g=g,
+        p=p, grad_p=grad_p, lap_p=lap_p,
     )
     f_stress, f_n = derive_interface_data(case)
     return dataclasses.replace(case, f_stress=f_stress, f_n=f_n)
+
+
+def assemble_patch_system(m: BipartiteMesh, layout: DofLayout, case: StillCase):
+    """``assemble_system`` of a piecewise-linear ``StillCase`` with its body force's load.
+
+    The body force g = -grad p is zero on region 1, where p is.  On region 2
+    it loads the potential row of each vertex i of a triangle K with
+    -(g, grad hat_i)_K = |K| grad p . grad hat_i, as grad p is constant on K.
+    """
+    system = assemble_system(m, layout, case)
+    tris = layout.u2_triangles
+    c = m.centroids[tris]
+    grad_p = case.grad_p(c[:, 0], c[:, 1], m.tri_quadrant[tris])
+    load = m.areas[tris][:, None] * np.einsum("td,tid->ti", grad_p, m.hat_gradients[tris])
+    rows = layout.vert_to_phi[m.triangles[tris]]
+    keep = rows >= 0
+    np.add.at(system.F2, rows[keep], load[keep])
+    return system
 
 
 def patch_potential(x, y, q):
@@ -219,7 +278,7 @@ def interpolate_exact(case: ManufacturedCase, m: BipartiteMesh,
     pressure takes cell means, and the potential is the nodal interpolant
     of the velocity potential ``potential(x, y, quadrant)`` shifted to
     vanish at the pinned vertex.  ``None`` stands for -p/a2, the velocity
-    potential of every case without gravity-type forcing.
+    potential of u = -grad p / a2 on region 2.
     """
     x = np.zeros(layout.size)
 
@@ -248,7 +307,7 @@ def interpolate_exact(case: ManufacturedCase, m: BipartiteMesh,
     # cell means of the exact pressure (its L2 projection onto constants)
     tris1 = layout.p1_triangles
     vol_rule = triangle_rule(10)
-    pts = _region_points(m, tris1, vol_rule)
+    pts = np.einsum("qi,tid->tqd", vol_rule.points, m.vertices[m.triangles[tris1]])
     q1 = m.tri_quadrant[tris1][:, None]
     x[layout.offset_p1:] = 2.0 * (case.p(pts[..., 0], pts[..., 1], q1) @ vol_rule.weights)
     return x

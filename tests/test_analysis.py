@@ -17,11 +17,10 @@ from twodarcy.assembly import assemble_system
 from twodarcy.cli import main
 from twodarcy.manufactured import example1, example2, example3, example4
 from twodarcy.mesh import build_cartesian_mesh, quadrants_of
-from twodarcy.quadrature import triangle_rule
 from twodarcy.solver import SolutionFields, solve
 from twodarcy.spaces import build_dof_layout
 
-from oracles import dual_residual_norm, interpolate_exact, patch_potential
+from oracles import dual_residual_norm, interpolate_exact, patch_potential, triangle_rule
 
 
 def _fields_from_vector(x, system):

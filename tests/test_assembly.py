@@ -19,11 +19,19 @@ from twodarcy.assembly import (
 )
 from twodarcy.manufactured import example1, example2, example3, example4
 from twodarcy.mesh import EdgeKind, build_cartesian_mesh
-from twodarcy.quadrature import triangle_rule
 from twodarcy.solver import solve
 from twodarcy.spaces import build_dof_layout, rt0_basis
 
-from oracles import flux_scatter, full_matrix, interpolate_exact, linear_patch_case, patch_potential, with_coefficients
+from oracles import (
+    assemble_patch_system,
+    flux_scatter,
+    full_matrix,
+    interpolate_exact,
+    linear_patch_case,
+    patch_potential,
+    triangle_rule,
+    with_coefficients,
+)
 from test_coefficients import coefficients, derandomized
 
 
@@ -168,7 +176,7 @@ def test_C_examples():
     assert abs(value - 10.0) <= 1e-12
 
 
-def test_rhs_examples(patch_case):
+def test_rhs_examples():
     m = build_cartesian_mesh(2)
     layout = build_dof_layout(m)
     case = example1()
@@ -176,14 +184,8 @@ def test_rhs_examples(patch_case):
     # zero interface data: flux rows receive nothing
     np.testing.assert_allclose(f1[: layout.n_u1], 0.0, atol=1e-15)
 
-    # F identically 1 on region 1 gives the triangle areas
-    one_case = dataclasses.replace(
-        patch_case,
-        lap_p=lambda x, y, q: np.where(
-            np.isin(np.asarray(q), (1, 3)), -1.0, 0.0
-        ) * np.ones_like(np.asarray(x, dtype=float)),
-        g=None,
-    )
+    # F identically 1 (unit resistance) gives the triangle areas
+    one_case = dataclasses.replace(case, lap_p=lambda x, y, q: np.full(np.shape(x), -1.0))
     _, f2_one = assemble_rhs(m, layout, one_case)
     np.testing.assert_allclose(f2_one[layout.n_phi:], 0.5 / m.level_inv**2, atol=1e-15)
 
@@ -245,22 +247,30 @@ def test_system_blocks_share_the_carried_matrices(coeffs):
         assert np.abs(k.sum(axis=1)).max() <= 1e-13 * abs(k).max()
 
 
+def _moved_copy(m, seed=3, amplitude=0.25):
+    """Copy of ``m`` with the vertices off the axes and the outer boundary moved by up to ``amplitude * h``."""
+    free = np.all((m.vertices != 0.0) & (np.abs(m.vertices) < 1.0), axis=1)
+    step = np.random.default_rng(seed).uniform(-amplitude, amplitude, m.vertices.shape) / m.level_inv
+    return dataclasses.replace(m, vertices=m.vertices + free[:, None] * step)
+
+
 @derandomized
 @given(coefficients)
 @example(CoefficientSet(1.0, 1.0, 1.0))
 def test_patch_case_residual(coeffs):
     case = with_coefficients(linear_patch_case(), coeffs)
     for level in (2, 4):
-        m = build_cartesian_mesh(level)
-        layout = build_dof_layout(m)
-        system = assemble_system(m, layout, case)
-        xhat = interpolate_exact(case, m, layout, patch_potential)
-        rhs = system.rhs()
-        residual = full_matrix(system) @ xhat - rhs
-        assert np.abs(residual).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
-        sol = solve(system)
-        x = np.concatenate([sol.u1, sol.p2, sol.phi, sol.p1])
-        assert np.abs(x - xhat).max() <= 1e-10 * np.abs(xhat).max()
+        uniform = build_cartesian_mesh(level)
+        for m in (uniform, _moved_copy(uniform)):
+            layout = build_dof_layout(m)
+            system = assemble_patch_system(m, layout, case)
+            xhat = interpolate_exact(case, m, layout, patch_potential)
+            rhs = system.rhs()
+            residual = full_matrix(system) @ xhat - rhs
+            assert np.abs(residual).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
+            sol = solve(system)
+            x = np.concatenate([sol.u1, sol.p2, sol.phi, sol.p1])
+            assert np.abs(x - xhat).max() <= 1e-10 * np.abs(xhat).max()
 
 
 def test_assembly_merge_order_independent():

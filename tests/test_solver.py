@@ -231,6 +231,23 @@ def test_solve_matches_full_matrix_lu_at_coefficient_corners(a1, a2, beta):
     _assert_matches_full_lu(assemble_system(m, build_dof_layout(m), case))
 
 
+@pytest.mark.parametrize("a1", [1e7, 1e9, 1e12])
+@pytest.mark.parametrize("make", [example1, example4], ids=["example1", "example4"])
+def test_solve_strong_region1_resistance(make, a1):
+    # In a region-1 triangle with an interface slot the condensed multiplier
+    # entries scale like 1/a1 and the interface entries like a1: judged
+    # against one scale, every multiplier entry would count as rounding.
+    m = build_cartesian_mesh(16)
+    base = make()
+    case = with_coefficients(base, CoefficientSet(a1, base.a2, base.beta))
+    system = assemble_system(m, build_dof_layout(m), case)
+    sol = solve(system)
+    assert sol.residual <= solver.RESIDUAL_TOL
+    x = np.concatenate([sol.u1, sol.p2, sol.phi, sol.p1])
+    ref = full_lu_solve(system)
+    assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
 @derandomized
 @given(coefficients)
 def test_solve_superposes_loads(coeffs):
