@@ -170,6 +170,13 @@ def _interface_signs(m: BipartiteMesh) -> np.ndarray:
     return np.where(orient > 0, 1.0, -1.0)
 
 
+def _interface_coupling(m: BipartiteMesh) -> np.ndarray:
+    """(ni, 2) coupling S of each interface flux with the p2 values at its edge's ends, low to high vertex."""
+    # Normal trace of the edge's own flux basis is +-1 / length, so the
+    # coupling entries are +-1/2 independent of the mesh size.
+    return _interface_signs(m)[:, None] * (LINE_RULE.weights @ _LINE_HAT)
+
+
 # ---------------------------------------------------------------------------
 # Operator blocks.
 
@@ -187,9 +194,7 @@ def assemble_A(m: BipartiteMesh, layout: DofLayout, coeffs: CoefficientSet,
     e_u1 = layout.edge_to_u1[e][:, None]
     p2 = layout.offset_p2 + layout.vert_to_p2[m.edges[e]]   # (ni, 2) rows and columns of A
     trace = (coeffs.beta * m.edge_lengths[e])[:, None, None] * _P1_TRACE_MASS_REF
-    # Normal trace of the edge's own flux basis is +-1 / length, so the
-    # coupling entries are +-1/2 independent of the mesh size.
-    couple = _interface_signs(m)[:, None] * (LINE_RULE.weights @ _LINE_HAT)
+    couple = _interface_coupling(m)
     parts = [(flux_mass, u1, u1), (couple[:, None, :], e_u1, p2), (-couple[:, :, None], p2, e_u1),
              (trace, p2, p2)]
     return _scatter(parts, (layout.n_x, layout.n_x))

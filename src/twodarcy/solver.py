@@ -6,11 +6,11 @@ the RT0 fluxes are broken per triangle, a multiplier on every interior
 region-1 edge restores their continuity, and each triangle's fluxes and
 cell pressure are eliminated locally.  The potential is decoupled: as a2
 is a region constant, psi = p2 + a2 phi solves a region-2 Laplacian on
-its own.  So SuperLU factors two systems with a positive diagonal, that
-Laplacian and the condensed system of the multipliers, the interface
-fluxes and p2, with a symmetric-mode minimum-degree ordering instead of
-COLAMD with partial pivoting.  Their fill together is about a fifth of
-that of the full saddle matrix at level 96.
+its own.  So SuperLU factors two systems with a zero-free diagonal, that
+Laplacian and the condensed system of the multipliers and p2 (negative on
+the multipliers, positive on p2), with a symmetric-mode minimum-degree
+ordering instead of COLAMD with partial pivoting.  Their fill together is
+about a fifth of that of the full saddle matrix at level 96.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import SaddleSystem, _p1_local_stiffness, _scatter, _scatter_entries, rt0_local_mass
+from .assembly import (
+    SaddleSystem, _interface_coupling, _p1_local_stiffness, _scatter, _scatter_entries, rt0_local_mass,
+)
 from .mesh import EdgeKind
 from .spaces import potential_to_velocity
 
@@ -125,26 +127,6 @@ def _local_saddle_inverse(mass: np.ndarray, s: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def _condensed_entries(local: np.ndarray, slot_h: np.ndarray, iface: np.ndarray):
-    """(values, rows, cols) of the (t, 3, 3) condensed element matrices on the hybrid ``slot_h``.
-
-    In a triangle with an interface slot (``iface``), multiplier entries
-    scale like 1/a1 and interface entries like a1.  So such a triangle is
-    scattered as three element matrices, one per pairing of slot kinds
-    (multiplier-multiplier, mixed, interface-interface), and its rounding
-    residues are judged within each.
-    """
-    tris = np.flatnonzero(iface[:, 0] | iface[:, 1] | iface[:, 2])
-    rest = slot_h.copy()
-    rest[tris] = -1                                     # scattered by pairing instead
-    kinds = iface[tris].astype(np.int8)
-    pairing = kinds[:, :, None] + kinds[:, None, :]
-    split = np.concatenate([np.where(pairing == k, local[tris], 0.0) for k in range(3)])
-    slots = np.tile(slot_h[tris], (3, 1))
-    parts = [(local, rest, rest), (split, slots, slots)]
-    return map(np.concatenate, zip(*(_scatter_entries(*part) for part in parts)))
-
-
 def _hybrid_factorization(system: SaddleSystem):
     """Factor the hybridized ``system`` once; return its solve.
 
@@ -153,19 +135,23 @@ def _hybrid_factorization(system: SaddleSystem):
     their continuity across each ``INTERIOR_1`` edge e is imposed by a
     multiplier that enters the flux row of ``edge_tris[e, 0]`` as +1 and
     that of ``edge_tris[e, 1]`` as -1; the whole flux load of e stays on the
-    first triangle.  Every triangle's broken fluxes and its cell pressure
-    are eliminated through its 4x4 local saddle, in which an interface slot
-    gets an identity row and column: interface fluxes stay global, as the
-    coupling S ties them to p2.
+    first triangle.  Every triangle's three fluxes and its cell pressure
+    are eliminated through its 4x4 local saddle, interface fluxes too: the
+    coupling S ties an interface flux to the p2 values at its edge's ends.
+    So a flux slot reaches at most two global columns, the multiplier of
+    its edge or those two p2 values, and every condensed entry scales like
+    1/a1.
 
     The potential is decoupled through psi = p2 + a2 phi (phi = 0 at the
     pin).  The potential rows read K[phi] (p2 + a2 phi) = F_phi with the unit
     region-2 stiffness K, whose rows sum to zero, so psi_phi = psi0 + p2[pin]
     with K_phiphi psi0 = F_phi.  Substituting phi = (psi - p2) / a2 into the
     p2 rows turns their potential coupling into K p2 / a2 and moves
-    K[:, phi] psi0 / a2 to the load.  Two systems with a positive diagonal
-    are factored: the Laplacian K_phiphi, and
-    [multipliers and interface fluxes | p2] with the p2 block M_beta + K / a2.
+    K[:, phi] psi0 / a2 to the load.  Two systems with a zero-free diagonal
+    are factored: the Laplacian K_phiphi, and [multipliers | p2].  With N
+    the flux block of a local saddle inverse, a multiplier's diagonal is a
+    sum of -N_ii, negative, and that of p2 adds the condensed S N S^T to
+    M_beta + K / a2, positive.
     """
     m, lo = system.mesh, system.layout
     n_u1, n_p2 = lo.n_u1, lo.n_p2
@@ -176,57 +162,52 @@ def _hybrid_factorization(system: SaddleSystem):
     pin = lo.vert_to_p2[lo.pinned_vertex]
     tris = lo.p1_triangles
     edges = m.tri_edges[tris]
-    kind = m.edge_kind[edges]
-    iface = kind == EdgeKind.INTERFACE
+    iface = m.edge_kind[edges] == EdgeKind.INTERFACE
     first = m.edge_tris[edges, 0] == tris[:, None]
-    own_load = first & ~iface
-    sigma = np.where(kind == EdgeKind.INTERIOR_1, np.where(first, 1.0, -1.0), 0.0)
+    own = first | iface                                 # the triangle that loads and recovers a flux
+    u1_dofs = lo.edge_to_u1[edges]
 
-    # Hybrid dofs: the multipliers and interface fluxes, in u1 order.
-    h_to_u1 = np.flatnonzero(m.edge_kind[lo.u1_edges] != EdgeKind.BOUNDARY_1)
-    h_iface = m.edge_kind[lo.u1_edges[h_to_u1]] == EdgeKind.INTERFACE
-    n_h = len(h_to_u1)
+    # Hybrid dofs: the multipliers, in u1 order, then p2.
+    multiplied = m.edge_kind[lo.u1_edges] == EdgeKind.INTERIOR_1
+    n_h = int(multiplied.sum())
     n = n_h + n_p2
     u1_to_h = np.full(n_u1, -1, dtype=np.int64)
-    u1_to_h[h_to_u1] = np.arange(n_h)
-    u1_dofs = lo.edge_to_u1[edges]
-    slot_h = u1_to_h[u1_dofs]                           # -1 on boundary slots
-    valid = slot_h >= 0
+    u1_to_h[multiplied] = np.arange(n_h)
 
-    # Local saddle [[M, -s], [s^T, 0]] on the three fluxes and p1 of a triangle.
-    signs = m.tri_edge_signs[tris].astype(float)
-    saddle = np.zeros((len(tris), 4, 4))
-    saddle[:, :3, :3] = system.flux_mass
-    saddle[:, :3, 3] = -signs
-    saddle[:, 3, :3] = signs
-    couple = np.zeros((len(tris), 4, 3))   # local rows x hybrid slots
-    reduce = np.zeros((len(tris), 3, 4))   # hybrid rows x local unknowns
-    for i in range(3):
-        couple[:, i, i] = reduce[:, i, i] = sigma[:, i]
-        j = iface[:, i]
-        couple[j, :, i] = saddle[j, :, i]
-        reduce[j, i, :] = saddle[j, i, :]
-        couple[j, i, i] = reduce[j, i, i] = 0.0
-        saddle[j, i, :] = saddle[j, :, i] = 0.0
-        saddle[j, i, i] = 1.0
-    inverse = _local_saddle_inverse(saddle[:, :3, :3], saddle[:, 3, :3])
-    weights = inverse @ couple
+    # The two global columns of each flux slot, (t, 3, 2) with -1 for none,
+    # and its couplings to them: +-1 to a multiplier, or S to the p2 values
+    # at the ends of an interface edge.  The p2 rows of A read -S^T.
+    cols = np.full((len(tris), 3, 2), -1, dtype=np.int64)
+    cols[..., 0] = u1_to_h[u1_dofs]
+    couple = np.zeros((len(tris), 3, 2))
+    couple[..., 0] = np.where(cols[..., 0] >= 0, np.where(first, 1.0, -1.0), 0.0)
+    e = m.interface_edges
+    t1 = lo.tri_to_p1[m.interface_tri1]
+    slot = (m.tri_edges[m.interface_tri1] == e[:, None]).argmax(axis=1)
+    cols[t1, slot] = n_h + lo.vert_to_p2[m.edges[e]]
+    couple[t1, slot] = _interface_coupling(m)
+    reads = np.where(iface[..., None], -couple, couple)
+    valid = cols >= 0
 
-    # The [interface u1 | p2] rows and columns of A hold S, M_beta and the
-    # flux mass of the interface slots; K / a2 and the condensed element
-    # matrices are added to them.
-    to_hybrid = np.full(lo.n_x, -1, dtype=np.int64)
-    to_hybrid[h_to_u1[h_iface]] = np.flatnonzero(h_iface)
-    to_hybrid[n_u1:] = np.arange(n_h, n)
-    a_coo = system.A.tocoo()
-    rows, cols = to_hybrid[a_coo.row], to_hybrid[a_coo.col]
-    kept = (rows >= 0) & (cols >= 0)
+    inverse = _local_saddle_inverse(system.flux_mass, m.tri_edge_signs[tris].astype(float))
+    flux_inverse = inverse[:, :3, :3]
+
+    def condensed(t, c, d):
+        """Condensed element matrices of triangles ``t``, slot column ``c`` by slot column ``d``."""
+        local = -(reads[t, :, c, None] * flux_inverse[t] * couple[t, None, :, d])
+        return local, cols[t, :, c], cols[t, :, d]
+
+    # Only the triangles with an interface slot have second columns.
+    side = np.flatnonzero(iface.any(axis=1))
+    parts = [condensed(slice(None), 0, 0)] + [condensed(side, c, d) for c, d in ((0, 1), (1, 0), (1, 1))]
+    vals, rows, h_cols = map(np.concatenate, zip(*(_scatter_entries(*part) for part in parts)))
+    # The [p2 | p2] block of A is M_beta; K / a2 is added to it.
+    a = system.A[n_u1:, n_u1:].tocoo()
     k = system.K.tocoo()
-    vals, h_rows, h_cols = _condensed_entries(-(reduce @ weights), slot_h, iface)
     hybrid = sp.csc_matrix((
-        np.concatenate([a_coo.data[kept], k.data / a2, vals]),
-        (np.concatenate([rows[kept], k.row + n_h, h_rows]),
-         np.concatenate([cols[kept], k.col + n_h, h_cols])),
+        np.concatenate([a.data, k.data / a2, vals]),
+        (np.concatenate([a.row + n_h, k.row + n_h, rows]),
+         np.concatenate([a.col + n_h, k.col + n_h, h_cols])),
     ), shape=(n, n))
     hybrid.eliminate_zeros()
     lu = _factor(hybrid)
@@ -236,20 +217,17 @@ def _hybrid_factorization(system: SaddleSystem):
         psi = np.zeros(n_p2)                            # psi0, 0 at the pin
         psi[phi] = laplace.solve(b[lo.offset_phi:lo.offset_p1])
         load = np.zeros((len(tris), 4))
-        load[:, :3] = np.where(own_load, b[u1_dofs], 0.0)
+        load[:, :3] = np.where(own, b[u1_dofs], 0.0)
         load[:, 3] = b[lo.offset_p1:]
         z = np.einsum("tij,tj->ti", inverse, load)
-        g = np.empty(n)
+        g = np.zeros(n)
         g[n_h:] = b[n_u1:lo.offset_phi] + (system.K @ psi) / a2
-        g[:n_h] = np.where(h_iface, b[h_to_u1], 0.0) - np.bincount(
-            slot_h[valid], np.einsum("tij,tj->ti", reduce, z)[valid], minlength=n_h
-        )
+        g -= np.bincount(cols[valid], (reads * z[:, :3, None])[valid], minlength=n)
         y = lu.solve(g)
-        x_h, p2 = y[:n_h], y[n_h:]
-        z -= np.einsum("tij,tj->ti", weights, np.where(valid, x_h[slot_h], 0.0))
+        z -= np.einsum("tij,tj->ti", inverse[:, :, :3], (couple * y[cols]).sum(axis=-1))
         u1 = np.empty(n_u1)
-        u1[u1_dofs[own_load]] = z[:, :3][own_load]
-        u1[h_to_u1[h_iface]] = x_h[h_iface]
+        u1[u1_dofs[own]] = z[:, :3][own]
+        p2 = y[n_h:]
         return np.concatenate([u1, p2, (psi[phi] + p2[pin] - p2[phi]) / a2, z[:, 3]])
 
     return solve_full
@@ -261,11 +239,12 @@ def solve(system: SaddleSystem) -> SolutionFields:
     Region 1 is hybridized and condensed element by element, and the
     potential is decoupled through psi = p2 + a2 phi (see
     ``_hybrid_factorization``); SuperLU factors the region-2 Laplacian of
-    psi and the condensed [multipliers and interface fluxes | p2] system,
-    both with a positive diagonal, with a symmetric-mode minimum-degree
-    ordering.  One step of iterative refinement against the residual of
-    the full saddle system, applied block by block, follows, and the guard
-    checks that residual relative to the largest load entry.
+    psi and the condensed [multipliers | p2] system, both with a zero-free
+    diagonal (negative on the multipliers, positive on p2), with a
+    symmetric-mode minimum-degree ordering.  One step of iterative
+    refinement against the residual of the full saddle system, applied
+    block by block, follows, and the guard checks that residual relative
+    to the largest load entry.
     """
     n_x = system.layout.n_x
     A, B, Bt, C = system.A, system.B, system.Bt, system.C

@@ -2,7 +2,8 @@
 
 None of these runs in the package: the symmetric triangle rule and
 pointwise quadrature on one element, the hat functions, a sampled check
-that every triangle lies in the region it is tagged with, an exactly
+that every triangle lies in the region it is tagged with, a copy of a
+mesh with its vertices off the axes and the boundary moved, an exactly
 representable patch case with the volume load that balances its pressure
 gradient, a finite-difference check of the closed-form calculus of a
 manufactured case, the exact-field interpolant with its residual in the
@@ -143,6 +144,13 @@ def validate_consistency(m: BipartiteMesh, tol: float = 1e-12) -> ConsistencyRep
     bad = np.flatnonzero(reason != "")
     violations = list(zip(bad.tolist(), reason[bad].tolist()))
     return ConsistencyReport(ok=not violations, violations=violations)
+
+
+def moved_copy(m: BipartiteMesh, seed=3, amplitude=0.25) -> BipartiteMesh:
+    """Copy of ``m`` with the vertices off the axes and the outer boundary moved by up to ``amplitude * h``."""
+    free = np.all((m.vertices != 0.0) & (np.abs(m.vertices) < 1.0), axis=1)
+    step = np.random.default_rng(seed).uniform(-amplitude, amplitude, m.vertices.shape) / m.level_inv
+    return dataclasses.replace(m, vertices=m.vertices + free[:, None] * step)
 
 
 # -- manufactured cases ---------------------------------------------------------

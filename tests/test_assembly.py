@@ -28,6 +28,7 @@ from oracles import (
     full_matrix,
     interpolate_exact,
     linear_patch_case,
+    moved_copy,
     patch_potential,
     triangle_rule,
     with_coefficients,
@@ -247,13 +248,6 @@ def test_system_blocks_share_the_carried_matrices(coeffs):
         assert np.abs(k.sum(axis=1)).max() <= 1e-13 * abs(k).max()
 
 
-def _moved_copy(m, seed=3, amplitude=0.25):
-    """Copy of ``m`` with the vertices off the axes and the outer boundary moved by up to ``amplitude * h``."""
-    free = np.all((m.vertices != 0.0) & (np.abs(m.vertices) < 1.0), axis=1)
-    step = np.random.default_rng(seed).uniform(-amplitude, amplitude, m.vertices.shape) / m.level_inv
-    return dataclasses.replace(m, vertices=m.vertices + free[:, None] * step)
-
-
 @derandomized
 @given(coefficients)
 @example(CoefficientSet(1.0, 1.0, 1.0))
@@ -261,7 +255,7 @@ def test_patch_case_residual(coeffs):
     case = with_coefficients(linear_patch_case(), coeffs)
     for level in (2, 4):
         uniform = build_cartesian_mesh(level)
-        for m in (uniform, _moved_copy(uniform)):
+        for m in (uniform, moved_copy(uniform)):
             layout = build_dof_layout(m)
             system = assemble_patch_system(m, layout, case)
             xhat = interpolate_exact(case, m, layout, patch_potential)

@@ -7,10 +7,10 @@ import scipy.sparse as sp
 from hypothesis import example, given
 
 from twodarcy import solver
-from twodarcy.analysis import error_norms
+from twodarcy.analysis import convergence_study, error_norms
 from twodarcy.assembly import CoefficientSet, _interface_signs, assemble_A, assemble_system
 from twodarcy.manufactured import example1, example2, example3, example4
-from twodarcy.mesh import build_cartesian_mesh
+from twodarcy.mesh import EdgeKind, _finish_mesh, build_cartesian_mesh
 from twodarcy.solver import (
     SolverError,
     _hybrid_factorization,
@@ -20,7 +20,7 @@ from twodarcy.solver import (
 )
 from twodarcy.spaces import build_dof_layout
 
-from oracles import full_lu_solve, full_matrix, with_coefficients
+from oracles import full_lu_solve, full_matrix, moved_copy, with_coefficients
 from test_coefficients import coefficients, derandomized
 
 
@@ -61,10 +61,6 @@ def test_local_saddle_inverse_matches_dense_inverse():
     g = rng.standard_normal((60, 3, 3))
     mass = g @ g.transpose(0, 2, 1) + 0.1 * np.eye(3)
     s = rng.choice([-1.0, 1.0], size=(60, 3))
-    # an interface slot: identity row and column, no divergence
-    mass[:20, 0, :] = mass[:20, :, 0] = 0.0
-    mass[:20, 0, 0] = 1.0
-    s[:20, 0] = 0.0
     saddle = np.zeros((60, 4, 4))
     saddle[:, :3, :3] = mass
     saddle[:, :3, 3] = -s
@@ -176,8 +172,39 @@ def _assert_matches_full_lu(system):
 @pytest.mark.parametrize("level", [1, 2, 4, 8, 32])
 @pytest.mark.parametrize("variant", sorted(CASE_VARIANTS))
 def test_solve_matches_full_matrix_lu(variant, level):
-    m = build_cartesian_mesh(level)
-    _assert_matches_full_lu(assemble_system(m, build_dof_layout(m), CASE_VARIANTS[variant]()))
+    # No element matrix of a moved copy has an exact zero, so every
+    # condensed entry is scattered there.
+    uniform = build_cartesian_mesh(level)
+    for m in (uniform, moved_copy(uniform)) if level in (2, 4, 8) else (uniform,):
+        _assert_matches_full_lu(assemble_system(m, build_dof_layout(m), CASE_VARIANTS[variant]()))
+
+
+def _two_interface_edge_mesh(k):
+    """Level-``k`` mesh with the two cells at the origin split along their other diagonal.
+
+    The region-1 triangle of each at the origin, one in Q1 and one in Q3,
+    then has both of its axis edges on the interface.
+    """
+    m = build_cartesian_mesh(k)
+    n = 2 * k + 1
+    triangles = m.triangles.copy()
+    for ci in (k, k - 1):                               # cells (k, k) and (k - 1, k - 1)
+        v00 = ci * n + ci
+        v10, v01, v11 = v00 + 1, v00 + n, v00 + n + 1
+        c = ci * 2 * k + ci
+        triangles[2 * c], triangles[2 * c + 1] = (v00, v10, v01), (v10, v11, v01)
+    return _finish_mesh(k, m.vertices, triangles, m.tri_region, m.tri_quadrant)
+
+
+@pytest.mark.parametrize("level", [2, 4, 8])
+@pytest.mark.parametrize("variant", ["example1", "example2_paper_literal", "example4"])
+def test_solve_region1_triangle_with_two_interface_edges(variant, level):
+    m = _two_interface_edge_mesh(level)
+    on_interface = (m.edge_kind[m.tri_edges] == EdgeKind.INTERFACE).sum(axis=1)
+    assert np.count_nonzero((on_interface == 2) & (m.tri_region == 1)) == 2
+    system = assemble_system(m, build_dof_layout(m), CASE_VARIANTS[variant]())
+    assert solve(system).residual <= solver.RESIDUAL_TOL
+    _assert_matches_full_lu(system)
 
 
 @pytest.mark.parametrize("level", [8, 32])
@@ -234,9 +261,9 @@ def test_solve_matches_full_matrix_lu_at_coefficient_corners(a1, a2, beta):
 @pytest.mark.parametrize("a1", [1e7, 1e9, 1e12])
 @pytest.mark.parametrize("make", [example1, example4], ids=["example1", "example4"])
 def test_solve_strong_region1_resistance(make, a1):
-    # In a region-1 triangle with an interface slot the condensed multiplier
-    # entries scale like 1/a1 and the interface entries like a1: judged
-    # against one scale, every multiplier entry would count as rounding.
+    # Every condensed entry scales like 1/a1, the p2 entries too, so the
+    # rounding of an element matrix is judged against one scale; M_beta and
+    # K / a2 are scattered on their own and stay far above it.
     m = build_cartesian_mesh(16)
     base = make()
     case = with_coefficients(base, CoefficientSet(a1, base.a2, base.beta))
@@ -246,6 +273,14 @@ def test_solve_strong_region1_resistance(make, a1):
     x = np.concatenate([sol.u1, sol.p2, sol.phi, sol.p1])
     ref = full_lu_solve(system)
     assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("a1, a2", [(1e6, 1.0), (1.0, 1e6), (1e-6, 1.0), (1.0, 1e-6)])
+def test_coefficient_contrast_keeps_rates(a1, a2):
+    case = with_coefficients(example4(), CoefficientSet(a1, a2, 1.0))
+    rates = convergence_study(case, [4, 8, 16, 32]).rates[-1]
+    for column, rate in rates.items():
+        assert rate >= (1.95 if column in ("p1", "p2_l2") else 0.95), column
 
 
 @derandomized
