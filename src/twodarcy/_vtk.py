@@ -1,23 +1,15 @@
-"""Minimal legacy-VTK (ASCII, version 3.0) unstructured-grid writer."""
+"""Minimal legacy-VTK (binary, version 3.0) unstructured-grid writer."""
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 VTK_TRIANGLE = 5
-_VECTOR = "%.9e %.9e 0.0\n"  # (x, y) padded with z = 0
 
 
-def _lines(fmt, rows) -> str:
-    """The one-line format ``fmt`` applied to every row of ``rows``, as one string."""
-    return (fmt * len(rows)) % tuple(rows.ravel().tolist())
-
-
-def _scalars(name, data) -> str:
-    values = np.asarray(data, dtype=float).ravel()
-    return f"SCALARS {name} double 1\nLOOKUP_TABLE default\n" + _lines("%.9e\n", values)
+def _xyz(rows):
+    """(n, 2) rows padded with z = 0."""
+    return np.column_stack([rows, np.zeros(len(rows))])
 
 
 def write_unstructured_grid(
@@ -33,26 +25,29 @@ def write_unstructured_grid(
     """Write triangles with optional scalar/vector data attached to cells or points.
 
     ``cell_scalars``/``point_scalars`` map names to (n,) arrays and
-    ``cell_vectors`` maps names to (n, 2) arrays (padded with z = 0).
-    Output is byte-deterministic for identical inputs.
+    ``cell_vectors`` maps names to (n, 2) arrays (padded with z = 0). Each
+    array is stored exactly, as big-endian bytes (``>f8`` values, ``>i4``
+    ids) after its keyword line. Raises ``ValueError``, before opening the
+    file, when a cell id does not fit VTK's 32-bit ``int``.
     """
-    points = np.asarray(points, dtype=float)
     cells = np.asarray(cells, dtype=np.int64)
-    directory = os.path.dirname(os.fspath(path))
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="ascii") as fp:
-        fp.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fp.write(f"POINTS {len(points)} double\n" + _lines(_VECTOR, points))
-        fp.write(f"CELLS {len(cells)} {4 * len(cells)}\n" + _lines("3 %d %d %d\n", cells))
-        fp.write(f"CELL_TYPES {len(cells)}\n" + f"{VTK_TRIANGLE}\n" * len(cells))
-        if cell_scalars or cell_vectors:
-            fp.write(f"CELL_DATA {len(cells)}\n")
-            for name, data in (cell_scalars or {}).items():
-                fp.write(_scalars(name, data))
-            for name, data in (cell_vectors or {}).items():
-                fp.write(f"VECTORS {name} double\n" + _lines(_VECTOR, np.asarray(data, dtype=float)))
-        if point_scalars:
-            fp.write(f"POINT_DATA {len(points)}\n")
-            for name, data in point_scalars.items():
-                fp.write(_scalars(name, data))
+    if cells.size and (cells.min() < 0 or cells.max() >= 2**31):
+        raise ValueError("cell vertex ids must lie in [0, 2**31), the range of VTK's 32-bit int")
+    n = len(cells)
+    with open(path, "wb") as fp:
+
+        def section(keywords, values, dtype=">f8"):
+            fp.write(keywords.encode("ascii") + values.astype(dtype).tobytes() + b"\n")
+
+        section(f"# vtk DataFile Version 3.0\n{title}\nBINARY\nDATASET UNSTRUCTURED_GRID\n"
+                f"POINTS {len(points)} double\n", _xyz(points))
+        section(f"CELLS {n} {4 * n}\n", np.column_stack([np.full(n, 3), cells]), ">i4")
+        section(f"CELL_TYPES {n}\n", np.full(n, VTK_TRIANGLE), ">i4")
+        for block, count, scalars, vectors in (("CELL_DATA", n, cell_scalars, cell_vectors),
+                                               ("POINT_DATA", len(points), point_scalars, None)):
+            if scalars or vectors:
+                fp.write(f"{block} {count}\n".encode("ascii"))
+                for name, data in (scalars or {}).items():
+                    section(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n", np.ravel(data))
+                for name, data in (vectors or {}).items():
+                    section(f"VECTORS {name} double\n", _xyz(data))

@@ -108,8 +108,11 @@ def main(argv=None) -> int:
     if args.csv_path and (os.path.isdir(args.csv_path)
                           or not os.path.isdir(os.path.dirname(os.path.abspath(args.csv_path)))):
         parser.error(f"--csv: cannot write a file at {args.csv_path}")
-    if args.fields_dir and os.path.exists(args.fields_dir) and not os.path.isdir(args.fields_dir):
-        parser.error(f"--fields: {args.fields_dir} exists and is not a directory")
+    if args.fields_dir:
+        try:
+            os.makedirs(args.fields_dir, exist_ok=True)
+        except OSError as err:
+            parser.error(f"--fields: cannot create directory {args.fields_dir}: {err.strerror}")
     levels = [k for k in ALLOWED_LEVELS if k <= args.max_level]
 
     on_level = functools.partial(_dump_fields, args.fields_dir) if args.fields_dir else None

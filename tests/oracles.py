@@ -7,8 +7,9 @@ mesh with its vertices off the axes and the boundary moved, an exactly
 representable patch case with the volume load that balances its pressure
 gradient, a finite-difference check of the closed-form calculus of a
 manufactured case, the exact-field interpolant with its residual in the
-discrete dual norm, the flux mass matrix on its own, and the whole
-unhybridized saddle matrix with its sparse LU.
+discrete dual norm, the flux mass matrix on its own, the whole
+unhybridized saddle matrix with its sparse LU, and a reader of the binary
+legacy-VTK files the field dumps write.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -353,3 +355,54 @@ def full_lu_solve(system) -> np.ndarray:
     """Solution vector [u1 | p2 | phi | p1] from SuperLU (COLAMD, partial pivoting)
     of the full, unhybridized ``full_matrix(system)``."""
     return spla.splu(full_matrix(system).tocsc()).solve(system.rhs())
+
+
+# -- reading back the field dumps ----------------------------------------------
+
+def read_vtk(path):
+    """Decode a binary legacy-VTK 3.0 unstructured grid as the package writes it.
+
+    Returns the keyword lines (bytes, in file order, the four header lines
+    first) and the arrays: ``"points"`` (n, 3), ``"cells"`` (n, 4),
+    ``"cell_types"`` (n, 1) and ``("CELL_DATA" | "POINT_DATA", name)``, (n, 1)
+    for a scalar and (n, 3) for a vector. Each array is read from the
+    big-endian bytes after its keyword line and must end with a newline.
+    """
+    raw = Path(path).read_bytes()
+    pos, lines, arrays, block, count = 0, [], {}, None, 0
+
+    def line():
+        nonlocal pos
+        end = raw.index(b"\n", pos)
+        lines.append(raw[pos:end])
+        pos = end + 1
+        return lines[-1].decode("ascii").split()
+
+    def array(key, dtype, rows, width=1):
+        nonlocal pos
+        arrays[key] = np.frombuffer(raw, dtype, rows * width, pos).reshape(rows, width)
+        pos += arrays[key].nbytes + 1
+        assert raw[pos - 1:pos] == b"\n", f"{key} does not end with a newline"
+
+    for _ in range(4):
+        line()
+    while pos < len(raw):
+        keyword, *words = line()
+        if keyword == "POINTS":
+            array("points", ">f8", int(words[0]), 3)
+        elif keyword == "CELLS":
+            assert int(words[1]) == 4 * int(words[0])
+            array("cells", ">i4", int(words[0]), 4)
+        elif keyword == "CELL_TYPES":
+            array("cell_types", ">i4", int(words[0]))
+        elif keyword in ("CELL_DATA", "POINT_DATA"):
+            block, count = keyword, int(words[0])
+        elif keyword == "SCALARS":
+            assert words[1:] == ["double", "1"] and line() == ["LOOKUP_TABLE", "default"]
+            array((block, words[0]), ">f8", count)
+        elif keyword == "VECTORS":
+            assert words[1:] == ["double"]
+            array((block, words[0]), ">f8", count, 3)
+        else:
+            raise AssertionError(f"unknown keyword line {lines[-1]!r}")
+    return lines, arrays

@@ -3,11 +3,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import twodarcy.analysis
 import twodarcy.cli
+import twodarcy.manufactured
 from twodarcy.cli import main
+
+from oracles import read_vtk
 
 
 BETA_RULE = "beta must be positive and finite"
@@ -33,6 +37,8 @@ BETA_RULE = "beta must be positive and finite"
     pytest.param(["--example", "1", "--csv", str(Path(__file__).parent)], "--csv",
                  id="csv-names-a-directory"),
     pytest.param(["--example", "1", "--fields", __file__], "--fields", id="fields-names-a-file"),
+    pytest.param(["--example", "1", "--fields", f"{__file__}/sub"], "--fields",
+                 id="fields-under-a-file"),
     pytest.param(["--example", "1", "--max-level", "1", "--csv", ""], "--csv", id="csv-empty"),
     pytest.param(["--example", "1", "--max-level", "1", "--fields", ""], "--fields",
                  id="fields-empty"),
@@ -64,6 +70,15 @@ def test_module_entry_point_runs_main():
 
 
 def test_run_writes_csv_and_fields(tmp_path, capsys):
+    kept = {}
+
+    def keep_level_4(level, m, layout, sol):
+        if level == 4:
+            kept.update(p1=sol.p1, u1=twodarcy.analysis.u1_cell_values(sol, m),
+                        p2=sol.p2, u2=sol.u2)
+
+    twodarcy.analysis.convergence_study(twodarcy.manufactured.example1(), [1, 2, 4],
+                                        on_level=keep_level_4)
     csv = tmp_path / "out.csv"
     fields = tmp_path / "fields"
     code = main([
@@ -74,14 +89,19 @@ def test_run_writes_csv_and_fields(tmp_path, capsys):
     assert csv.exists()
     lines = csv.read_text().strip().split("\n")
     assert len(lines) == 4  # header + levels 1, 2, 4
+    dumps = {}
     for level in (1, 2, 4):
-        r1 = (fields / f"region1_{level}.vtk").read_text()
-        r2 = (fields / f"region2_{level}.vtk").read_text()
-        assert r1.startswith("# vtk DataFile Version 3.0")
-        assert "CELL_DATA" in r1 and "SCALARS p1 double 1" in r1
-        assert "VECTORS u1 double" in r1
-        assert "POINT_DATA" in r2 and "SCALARS p2 double 1" in r2
-        assert "VECTORS u2 double" in r2
+        for region in (1, 2):
+            keywords, dumps[region, level] = read_vtk(fields / f"region{region}_{level}.vtk")
+            assert keywords[:3] == [b"# vtk DataFile Version 3.0",
+                                    f"region {region} fields, level {level}".encode(), b"BINARY"]
+    decoded = {"p1": dumps[1, 4]["CELL_DATA", "p1"], "u1": dumps[1, 4]["CELL_DATA", "u1"],
+               "p2": dumps[2, 4]["POINT_DATA", "p2"], "u2": dumps[2, 4]["CELL_DATA", "u2"]}
+    for name, values in kept.items():
+        expected = np.asarray(values, dtype=float)
+        if expected.ndim == 2:
+            expected = np.column_stack([expected, np.zeros(len(expected))])
+        assert decoded[name].tobytes() == expected.astype(">f8").tobytes(), name
     out = capsys.readouterr().out
     assert "h_inv" in out
 

@@ -1,63 +1,68 @@
 import numpy as np
+import pytest
 
 from twodarcy._vtk import VTK_TRIANGLE, write_unstructured_grid
 
+from oracles import read_vtk
 
-def _reference_writer(path, points, cells, *, title="twodarcy output",
-                      cell_scalars=None, cell_vectors=None, point_scalars=None):
-    """The line-at-a-time writer the section writer must match byte for byte."""
-    points = np.asarray(points, dtype=float)
-    cells = np.asarray(cells, dtype=np.int64)
-
-    def values(fp, data):
-        for v in np.asarray(data, dtype=float).ravel():
-            fp.write(f"{v:.9e}\n")
-
-    with open(path, "w", encoding="ascii") as fp:
-        fp.write("# vtk DataFile Version 3.0\n")
-        fp.write(f"{title}\n")
-        fp.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fp.write(f"POINTS {len(points)} double\n")
-        for x, y in points:
-            fp.write(f"{x:.9e} {y:.9e} 0.0\n")
-        fp.write(f"CELLS {len(cells)} {4 * len(cells)}\n")
-        for a, b, c in cells:
-            fp.write(f"3 {a} {b} {c}\n")
-        fp.write(f"CELL_TYPES {len(cells)}\n")
-        for _ in range(len(cells)):
-            fp.write(f"{VTK_TRIANGLE}\n")
-        if cell_scalars or cell_vectors:
-            fp.write(f"CELL_DATA {len(cells)}\n")
-            for name, data in (cell_scalars or {}).items():
-                fp.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                values(fp, data)
-            for name, data in (cell_vectors or {}).items():
-                fp.write(f"VECTORS {name} double\n")
-                for vx, vy in np.asarray(data, dtype=float):
-                    fp.write(f"{vx:.9e} {vy:.9e} 0.0\n")
-        if point_scalars:
-            fp.write(f"POINT_DATA {len(points)}\n")
-            for name, data in point_scalars.items():
-                fp.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                values(fp, data)
+HEADER = [b"# vtk DataFile Version 3.0", b"check", b"BINARY", b"DATASET UNSTRUCTURED_GRID"]
 
 
-def test_section_writer_matches_line_writer(tmp_path):
+def as_f8_bytes(values):
+    """The big-endian float64 bytes of ``values``, to compare arrays bitwise (nan included)."""
+    return np.asarray(values, dtype=float).astype(">f8").tobytes()
+
+
+def padded(rows):
+    return np.column_stack([rows, np.zeros(len(rows))])
+
+
+def test_writer_round_trips_every_array_bitwise(tmp_path):
     rng = np.random.default_rng(5)
     points = rng.standard_normal((40, 2)) * 10.0 ** rng.integers(-300, 300, (40, 1))
     points[:4] = [[-0.0, 0.0], [np.nan, np.inf], [-np.inf, 1e-320], [1.0, -1.0]]
-    cells = rng.integers(0, 2**40, (25, 3))
-    cell_scalars = {"region": rng.integers(1, 3, 25), "p1": rng.standard_normal(25)}
-    kwargs = dict(
-        title="check",
-        cell_scalars=cell_scalars,
-        cell_vectors={"u1": rng.standard_normal((25, 2))},
-        point_scalars={"p2": rng.standard_normal((40, 1))},
-    )
-    write_unstructured_grid(tmp_path / "new.vtk", points, cells, **kwargs)
-    _reference_writer(tmp_path / "ref.vtk", points, cells, **kwargs)
-    assert (tmp_path / "new.vtk").read_bytes() == (tmp_path / "ref.vtk").read_bytes()
+    cells = rng.integers(0, 2**31, (25, 3))
+    cells[0] = [0, 2**31 - 1, 7]
+    region = rng.integers(1, 3, 25)
+    p1 = rng.standard_normal(25)
+    p1[:3] = [np.nan, -0.0, 1e-320]
+    u1 = rng.standard_normal((25, 2))
+    u1[0] = [np.inf, -np.inf]
+    p2 = rng.standard_normal((40, 1))
+    write_unstructured_grid(tmp_path / "grid.vtk", points, cells, title="check",
+                            cell_scalars={"region": region, "p1": p1},
+                            cell_vectors={"u1": u1}, point_scalars={"p2": p2})
+    lines, arrays = read_vtk(tmp_path / "grid.vtk")
 
-    write_unstructured_grid(tmp_path / "bare.vtk", points[:0], cells[:0])
-    _reference_writer(tmp_path / "bare_ref.vtk", points[:0], cells[:0])
-    assert (tmp_path / "bare.vtk").read_bytes() == (tmp_path / "bare_ref.vtk").read_bytes()
+    assert lines == HEADER + [
+        b"POINTS 40 double", b"CELLS 25 100", b"CELL_TYPES 25", b"CELL_DATA 25",
+        b"SCALARS region double 1", b"LOOKUP_TABLE default",
+        b"SCALARS p1 double 1", b"LOOKUP_TABLE default",
+        b"VECTORS u1 double", b"POINT_DATA 40",
+        b"SCALARS p2 double 1", b"LOOKUP_TABLE default",
+    ]
+    assert arrays["points"].tobytes() == as_f8_bytes(padded(points))
+    assert arrays["cells"].tolist() == np.column_stack([np.full(25, 3), cells]).tolist()
+    assert arrays["cell_types"].ravel().tolist() == [VTK_TRIANGLE] * 25
+    assert arrays["CELL_DATA", "region"].tobytes() == as_f8_bytes(region)
+    assert arrays["CELL_DATA", "p1"].tobytes() == as_f8_bytes(p1)
+    assert arrays["CELL_DATA", "u1"].tobytes() == as_f8_bytes(padded(u1))
+    assert arrays["POINT_DATA", "p2"].tobytes() == as_f8_bytes(p2)
+
+
+def test_writer_writes_an_empty_mesh(tmp_path):
+    write_unstructured_grid(tmp_path / "bare.vtk", np.zeros((0, 2)), np.zeros((0, 3), int),
+                            title="check")
+    lines, arrays = read_vtk(tmp_path / "bare.vtk")
+    assert lines == HEADER + [b"POINTS 0 double", b"CELLS 0 0", b"CELL_TYPES 0"]
+    assert arrays["points"].shape == (0, 3)
+    assert arrays["cells"].shape == (0, 4)
+    assert arrays["cell_types"].size == 0
+
+
+@pytest.mark.parametrize("bad_id", [2**31, -1])
+def test_writer_rejects_ids_outside_vtk_int(bad_id, tmp_path):
+    cells = np.array([[0, 1, 2], [1, 2, bad_id]])
+    with pytest.raises(ValueError, match="32-bit int"):
+        write_unstructured_grid(tmp_path / "big.vtk", np.zeros((3, 2)), cells)
+    assert not (tmp_path / "big.vtk").exists()
