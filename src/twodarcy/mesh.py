@@ -284,3 +284,20 @@ def build_cartesian_mesh(level_inv: int) -> BipartiteMesh:
     tri_region = REGION_OF_QUADRANT[tri_quadrant].astype(np.int8)
 
     return _LIVE_MESHES.setdefault(k, _finish_mesh(k, vertices, triangles, tri_region, tri_quadrant))
+
+
+def _region2_grids(m: BipartiteMesh) -> np.ndarray | None:
+    """(2, k+1, k+1) vertex ids of the squares Q2 and Q4 of a registry mesh, else None.
+
+    [0, a, b] is the vertex (-a/k, b/k) and [1, a, b] the vertex (a/k, -b/k):
+    both grids start at the origin, the one vertex they share.  A copy may
+    move vertices or retag triangles, so only the registered mesh qualifies.
+    """
+    if _LIVE_MESHES.get(m.level_inv) is not m:
+        return None
+    k = m.level_inv
+    n = 2 * k + 1
+    steps = np.arange(k + 1)
+    a, b = steps[:, None], steps[None, :]
+    origin = k * n + k
+    return np.stack([origin - a + b * n, origin + a - b * n])

@@ -6,11 +6,14 @@ the RT0 fluxes are broken per triangle, a multiplier on every interior
 region-1 edge restores their continuity, and each triangle's fluxes and
 cell pressure are eliminated locally.  The potential is decoupled: as a2
 is a region constant, psi = p2 + a2 phi solves a region-2 Laplacian on
-its own.  So SuperLU factors two systems with a zero-free diagonal, that
-Laplacian and the condensed system of the multipliers and p2 (negative on
-the multipliers, positive on p2), with a symmetric-mode minimum-degree
-ordering instead of COLAMD with partial pivoting.  Their fill together is
-about a fifth of that of the full saddle matrix at level 96.
+its own.  On a mesh that ``build_cartesian_mesh`` holds, that Laplacian is
+the 5-point Neumann stencil on two unit squares and is solved in closed
+form with cosine eigenvectors (Buzbee, Golub and Nielson, SIAM J. Numer.
+Anal. 7, 1970); on any other mesh SuperLU factors it.  SuperLU factors the
+condensed system of the multipliers and p2, with a zero-free diagonal
+(negative on the multipliers, positive on p2), with a symmetric-mode
+minimum-degree ordering instead of COLAMD with partial pivoting.  At
+level 96 its fill is 2.1M, against 14.0M for the full saddle matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import scipy.sparse.linalg as spla
 from .assembly import (
     SaddleSystem, _interface_coupling, _p1_local_stiffness, _scatter, _scatter_entries, rt0_local_mass,
 )
-from .mesh import EdgeKind
+from .mesh import EdgeKind, _region2_grids
 from .spaces import potential_to_velocity
 
 __all__ = [
@@ -127,6 +130,46 @@ def _local_saddle_inverse(mass: np.ndarray, s: np.ndarray) -> np.ndarray:
     return inverse
 
 
+def _cosine_laplacian(grids: np.ndarray, phi: np.ndarray, pin: int):
+    """Closed-form solve of K_phiphi psi0 = F_phi on the two region-2 squares of a uniform mesh.
+
+    ``grids`` holds the (2, k+1, k+1) p2 indices of Q2 and Q4, both starting
+    at the origin.  On one square K is T (x) E + E (x) T, with T =
+    tridiag(-1, [1, 2, ..., 2, 1], -1) and E = diag(1/2, 1, ..., 1, 1/2); the
+    cosines V[i, a] = cos(pi i a / k) give T V = E V diag(lam) and V^T E V =
+    diag(w), so a load F with zero sum is solved, up to a constant, by
+    V [(V^T F V) / (w w^T (lam_a + lam_b))] V^T.  The load, extended by
+    -sum(F_phi) on the pin row, is split at the origin so that each square's
+    part sums to zero; Q2 is then shifted to Q4's origin value and the pin
+    value is subtracted.
+    """
+    k = grids.shape[-1] - 1
+    modes = np.arange(k + 1)
+    cosines = np.cos(np.pi / k * (np.outer(modes, modes) % (2 * k)))    # symmetric: V = V^T
+    lam = 2.0 - 2.0 * np.cos(np.pi / k * modes)
+    w = np.full(k + 1, k / 2.0)
+    w[[0, -1]] = k
+    scale = np.outer(w, w) * (lam[:, None] + lam[None, :])
+    scale[0, 0] = np.inf                                # the constant mode is free: set it to 0
+    n_p2 = len(phi) + 1
+
+    def solve_laplacian(f_phi):
+        f = np.zeros(n_p2)
+        f[phi] = f_phi
+        f[pin] = -f_phi.sum()
+        loads = f[grids]
+        loads[0, 0, 0] = 0.0
+        loads[0, 0, 0] = -loads[0].sum()
+        loads[1, 0, 0] -= loads[0, 0, 0]
+        x = cosines @ (cosines @ loads @ cosines / scale) @ cosines
+        x[0] += x[1, 0, 0] - x[0, 0, 0]
+        psi = np.empty(n_p2)
+        psi[grids] = x
+        return psi[phi] - psi[pin]
+
+    return solve_laplacian
+
+
 def _hybrid_factorization(system: SaddleSystem):
     """Factor the hybridized ``system`` once; return its solve.
 
@@ -147,11 +190,15 @@ def _hybrid_factorization(system: SaddleSystem):
     region-2 stiffness K, whose rows sum to zero, so psi_phi = psi0 + p2[pin]
     with K_phiphi psi0 = F_phi.  Substituting phi = (psi - p2) / a2 into the
     p2 rows turns their potential coupling into K p2 / a2 and moves
-    K[:, phi] psi0 / a2 to the load.  Two systems with a zero-free diagonal
-    are factored: the Laplacian K_phiphi, and [multipliers | p2].  With N
-    the flux block of a local saddle inverse, a multiplier's diagonal is a
-    sum of -N_ii, negative, and that of p2 adds the condensed S N S^T to
-    M_beta + K / a2, positive.
+    K[:, phi] psi0 / a2 to the load; as the columns of K sum to zero too,
+    that is F_phi / a2 on the phi rows and -sum(F_phi) / a2 on the pin row,
+    so psi0 only recovers phi.  On a mesh that ``build_cartesian_mesh``
+    holds, K_phiphi psi0 = F_phi is solved in closed form on the two
+    region-2 squares (``_cosine_laplacian``); on any other mesh SuperLU
+    factors K_phiphi.  SuperLU factors [multipliers | p2], with a zero-free
+    diagonal: with N the flux block of a local saddle inverse, a
+    multiplier's diagonal is a sum of -N_ii, negative, and that of p2 adds
+    the condensed S N S^T to M_beta + K / a2, positive.
     """
     m, lo = system.mesh, system.layout
     n_u1, n_p2 = lo.n_u1, lo.n_p2
@@ -211,24 +258,27 @@ def _hybrid_factorization(system: SaddleSystem):
     ), shape=(n, n))
     hybrid.eliminate_zeros()
     lu = _factor(hybrid)
-    laplace = _factor(system.K[phi][:, phi])
+    grids = _region2_grids(m)
+    laplacian = (_factor(system.K[phi][:, phi]).solve if grids is None
+                 else _cosine_laplacian(lo.vert_to_p2[grids], phi, pin))
 
     def solve_full(b):
-        psi = np.zeros(n_p2)                            # psi0, 0 at the pin
-        psi[phi] = laplace.solve(b[lo.offset_phi:lo.offset_p1])
+        f_phi = b[lo.offset_phi:lo.offset_p1]
         load = np.zeros((len(tris), 4))
         load[:, :3] = np.where(own, b[u1_dofs], 0.0)
         load[:, 3] = b[lo.offset_p1:]
         z = np.einsum("tij,tj->ti", inverse, load)
         g = np.zeros(n)
-        g[n_h:] = b[n_u1:lo.offset_phi] + (system.K @ psi) / a2
+        g[n_h:] = b[n_u1:lo.offset_phi]
+        g[n_h + phi] += f_phi / a2
+        g[n_h + pin] -= f_phi.sum() / a2
         g -= np.bincount(cols[valid], (reads * z[:, :3, None])[valid], minlength=n)
         y = lu.solve(g)
         z -= np.einsum("tij,tj->ti", inverse[:, :, :3], (couple * y[cols]).sum(axis=-1))
         u1 = np.empty(n_u1)
         u1[u1_dofs[own]] = z[:, :3][own]
         p2 = y[n_h:]
-        return np.concatenate([u1, p2, (psi[phi] + p2[pin] - p2[phi]) / a2, z[:, 3]])
+        return np.concatenate([u1, p2, (laplacian(f_phi) + p2[pin] - p2[phi]) / a2, z[:, 3]])
 
     return solve_full
 
@@ -238,13 +288,14 @@ def solve(system: SaddleSystem) -> SolutionFields:
 
     Region 1 is hybridized and condensed element by element, and the
     potential is decoupled through psi = p2 + a2 phi (see
-    ``_hybrid_factorization``); SuperLU factors the region-2 Laplacian of
-    psi and the condensed [multipliers | p2] system, both with a zero-free
-    diagonal (negative on the multipliers, positive on p2), with a
-    symmetric-mode minimum-degree ordering.  One step of iterative
-    refinement against the residual of the full saddle system, applied
-    block by block, follows, and the guard checks that residual relative
-    to the largest load entry.
+    ``_hybrid_factorization``).  The region-2 Laplacian of psi is solved in
+    closed form on a mesh that ``build_cartesian_mesh`` holds and factored
+    by SuperLU on any other; SuperLU factors the condensed [multipliers |
+    p2] system, with a zero-free diagonal (negative on the multipliers,
+    positive on p2), with a symmetric-mode minimum-degree ordering.  One
+    step of iterative refinement against the residual of the full saddle
+    system, applied block by block, follows, and the guard checks that
+    residual relative to the largest load entry.
     """
     n_x = system.layout.n_x
     A, B, Bt, C = system.A, system.B, system.Bt, system.C

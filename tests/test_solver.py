@@ -8,11 +8,15 @@ from hypothesis import example, given
 
 from twodarcy import solver
 from twodarcy.analysis import convergence_study, error_norms
-from twodarcy.assembly import CoefficientSet, _interface_signs, assemble_A, assemble_system
+from twodarcy.assembly import (
+    CoefficientSet, _interface_signs, assemble_A, assemble_system, p1_stiffness_omega2,
+)
 from twodarcy.manufactured import example1, example2, example3, example4
-from twodarcy.mesh import EdgeKind, _finish_mesh, build_cartesian_mesh
+from twodarcy.mesh import EdgeKind, _finish_mesh, _region2_grids, build_cartesian_mesh
 from twodarcy.solver import (
     SolverError,
+    _cosine_laplacian,
+    _factor,
     _hybrid_factorization,
     _local_saddle_inverse,
     check_wellposedness,
@@ -137,6 +141,57 @@ def test_solve_builds_no_stacked_matrix(monkeypatch):
     system = assemble_system(m, build_dof_layout(m), example4())
     monkeypatch.setattr(sp, "bmat", no_bmat)
     assert solve(system).residual <= solver.RESIDUAL_TOL
+
+
+def _vertex_at(m, point):
+    return int(np.flatnonzero((m.vertices == point).all(axis=1))[0])
+
+
+@pytest.mark.parametrize("level, pin", [
+    (level, pin) for level in (1, 2, 3, 8, 32)
+    for pin in [None, (0.0, 0.0), (-1.0, 1.0), (1.0, 0.0)] + [(0.25, -0.5), (-0.5, 0.25)] * (level in (8, 32))
+])
+def test_cosine_laplacian_matches_splu(level, pin):
+    # The default pin is (0, -1).
+    m = build_cartesian_mesh(level)
+    lo = build_dof_layout(m, None if pin is None else _vertex_at(m, pin))
+    k = assemble_system(m, lo, example4()).K
+    phi, p2_pin = lo.phi_to_p2, lo.vert_to_p2[lo.pinned_vertex]
+    f_phi = np.random.default_rng(level).standard_normal(lo.n_phi)
+    got = _cosine_laplacian(lo.vert_to_p2[_region2_grids(m)], phi, p2_pin)(f_phi)
+    expected = _factor(k[phi][:, phi]).solve(f_phi)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("level", [1, 3, 8, 96])
+def test_region2_stiffness_is_the_tensor_stencil(level):
+    # The closed-form solve rests on this: off the origin, each region-2
+    # square's stiffness is T (x) E + E (x) T.
+    m = build_cartesian_mesh(level)
+    lo = build_dof_layout(m)
+    k = p1_stiffness_omega2(m, lo)
+    t = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(level + 1, level + 1)).tolil()
+    t[0, 0] = t[-1, -1] = 1.0
+    e = sp.diags(np.r_[0.5, np.ones(level - 1), 0.5])
+    stencil = (sp.kron(t, e) + sp.kron(e, t)).tocsr()[1:]
+    for grid in lo.vert_to_p2[_region2_grids(m)]:
+        square = k[grid.ravel()[1:]][:, grid.ravel()]
+        assert abs(square - stencil).max() <= 1e-13 * abs(square).max()
+
+
+def test_laplacian_path_follows_mesh_identity(monkeypatch):
+    # Only the registry mesh is known to be the uniform grid; any copy, even
+    # one with the same vertex values, factors its Laplacian with SuperLU.
+    calls = []
+    splu = solver.spla.splu
+    monkeypatch.setattr(solver.spla, "splu", lambda *args, **kwargs: calls.append(1) or splu(*args, **kwargs))
+    m = build_cartesian_mesh(4)
+    for mesh, factorizations in ((m, 1), (moved_copy(m), 2),
+                                 (dataclasses.replace(m, vertices=m.vertices.copy()), 2)):
+        calls.clear()
+        assert solve(assemble_system(mesh, build_dof_layout(mesh), example4())).residual <= solver.RESIDUAL_TOL
+        assert len(calls) == factorizations
+    assert _region2_grids(dataclasses.replace(m, tri_region=m.tri_region.copy())) is None
 
 
 def test_assembly_and_diagnostics_scatter_every_block(monkeypatch):
