@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import LINE_RULE, _LINE_HAT, _edge_points, _interface_signs, assemble_system
+from .assembly import LINE_RULE, _LINE_HAT, _edge_points, assemble_system
 from .manufactured import ManufacturedCase
 from .mesh import REGION_OF_QUADRANT, BipartiteMesh, _is_integer, build_cartesian_mesh, quadrants_of
 from .quadrature import segment_rule
@@ -261,7 +261,7 @@ def interface_flux_residuals(sol: SolutionFields, case: ManufacturedCase,
     length = m.edge_lengths[e]
     n = m.interface_normals
     x = _edge_points(m, e, LINE_RULE)
-    u1n = _interface_signs(m) * sol.u1[layout.edge_to_u1[e]] / length
+    u1n = m.interface_signs * sol.u1[layout.edge_to_u1[e]] / length
     u2n = np.einsum("id,id->i", sol.u2[layout.tri_to_u2[m.interface_tri2]], n)
     p2h = sol.p2[layout.vert_to_p2[m.edges[e]]] @ _LINE_HAT.T
     f_n = np.asarray(case.f_n(x[..., 0], x[..., 1]), dtype=float)

@@ -164,17 +164,11 @@ def _edge_points(m: BipartiteMesh, edges, rule) -> np.ndarray:
     return seg[:, None, 0, :] + rule.points[None, :, None] * (seg[:, 1] - seg[:, 0])[:, None, :]
 
 
-def _interface_signs(m: BipartiteMesh) -> np.ndarray:
-    """+1 per interface edge whose global normal is the region-1 outer normal, else -1."""
-    orient = np.einsum("id,id->i", m.edge_normals[m.interface_edges], m.interface_normals)
-    return np.where(orient > 0, 1.0, -1.0)
-
-
 def _interface_coupling(m: BipartiteMesh) -> np.ndarray:
     """(ni, 2) coupling S of each interface flux with the p2 values at its edge's ends, low to high vertex."""
     # Normal trace of the edge's own flux basis is +-1 / length, so the
     # coupling entries are +-1/2 independent of the mesh size.
-    return _interface_signs(m)[:, None] * (LINE_RULE.weights @ _LINE_HAT)
+    return m.interface_signs[:, None] * (LINE_RULE.weights @ _LINE_HAT)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +253,7 @@ def assemble_rhs(m: BipartiteMesh, layout: DofLayout, case) -> tuple[np.ndarray,
     x = _edge_points(m, e, LINE_RULE)
     stress = np.asarray(case.f_stress(x[..., 0], x[..., 1]), dtype=float)
     flux = np.asarray(case.f_n(x[..., 0], x[..., 1]), dtype=float)
-    f1[layout.edge_to_u1[e]] += _interface_signs(m) * (stress @ LINE_RULE.weights)
+    f1[layout.edge_to_u1[e]] += m.interface_signs * (stress @ LINE_RULE.weights)
     load = (m.edge_lengths[e][:, None] * (LINE_RULE.weights * flux)) @ _LINE_HAT
     np.subtract.at(f1, layout.offset_p2 + layout.vert_to_p2[m.edges[e]].ravel(), load.ravel())
 
@@ -270,14 +264,16 @@ def assemble_rhs(m: BipartiteMesh, layout: DofLayout, case) -> tuple[np.ndarray,
 class SaddleSystem:
     """Assembled sparse blocks, load vectors, the coefficients and the originating layout.
 
-    ``K`` is the unit P1 stiffness of region 2 on the p2 dofs, the one
-    geometric matrix behind the potential rows of B and the stiffness in C.
+    ``Bt`` is B's transpose, kept with B and sharing its arrays.  ``K`` is
+    the unit P1 stiffness of region 2 on the p2 dofs, the one geometric
+    matrix behind the potential rows of B and the stiffness in C.
     ``flux_mass`` holds the (t, 3, 3) a1-scaled RT0 local masses of
     ``layout.p1_triangles``, the element matrices of the flux block of A.
     """
 
     A: sp.csr_matrix
     B: sp.csr_matrix
+    Bt: sp.csc_matrix
     C: sp.csr_matrix
     K: sp.csr_matrix
     flux_mass: np.ndarray
@@ -287,18 +283,15 @@ class SaddleSystem:
     layout: DofLayout
     coeffs: CoefficientSet
 
-    @property
-    def Bt(self) -> sp.csc_matrix:
-        return self.B.T
-
     def rhs(self) -> np.ndarray:
         return np.concatenate([self.F1, self.F2])
 
 
-def _unit_operators(m: BipartiteMesh, layout: DofLayout) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """``K`` and ``B``: they depend on the mesh and the pin alone."""
+def _unit_operators(m: BipartiteMesh, layout: DofLayout) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csc_matrix]:
+    """``K``, ``B`` and ``B.T`` (which shares B's arrays): they depend on the mesh and the pin alone."""
     k = p1_stiffness_omega2(m, layout)
-    return k, assemble_B(m, layout, k)
+    b = assemble_B(m, layout, k)
+    return k, b, b.T
 
 
 def assemble_system(m: BipartiteMesh, layout: DofLayout, case) -> SaddleSystem:
@@ -307,10 +300,10 @@ def assemble_system(m: BipartiteMesh, layout: DofLayout, case) -> SaddleSystem:
     coeffs.validate()
     flux_mass = rt0_local_mass(m, layout.p1_triangles, coeffs.a1)
     a = assemble_A(m, layout, coeffs, flux_mass)
-    k, b = _kept(m, ("operators", layout.pinned_vertex), lambda: _unit_operators(m, layout))
+    k, b, bt = _kept(m, ("operators", layout.pinned_vertex), lambda: _unit_operators(m, layout))
     c = assemble_C(layout, coeffs, k)
     f1, f2 = assemble_rhs(m, layout, case)
     return SaddleSystem(
-        A=a, B=b, C=c, K=k, flux_mass=flux_mass, F1=f1, F2=f2,
+        A=a, B=b, Bt=bt, C=c, K=k, flux_mass=flux_mass, F1=f1, F2=f2,
         mesh=m, layout=layout, coeffs=coeffs,
     )

@@ -10,10 +10,10 @@ that layout: ``quadrants_of`` maps coordinate signs to quadrants and
 A level-k mesh cuts the square into (2k)^2 cells of side 1/k, each split
 along its lower-left to upper-right diagonal.
 
-Every interface edge has the unit normal of its region-1 neighbour, i.e.
-the normal pointing from region 1 into region 2.  Edges are stored with the
-lower vertex index first; the global edge normal (tangent rotated by -90
-degrees) fixes the flux orientation used by the vector basis downstream.
+Edges are stored with the lower vertex index first; their global normal
+(tangent rotated by -90 degrees) fixes the flux orientation downstream.  As
+triangles are counterclockwise, the vertex order alone tells where it points
+out, and so which way the interface normals point: from region 1 into region 2.
 """
 
 from __future__ import annotations
@@ -86,14 +86,15 @@ class EdgeKind(IntEnum):
 class BipartiteMesh:
     """Triangulation of the two-region domain with tagged connectivity.
 
-    The fields are the grid, its tags and its topology; everything that
-    depends on vertex positions (areas, normals, edge signs, ...) is derived
-    from them on first use and cached.  Instances are immutable once built:
-    fields cannot be rebound, and every array field and all cached derived
-    geometry are read-only, as a mesh is shared by every caller of its level
-    (see ``build_cartesian_mesh``).  To change one, copy first, e.g.
+    The fields are the grid, its tags and its topology; the geometry (areas,
+    normals, ...) is derived from the vertex positions and every orientation
+    from the counterclockwise vertex order, on first use, and cached.
+    Instances are immutable once built: fields cannot be rebound, and every
+    array field and all cached derived geometry are read-only, as a mesh is
+    shared by every caller of its level (see ``build_cartesian_mesh``).  To
+    change one, copy first, e.g.
     ``dataclasses.replace(m, vertices=m.vertices.copy())``; the copy derives
-    its own geometry.
+    its own geometry and must keep its triangles counterclockwise.
     ``edge_tris`` uses -1 for the missing neighbour of boundary edges, and
     ``tri_edges[t, i]`` is the edge opposite local vertex i of triangle t.
     """
@@ -151,10 +152,6 @@ class BipartiteMesh:
         return np.hypot(self.edge_vectors[:, 0], self.edge_vectors[:, 1])
 
     @_cached_array
-    def edge_midpoints(self) -> np.ndarray:
-        return 0.5 * (self.vertices[self.edges[:, 0]] + self.vertices[self.edges[:, 1]])
-
-    @_cached_array
     def edge_normals(self) -> np.ndarray:
         """Unit normals of all edges: the lo->hi tangent rotated by -90 degrees."""
         t = self.edge_vectors / self.edge_lengths[:, None]
@@ -162,19 +159,26 @@ class BipartiteMesh:
 
     @_cached_array
     def tri_edge_signs(self) -> np.ndarray:
-        """(nt, 3) int8: +1 where the global normal of a triangle's edge points out of it, else -1."""
-        out = np.einsum("tid,tid->ti", self.edge_normals[self.tri_edges],
-                        self.edge_midpoints[self.tri_edges] - self.centroids[:, None, :])
-        return np.where(out > 0, 1, -1).astype(np.int8)
+        """(nt, 3) int8: +1 where the global normal of a triangle's edge points out of it, else -1.
+
+        Counterclockwise, edge i runs from vertex i+1 to i+2: out when i+1 is the lower index.
+        """
+        return np.where(self.triangles[:, [1, 2, 0]] < self.triangles[:, [2, 0, 1]], 1, -1).astype(np.int8)
+
+    @_cached_array
+    def interface_slot(self) -> np.ndarray:
+        """(ni,) local index of each interface edge in its region-1 triangle."""
+        return np.nonzero(self.tri_edges[self.interface_tri1] == self.interface_edges[:, None])[1]
+
+    @_cached_array
+    def interface_signs(self) -> np.ndarray:
+        """(ni,) +1.0 where an interface edge's global normal is its region-1 outer normal, else -1.0."""
+        return self.tri_edge_signs[self.interface_tri1, self.interface_slot].astype(float)
 
     @_cached_array
     def interface_normals(self) -> np.ndarray:
-        """(ni, 2) region-1 outer normals: the global normal flipped towards the region-2 centroid."""
-        n = self.edge_normals[self.interface_edges]
-        towards_2 = np.einsum("id,id->i", n, self.centroids[self.interface_tri2]
-                              - self.edge_midpoints[self.interface_edges])
-        return np.where(towards_2[:, None] > 0, n, -n)
-
+        """(ni, 2) region-1 outer normals: the global normals turned by the interface signs."""
+        return self.interface_signs[:, None] * self.edge_normals[self.interface_edges]
 
 def _connectivity(triangles: np.ndarray):
     """Edge table, edge->triangle adjacency and triangle->edge map.

@@ -2,11 +2,11 @@
 
 ``solve`` hybridizes region 1 (Arnold and Brezzi, M2AN 19, 1985; Boffi,
 Brezzi and Fortin, *Mixed Finite Element Methods*, 2013, section 7.2):
-the RT0 fluxes are broken per triangle, a multiplier on every interior
-region-1 edge restores their continuity, and each triangle's fluxes and
-cell pressure are eliminated locally.  The potential is decoupled: as a2
-is a region constant, psi = p2 + a2 phi solves a region-2 Laplacian on
-its own.  On a mesh that ``build_cartesian_mesh`` holds, that Laplacian is
+the RT0 fluxes are broken per triangle, a multiplier (the pressure trace)
+on every interior region-1 edge restores their continuity, and each
+triangle's fluxes and cell pressure are eliminated locally.  The potential
+is decoupled: as a2 is a region constant, psi = p2 + a2 phi solves a
+region-2 Laplacian on its own.  On a mesh that ``build_cartesian_mesh`` holds, that Laplacian is
 the 5-point Neumann stencil on two unit squares and is solved in closed
 form with cosine eigenvectors (Buzbee, Golub and Nielson, SIAM J. Numer.
 Anal. 7, 1970); on any other mesh SuperLU factors it.  SuperLU factors the
@@ -176,14 +176,14 @@ def _hybrid_factorization(system: SaddleSystem):
     The returned function maps a right-hand side of the full [u1|p2|phi|p1]
     system to its solution.  Region-1 fluxes are broken per triangle, and
     their continuity across each ``INTERIOR_1`` edge e is imposed by a
-    multiplier that enters the flux row of ``edge_tris[e, 0]`` as +1 and
-    that of ``edge_tris[e, 1]`` as -1; the whole flux load of e stays on the
-    first triangle.  Every triangle's three fluxes and its cell pressure
-    are eliminated through its 4x4 local saddle, interface fluxes too: the
-    coupling S ties an interface flux to the p2 values at its edge's ends.
-    So a flux slot reaches at most two global columns, the multiplier of
-    its edge or those two p2 values, and every condensed entry scales like
-    1/a1.
+    multiplier, the pressure trace on e: it enters the flux row of each of
+    its triangles with that triangle's outward sign of e, and the whole flux
+    load of e stays on the first triangle.  Every triangle's three fluxes
+    and its cell pressure are eliminated through its 4x4 local saddle,
+    interface fluxes too: the coupling S ties an interface flux to the p2
+    values at its edge's ends.  So a flux slot reaches at most two global
+    columns, the multiplier of its edge or those two p2 values, and every
+    condensed entry scales like 1/a1.
 
     The potential is decoupled through psi = p2 + a2 phi (phi = 0 at the
     pin).  The potential rows read K[phi] (p2 + a2 phi) = F_phi with the unit
@@ -210,8 +210,8 @@ def _hybrid_factorization(system: SaddleSystem):
     tris = lo.p1_triangles
     edges = m.tri_edges[tris]
     iface = m.edge_kind[edges] == EdgeKind.INTERFACE
-    first = m.edge_tris[edges, 0] == tris[:, None]
-    own = first | iface                                 # the triangle that loads and recovers a flux
+    # The triangle that loads and recovers a flux: the first one of its edge, or the region-1 side.
+    own = (m.edge_tris[edges, 0] == tris[:, None]) | iface
     u1_dofs = lo.edge_to_u1[edges]
 
     # Hybrid dofs: the multipliers, in u1 order, then p2.
@@ -222,21 +222,22 @@ def _hybrid_factorization(system: SaddleSystem):
     u1_to_h[multiplied] = np.arange(n_h)
 
     # The two global columns of each flux slot, (t, 3, 2) with -1 for none,
-    # and its couplings to them: +-1 to a multiplier, or S to the p2 values
-    # at the ends of an interface edge.  The p2 rows of A read -S^T.
+    # and its couplings to them: the triangle's outward sign of the edge to
+    # a multiplier, or S to the p2 values at the ends of an interface edge.
+    # The p2 rows of A read -S^T.
     cols = np.full((len(tris), 3, 2), -1, dtype=np.int64)
     cols[..., 0] = u1_to_h[u1_dofs]
+    signs = m.tri_edge_signs[tris].astype(float)
     couple = np.zeros((len(tris), 3, 2))
-    couple[..., 0] = np.where(cols[..., 0] >= 0, np.where(first, 1.0, -1.0), 0.0)
+    couple[..., 0] = np.where(cols[..., 0] >= 0, signs, 0.0)
     e = m.interface_edges
     t1 = lo.tri_to_p1[m.interface_tri1]
-    slot = (m.tri_edges[m.interface_tri1] == e[:, None]).argmax(axis=1)
-    cols[t1, slot] = n_h + lo.vert_to_p2[m.edges[e]]
-    couple[t1, slot] = _interface_coupling(m)
+    cols[t1, m.interface_slot] = n_h + lo.vert_to_p2[m.edges[e]]
+    couple[t1, m.interface_slot] = _interface_coupling(m)
     reads = np.where(iface[..., None], -couple, couple)
     valid = cols >= 0
 
-    inverse = _local_saddle_inverse(system.flux_mass, m.tri_edge_signs[tris].astype(float))
+    inverse = _local_saddle_inverse(system.flux_mass, signs)
     flux_inverse = inverse[:, :3, :3]
 
     def condensed(t, c, d):

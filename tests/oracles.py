@@ -2,8 +2,10 @@
 
 None of these runs in the package: the symmetric triangle rule and
 pointwise quadrature on one element, the hat functions, a sampled check
-that every triangle lies in the region it is tagged with, a copy of a
-mesh with its vertices off the axes and the boundary moved, an exactly
+that every triangle lies in the region it is tagged with, the edge and
+interface orientations from the geometry, a copy of a mesh with its
+vertices off the axes and the boundary moved (and a strategy drawing
+such copies), a mesh with two interface edges on one triangle, an exactly
 representable patch case with the volume load that balances its pressure
 gradient, a finite-difference check of the closed-form calculus of a
 manufactured case, the exact-field interpolant with its residual in the
@@ -24,13 +26,14 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import strategies as st
 
 from twodarcy.assembly import LINE_RULE, _edge_points, _scatter, assemble_system
 from twodarcy.manufactured import ManufacturedCase, derive_interface_data
-from twodarcy.mesh import BipartiteMesh, quadrants_of
+from twodarcy.mesh import BipartiteMesh, _finish_mesh, build_cartesian_mesh, quadrants_of
 from twodarcy.quadrature import QuadRule, _frozen, _gauss01
 from twodarcy.solver import x_norm_gram, y_norm_gram
-from twodarcy.spaces import DofLayout
+from twodarcy.spaces import DofLayout, build_dof_layout
 
 
 # -- quadrature on the reference triangle and one physical element -------------
@@ -148,11 +151,74 @@ def validate_consistency(m: BipartiteMesh, tol: float = 1e-12) -> ConsistencyRep
     return ConsistencyReport(ok=not violations, violations=violations)
 
 
+def geometric_edge_signs(m: BipartiteMesh) -> np.ndarray:
+    """(nt, 3) +1 where the global normal of a triangle's edge points away from its centroid, else -1."""
+    midpoints = m.vertices[m.edges].mean(axis=1)
+    out = np.einsum("tid,tid->ti", m.edge_normals[m.tri_edges],
+                    midpoints[m.tri_edges] - m.centroids[:, None, :])
+    return np.where(out > 0, 1, -1)
+
+
+def geometric_interface_normals(m: BipartiteMesh) -> np.ndarray:
+    """(ni, 2) global normals of the interface edges, flipped towards the region-2 centroid."""
+    e = m.interface_edges
+    n = m.edge_normals[e]
+    towards_2 = np.einsum("id,id->i", n, m.centroids[m.interface_tri2] - m.vertices[m.edges[e]].mean(axis=1))
+    return np.where(towards_2[:, None] > 0, n, -n)
+
+
+def assert_orientation_matches_geometry(m: BipartiteMesh) -> None:
+    """The mesh's edge signs, interface signs and interface normals equal the geometric ones."""
+    np.testing.assert_array_equal(m.tri_edge_signs, geometric_edge_signs(m))
+    normals = geometric_interface_normals(m)
+    np.testing.assert_array_equal(m.interface_normals, normals)
+    along = np.einsum("id,id->i", m.edge_normals[m.interface_edges], normals)
+    np.testing.assert_array_equal(m.interface_signs, np.where(along > 0, 1.0, -1.0))
+
+
 def moved_copy(m: BipartiteMesh, seed=3, amplitude=0.25) -> BipartiteMesh:
     """Copy of ``m`` with the vertices off the axes and the outer boundary moved by up to ``amplitude * h``."""
     free = np.all((m.vertices != 0.0) & (np.abs(m.vertices) < 1.0), axis=1)
     step = np.random.default_rng(seed).uniform(-amplitude, amplitude, m.vertices.shape) / m.level_inv
     return dataclasses.replace(m, vertices=m.vertices + free[:, None] * step)
+
+
+# Moved copies of the level-4 mesh, seeded, moved by up to a quarter of h.
+moved_meshes = st.builds(
+    lambda seed, amplitude: moved_copy(build_cartesian_mesh(4), seed, amplitude),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.0, max_value=0.25),
+)
+
+
+def check_moved_system(system, case) -> None:
+    """A moved copy orients its edges like its geometry, and its ``system`` holds its own K and B.
+
+    Those of the registry mesh of its level, assembled for ``case`` with
+    the same pin, must not be reused for the copy.
+    """
+    m = system.mesh
+    assert_orientation_matches_geometry(m)
+    registry = build_cartesian_mesh(m.level_inv)
+    kept = assemble_system(registry, build_dof_layout(registry, system.layout.pinned_vertex), case)
+    assert system.K is not kept.K and system.B is not kept.B
+
+
+def two_interface_edge_mesh(k):
+    """Level-``k`` mesh with the two cells at the origin split along their other diagonal.
+
+    The region-1 triangle of each at the origin, one in Q1 and one in Q3,
+    then has both of its axis edges on the interface.
+    """
+    m = build_cartesian_mesh(k)
+    n = 2 * k + 1
+    triangles = m.triangles.copy()
+    for ci in (k, k - 1):                               # cells (k, k) and (k - 1, k - 1)
+        v00 = ci * n + ci
+        v10, v01, v11 = v00 + 1, v00 + n, v00 + n + 1
+        c = ci * 2 * k + ci
+        triangles[2 * c], triangles[2 * c + 1] = (v00, v10, v01), (v10, v11, v01)
+    return _finish_mesh(k, m.vertices, triangles, m.tri_region, m.tri_quadrant)
 
 
 # -- manufactured cases ---------------------------------------------------------

@@ -16,7 +16,6 @@ from twodarcy.analysis import interface_flux_residuals
 from twodarcy.assembly import (
     LINE_RULE,
     _edge_points,
-    _interface_signs,
     assemble_A,
     assemble_rhs,
     assemble_system,
@@ -45,10 +44,11 @@ TRACE_RULE = segment_rule(2)  # exact for the P1 trace mass
 
 
 def _edge_geometry(m, pos):
+    """Edge id, segment, length and the sign that turns its global normal towards region 2."""
     e = m.interface_edges[pos]
     seg = m.vertices[m.edges[e]]
-    orient = float(np.dot(m.edge_normals[e], m.interface_normals[pos]))
-    return e, seg, m.edge_lengths[e], (1.0 if orient > 0 else -1.0)
+    towards_2 = float(np.dot(m.edge_normals[e], m.centroids[m.interface_tri2[pos]] - seg.mean(axis=0)))
+    return e, seg, m.edge_lengths[e], (1.0 if towards_2 > 0 else -1.0)
 
 
 def _segment_points(seg, rule):
@@ -103,7 +103,7 @@ def reference_flux_residuals(sol, case, m):
     out = np.empty(len(m.interface_edges))
     for pos in range(len(m.interface_edges)):
         e, seg, length, s_e = _edge_geometry(m, pos)
-        n = m.interface_normals[pos]
+        n = s_e * m.edge_normals[e]
         u1n = s_e * sol.u1[layout.edge_to_u1[e]] / length
         u2n = float(sol.u2[layout.tri_to_u2[m.interface_tri2[pos]]] @ n)
         p2h = hat @ sol.p2[layout.vert_to_p2[m.edges[e]]]
@@ -156,7 +156,7 @@ def test_interface_flux_residuals_match_per_edge_loop(case):
 
 def test_interface_quadrature_orientation_matches_edge_normals():
     m = build_cartesian_mesh(3)
-    x, s = _edge_points(m, m.interface_edges, LINE_RULE), _interface_signs(m)
+    x, s = _edge_points(m, m.interface_edges, LINE_RULE), m.interface_signs
     assert x.shape == (len(m.interface_edges), len(LINE_RULE.points), 2)
     for pos in range(len(m.interface_edges)):
         e, seg, _, s_e = _edge_geometry(m, pos)

@@ -11,7 +11,9 @@ from twodarcy.mesh import (
     quadrants_of,
 )
 
-from oracles import _SAMPLES, validate_consistency
+from oracles import (
+    _SAMPLES, assert_orientation_matches_geometry, moved_copy, two_interface_edge_mesh, validate_consistency,
+)
 
 
 def test_level1_counts():
@@ -80,7 +82,7 @@ def test_interface_edges_lie_on_axes():
 def test_interface_normal_convention():
     m = build_cartesian_mesh(2)
     for pos, e in enumerate(m.interface_edges):
-        mid = m.edge_midpoints[e]
+        mid = m.vertices[m.edges[e]].mean(axis=0)
         n = m.interface_normals[pos]
         if mid[1] == 0.0 and mid[0] > 0:
             np.testing.assert_allclose(n, [0.0, -1.0])
@@ -105,10 +107,22 @@ def test_a_rotated_copy_derives_its_own_signs_and_normals():
     across = turned.centroids[turned.interface_tri2] - turned.centroids[turned.interface_tri1]
     assert np.all(np.einsum("id,id->i", n, across) > 0)
     np.testing.assert_allclose(n, m.interface_normals @ rotation, atol=1e-15)
-    out = np.einsum("tid,tid->ti", turned.edge_normals[turned.tri_edges],
-                    turned.edge_midpoints[turned.tri_edges] - turned.centroids[:, None, :])
-    np.testing.assert_array_equal(turned.tri_edge_signs, np.sign(out))
+    assert_orientation_matches_geometry(turned)
     np.testing.assert_array_equal(turned.tri_edge_signs, m.tri_edge_signs)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: build_cartesian_mesh(1), id="level1"),
+    pytest.param(lambda: build_cartesian_mesh(3), id="level3"),
+    pytest.param(lambda: build_cartesian_mesh(8), id="level8"),
+    pytest.param(lambda: moved_copy(build_cartesian_mesh(4)), id="moved4"),
+    pytest.param(lambda: moved_copy(build_cartesian_mesh(8), seed=7), id="moved8"),
+    pytest.param(lambda: two_interface_edge_mesh(4), id="two_interface_edges4"),
+])
+def test_orientation_follows_the_vertex_order(make):
+    # The signs come from the counterclockwise vertex order alone; the
+    # geometric reference reads the normals, midpoints and centroids.
+    assert_orientation_matches_geometry(make())
 
 
 def test_edge_kinds_partition():

@@ -19,8 +19,8 @@ from twodarcy.mesh import build_cartesian_mesh
 from twodarcy.solver import solve
 from twodarcy.spaces import build_dof_layout
 
-GEOMETRY = ("areas", "centroids", "hat_gradients", "edge_vectors", "edge_lengths",
-            "edge_midpoints", "edge_normals", "tri_edge_signs", "interface_normals")
+GEOMETRY = ("areas", "centroids", "hat_gradients", "edge_vectors", "edge_lengths", "edge_normals",
+            "tri_edge_signs", "interface_slot", "interface_signs", "interface_normals")
 
 
 def test_a_held_level_is_shared():
@@ -32,7 +32,8 @@ def test_a_held_level_is_shared():
     assert build_dof_layout(m) is layout
     assert build_dof_layout(m, pin_vertex=np.int64(layout.pinned_vertex + 1)) is not layout
     first, second = assemble_system(m, layout, example1()), assemble_system(m, layout, example4())
-    assert second.K is first.K and second.B is first.B
+    assert second.K is first.K and second.B is first.B and second.Bt is first.Bt
+    assert np.shares_memory(first.Bt.data, first.B.data)  # the transpose adds no memory
     assert second.C is not first.C
 
 

@@ -9,10 +9,10 @@ from hypothesis import example, given
 from twodarcy import solver
 from twodarcy.analysis import convergence_study, error_norms
 from twodarcy.assembly import (
-    CoefficientSet, _interface_signs, assemble_A, assemble_system, p1_stiffness_omega2,
+    CoefficientSet, assemble_A, assemble_system, p1_stiffness_omega2,
 )
 from twodarcy.manufactured import example1, example2, example3, example4
-from twodarcy.mesh import EdgeKind, _finish_mesh, _region2_grids, build_cartesian_mesh
+from twodarcy.mesh import EdgeKind, _region2_grids, build_cartesian_mesh
 from twodarcy.solver import (
     SolverError,
     _cosine_laplacian,
@@ -24,7 +24,10 @@ from twodarcy.solver import (
 )
 from twodarcy.spaces import build_dof_layout
 
-from oracles import full_lu_solve, full_matrix, moved_copy, with_coefficients
+from oracles import (
+    check_moved_system, full_lu_solve, full_matrix, moved_copy, moved_meshes, two_interface_edge_mesh,
+    with_coefficients,
+)
 from test_coefficients import coefficients, derandomized
 
 
@@ -234,27 +237,40 @@ def test_solve_matches_full_matrix_lu(variant, level):
         _assert_matches_full_lu(assemble_system(m, build_dof_layout(m), CASE_VARIANTS[variant]()))
 
 
-def _two_interface_edge_mesh(k):
-    """Level-``k`` mesh with the two cells at the origin split along their other diagonal.
+def test_multipliers_are_the_pressure_trace(monkeypatch):
+    # Each multiplier enters the flux rows of its two triangles with their
+    # outward signs of its edge, so it approximates p there: the gap to p at
+    # the edge midpoints shrinks with h.  The first solve of the hybrid
+    # factor returns [multipliers | p2].
+    solved = []
+    factor = solver._factor
 
-    The region-1 triangle of each at the origin, one in Q1 and one in Q3,
-    then has both of its axis edges on the interface.
-    """
-    m = build_cartesian_mesh(k)
-    n = 2 * k + 1
-    triangles = m.triangles.copy()
-    for ci in (k, k - 1):                               # cells (k, k) and (k - 1, k - 1)
-        v00 = ci * n + ci
-        v10, v01, v11 = v00 + 1, v00 + n, v00 + n + 1
-        c = ci * 2 * k + ci
-        triangles[2 * c], triangles[2 * c + 1] = (v00, v10, v01), (v10, v11, v01)
-    return _finish_mesh(k, m.vertices, triangles, m.tri_region, m.tri_quadrant)
+    class Recording:
+        def __init__(self, matrix):
+            self.lu = factor(matrix)
+
+        def solve(self, b):
+            solved.append(self.lu.solve(b))
+            return solved[-1]
+
+    monkeypatch.setattr(solver, "_factor", Recording)
+    case, gaps = example1(), []
+    for level in (8, 16, 32):
+        m = build_cartesian_mesh(level)
+        layout = build_dof_layout(m)
+        solved.clear()
+        solve(assemble_system(m, layout, case))
+        edges = layout.u1_edges[m.edge_kind[layout.u1_edges] == EdgeKind.INTERIOR_1]
+        mid = m.vertices[m.edges[edges]].mean(axis=1)
+        gaps.append(np.abs(solved[0][:len(edges)] - case.p_at(mid[:, 0], mid[:, 1])).max())
+    assert gaps[0] <= 4e-3
+    assert gaps[1] <= gaps[0] / 2 and gaps[2] <= gaps[1] / 2, gaps
 
 
 @pytest.mark.parametrize("level", [2, 4, 8])
 @pytest.mark.parametrize("variant", ["example1", "example2_paper_literal", "example4"])
 def test_solve_region1_triangle_with_two_interface_edges(variant, level):
-    m = _two_interface_edge_mesh(level)
+    m = two_interface_edge_mesh(level)
     on_interface = (m.edge_kind[m.tri_edges] == EdgeKind.INTERFACE).sum(axis=1)
     assert np.count_nonzero((on_interface == 2) & (m.tri_region == 1)) == 2
     system = assemble_system(m, build_dof_layout(m), CASE_VARIANTS[variant]())
@@ -339,22 +355,25 @@ def test_coefficient_contrast_keeps_rates(a1, a2):
 
 
 @derandomized
-@given(coefficients)
-def test_solve_superposes_loads(coeffs):
-    m = build_cartesian_mesh(4)
-    system = assemble_system(m, build_dof_layout(m), with_coefficients(example4(), coeffs))
-    rng = np.random.default_rng(11)
-    # Every load is random, the potential rows of F2 (where psi0 enters) too.
-    f1a, f1b = rng.standard_normal((2, len(system.F1)))
-    f2a, f2b = rng.standard_normal((2, len(system.F2)))
+@given(coefficients, moved_meshes)
+def test_solve_superposes_loads(coeffs, moved):
+    case = with_coefficients(example4(), coeffs)
+    for m in (build_cartesian_mesh(4), moved):
+        system = assemble_system(m, build_dof_layout(m), case)
+        if m is moved:
+            check_moved_system(system, case)
+        rng = np.random.default_rng(11)
+        # Every load is random, the potential rows of F2 (where psi0 enters) too.
+        f1a, f1b = rng.standard_normal((2, len(system.F1)))
+        f2a, f2b = rng.standard_normal((2, len(system.F2)))
 
-    def solution(f1, f2):
-        sol = solve(dataclasses.replace(system, F1=f1, F2=f2))
-        return np.concatenate([sol.u1, sol.p2, sol.phi, sol.p1])
+        def solution(f1, f2):
+            sol = solve(dataclasses.replace(system, F1=f1, F2=f2))
+            return np.concatenate([sol.u1, sol.p2, sol.phi, sol.p1])
 
-    both = solution(f1a + f1b, f2a + f2b)
-    parts = solution(f1a, f2a) + solution(f1b, f2b)
-    assert np.abs(both - parts).max() <= 1e-10 * np.abs(both).max()
+        both = solution(f1a + f1b, f2a + f2b)
+        parts = solution(f1a, f2a) + solution(f1b, f2b)
+        assert np.abs(both - parts).max() <= 1e-10 * np.abs(both).max()
 
 
 @derandomized
@@ -385,45 +404,51 @@ def test_example1_level2_velocity_error():
 
 
 @derandomized
-@given(coefficients)
-@example(CoefficientSet(1.0, 1.0, 1.0))
-def test_pin_independence(coeffs):
+@given(coefficients, moved_meshes)
+@example(CoefficientSet(1.0, 1.0, 1.0), moved_copy(build_cartesian_mesh(4)))
+def test_pin_independence(coeffs, moved):
     case = with_coefficients(example1(), coeffs)
-    m = build_cartesian_mesh(2)
-    other_pin = int(build_dof_layout(m).p2_vertices[-1])
-    sol_a, sol_b = (
-        solve(assemble_system(m, build_dof_layout(m, pin_vertex=pin), case))
-        for pin in (None, other_pin)
-    )
-    for field in ("u1", "p2", "p1", "u2"):
-        a, b = getattr(sol_a, field), getattr(sol_b, field)
-        assert np.abs(a - b).max() <= 1e-10 * np.abs(a).max()
-    # the raw potential shifts by a constant only
-    nodal_a = np.zeros(m.n_vertices)
-    nodal_b = np.zeros(m.n_vertices)
-    la, lb = sol_a.layout, sol_b.layout
-    nodal_a[la.vert_to_phi >= 0] = sol_a.phi[la.vert_to_phi[la.vert_to_phi >= 0]]
-    nodal_b[lb.vert_to_phi >= 0] = sol_b.phi[lb.vert_to_phi[lb.vert_to_phi >= 0]]
-    shift = nodal_a[la.p2_vertices] - nodal_b[la.p2_vertices]
-    assert np.abs(shift - shift[0]).max() <= 1e-10 * np.abs(nodal_a).max()
+    for m in (build_cartesian_mesh(2), moved):
+        other_pin = int(build_dof_layout(m).p2_vertices[-1])
+        system_a, system_b = (
+            assemble_system(m, build_dof_layout(m, pin_vertex=pin), case) for pin in (None, other_pin)
+        )
+        if m is moved:
+            check_moved_system(system_a, case)
+            check_moved_system(system_b, case)
+        sol_a, sol_b = solve(system_a), solve(system_b)
+        for field in ("u1", "p2", "p1", "u2"):
+            a, b = getattr(sol_a, field), getattr(sol_b, field)
+            assert np.abs(a - b).max() <= 1e-10 * np.abs(a).max()
+        # the raw potential shifts by a constant only
+        nodal_a = np.zeros(m.n_vertices)
+        nodal_b = np.zeros(m.n_vertices)
+        la, lb = sol_a.layout, sol_b.layout
+        nodal_a[la.vert_to_phi >= 0] = sol_a.phi[la.vert_to_phi[la.vert_to_phi >= 0]]
+        nodal_b[lb.vert_to_phi >= 0] = sol_b.phi[lb.vert_to_phi[lb.vert_to_phi >= 0]]
+        shift = nodal_a[la.p2_vertices] - nodal_b[la.p2_vertices]
+        assert np.abs(shift - shift[0]).max() <= 1e-10 * np.abs(nodal_a).max()
 
 
 @derandomized
-@given(coefficients)
-def test_interface_balance(coeffs):
+@given(coefficients, moved_meshes)
+def test_interface_balance(coeffs, moved):
     # The sum of the p2 rows: the rows of K sum to zero, each coupling row of
     # S sums to s_e, and the trace mass sums to beta |e| (p2_a + p2_b) / 2.
-    m = build_cartesian_mesh(4)
-    layout = build_dof_layout(m)
-    e = m.interface_edges
-    for base in (example1(), example4()):
-        system = assemble_system(m, layout, with_coefficients(base, coeffs))
-        sol = solve(system)
-        flux = _interface_signs(m) * sol.u1[layout.edge_to_u1[e]]
-        storage = coeffs.beta * m.edge_lengths[e] * sol.p2[layout.vert_to_p2[m.edges[e]]].sum(axis=1) / 2
-        load = system.F1[layout.offset_p2:]
-        scale = max(np.abs(terms).max() for terms in (flux, storage, load))
-        assert abs(flux.sum() - (storage.sum() - load.sum())) <= 1e-10 * scale
+    for m in (build_cartesian_mesh(4), moved):
+        layout = build_dof_layout(m)
+        e = m.interface_edges
+        for base in (example1(), example4()):
+            case = with_coefficients(base, coeffs)
+            system = assemble_system(m, layout, case)
+            if m is moved:
+                check_moved_system(system, case)
+            sol = solve(system)
+            flux = m.interface_signs * sol.u1[layout.edge_to_u1[e]]
+            storage = coeffs.beta * m.edge_lengths[e] * sol.p2[layout.vert_to_p2[m.edges[e]]].sum(axis=1) / 2
+            load = system.F1[layout.offset_p2:]
+            scale = max(np.abs(terms).max() for terms in (flux, storage, load))
+            assert abs(flux.sum() - (storage.sum() - load.sum())) <= 1e-10 * scale
 
 
 def test_linearity_in_the_data():
