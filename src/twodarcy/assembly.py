@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import BipartiteMesh, _kept
+from .mesh import BipartiteMesh, _check_orientation, _kept
 from .quadrature import segment_rule
 from .spaces import DofLayout
 
@@ -295,7 +295,11 @@ def _unit_operators(m: BipartiteMesh, layout: DofLayout) -> tuple[sp.csr_matrix,
 
 
 def assemble_system(m: BipartiteMesh, layout: DofLayout, case) -> SaddleSystem:
-    """Compose the four blocks and the load vectors for one case."""
+    """Compose the four blocks and the load vectors for one case.
+
+    Raises ``ValueError`` for a mesh with a clockwise or zero-area triangle.
+    """
+    _check_orientation(m)
     coeffs = case.coefficient_set()
     coeffs.validate()
     flux_mass = rt0_local_mass(m, layout.p1_triangles, coeffs.a1)

@@ -52,7 +52,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 def _freeze(value):
     """Make the array attributes of ``value``, or of each item of a tuple ``value``, read-only."""
     for item in value if isinstance(value, tuple) else (value,):
-        for attribute in vars(item).values():
+        for attribute in getattr(item, "__dict__", {}).values():
             if isinstance(attribute, np.ndarray):
                 _read_only(attribute)
     return value
@@ -67,6 +67,24 @@ def _kept(m, key, build):
     if key not in kept:
         kept[key] = _freeze(build())
     return kept[key]
+
+
+def _check_orientation(m) -> None:
+    """Raise ``ValueError`` unless every triangle of ``m`` is counterclockwise with a positive area.
+
+    Every orientation is derived from the vertex order, so a clockwise or
+    degenerate triangle would assemble and solve into meaningless fields.
+    A mesh that passes is not checked again.
+    """
+    def check():
+        bad = np.flatnonzero(~(m.areas > 0.0))
+        if len(bad):
+            raise ValueError(
+                f"{len(bad)} of {m.n_triangles} triangles are clockwise or have zero area (triangle "
+                f"{bad[0]}: signed area {m.areas[bad[0]]:.3g}); triangles must be counterclockwise"
+            )
+
+    _kept(m, "counterclockwise", check)
 
 
 def _cached_array(method):

@@ -6,14 +6,19 @@ the RT0 fluxes are broken per triangle, a multiplier (the pressure trace)
 on every interior region-1 edge restores their continuity, and each
 triangle's fluxes and cell pressure are eliminated locally.  The potential
 is decoupled: as a2 is a region constant, psi = p2 + a2 phi solves a
-region-2 Laplacian on its own.  On a mesh that ``build_cartesian_mesh`` holds, that Laplacian is
-the 5-point Neumann stencil on two unit squares and is solved in closed
-form with cosine eigenvectors (Buzbee, Golub and Nielson, SIAM J. Numer.
-Anal. 7, 1970); on any other mesh SuperLU factors it.  SuperLU factors the
-condensed system of the multipliers and p2, with a zero-free diagonal
-(negative on the multipliers, positive on p2), with a symmetric-mode
-minimum-degree ordering instead of COLAMD with partial pivoting.  At
-level 96 its fill is 2.1M, against 14.0M for the full saddle matrix.
+region-2 Laplacian on its own.  On a mesh that ``build_cartesian_mesh``
+holds, that Laplacian is the 5-point Neumann stencil on two unit squares
+and is solved in closed form with cosine eigenvectors (Buzbee, Golub and
+Nielson, SIAM J. Numer. Anal. 7, 1970), and the p2 unknowns off the
+interface cross, where p2 meets only the same stencil, are eliminated in
+closed form with quarter-wave sines (the capacitance-matrix method of
+Buzbee, Dorr, George and Golub, SIAM J. Numer. Anal. 8, 1971); on any other
+mesh SuperLU factors the Laplacian and keeps every p2 unknown.  SuperLU
+factors the condensed system of the multipliers and the kept p2, with a
+zero-free diagonal (negative on the multipliers, positive on p2), with a
+symmetric-mode minimum-degree ordering instead of COLAMD with partial
+pivoting.  At level 96 that is 55,297 unknowns with a fill of 1.19M,
+against 14.0M for the full saddle matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import scipy.sparse.linalg as spla
 from .assembly import (
     SaddleSystem, _interface_coupling, _p1_local_stiffness, _scatter, _scatter_entries, rt0_local_mass,
 )
-from .mesh import EdgeKind, _region2_grids
+from .mesh import EdgeKind, _kept, _region2_grids
 from .spaces import potential_to_velocity
 
 __all__ = [
@@ -130,27 +135,39 @@ def _local_saddle_inverse(mass: np.ndarray, s: np.ndarray) -> np.ndarray:
     return inverse
 
 
+def _separable_square(vectors: np.ndarray, lam: np.ndarray, w: np.ndarray):
+    """Closed-form solve of (T (x) E + E (x) T) X = F on a square grid, and its spectral scale.
+
+    From the 1D generalized eigenpairs T V = E V diag(lam) with V^T E V =
+    diag(w), X = V [(V^T F V) / scale] V^T with scale = w w^T (lam_a + lam_b)
+    (Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970); F may hold a
+    stack of squares.  A zero of scale, the constant mode of a Neumann
+    square, is free: that mode is set to 0.
+    """
+    vt = np.ascontiguousarray(vectors.T)
+    scale = np.outer(w, w) * (lam[:, None] + lam[None, :])
+    scale[scale == 0.0] = np.inf
+    return (lambda f: vectors @ (vt @ f @ vectors / scale) @ vt), scale
+
+
 def _cosine_laplacian(grids: np.ndarray, phi: np.ndarray, pin: int):
     """Closed-form solve of K_phiphi psi0 = F_phi on the two region-2 squares of a uniform mesh.
 
     ``grids`` holds the (2, k+1, k+1) p2 indices of Q2 and Q4, both starting
     at the origin.  On one square K is T (x) E + E (x) T, with T =
-    tridiag(-1, [1, 2, ..., 2, 1], -1) and E = diag(1/2, 1, ..., 1, 1/2); the
-    cosines V[i, a] = cos(pi i a / k) give T V = E V diag(lam) and V^T E V =
-    diag(w), so a load F with zero sum is solved, up to a constant, by
-    V [(V^T F V) / (w w^T (lam_a + lam_b))] V^T.  The load, extended by
-    -sum(F_phi) on the pin row, is split at the origin so that each square's
-    part sums to zero; Q2 is then shifted to Q4's origin value and the pin
-    value is subtracted.
+    tridiag(-1, [1, 2, ..., 2, 1], -1) and E = diag(1/2, 1, ..., 1, 1/2),
+    whose eigenvectors are the cosines V[i, a] = cos(pi i a / k)
+    (``_separable_square``), so a load with zero sum is solved up to a
+    constant.  The load, extended by -sum(F_phi) on the pin row, is split at
+    the origin so that each square's part sums to zero; Q2 is then shifted
+    to Q4's origin value and the pin value is subtracted.
     """
     k = grids.shape[-1] - 1
     modes = np.arange(k + 1)
-    cosines = np.cos(np.pi / k * (np.outer(modes, modes) % (2 * k)))    # symmetric: V = V^T
-    lam = 2.0 - 2.0 * np.cos(np.pi / k * modes)
     w = np.full(k + 1, k / 2.0)
     w[[0, -1]] = k
-    scale = np.outer(w, w) * (lam[:, None] + lam[None, :])
-    scale[0, 0] = np.inf                                # the constant mode is free: set it to 0
+    square, _ = _separable_square(np.cos(np.pi / k * (np.outer(modes, modes) % (2 * k))),
+                                  2.0 - 2.0 * np.cos(np.pi / k * modes), w)
     n_p2 = len(phi) + 1
 
     def solve_laplacian(f_phi):
@@ -161,13 +178,112 @@ def _cosine_laplacian(grids: np.ndarray, phi: np.ndarray, pin: int):
         loads[0, 0, 0] = 0.0
         loads[0, 0, 0] = -loads[0].sum()
         loads[1, 0, 0] -= loads[0, 0, 0]
-        x = cosines @ (cosines @ loads @ cosines / scale) @ cosines
+        x = square(loads)
         x[0] += x[1, 0, 0] - x[0, 0, 0]
         psi = np.empty(n_p2)
         psi[grids] = x
         return psi[phi] - psi[pin]
 
     return solve_laplacian
+
+
+def _interior_square(k: int):
+    """``_separable_square`` of K on the off-axis vertices of one region-2 square, and E_D's diagonal.
+
+    On the vertices (a, b), a, b = 1..k, K is T_D (x) E_D + E_D (x) T_D with
+    T_D = tridiag(-1, [2, ..., 2, 1], -1) and E_D = diag(1, ..., 1, 1/2):
+    Dirichlet at the axes, Neumann at the outer sides.  Its eigenvectors are
+    the quarter-wave sines V[i, c] = sin((2c - 1) pi i / (2k)), i, c = 1..k,
+    with V^T E_D V = (k / 2) I.  Returns V, the solve and scale of
+    ``_separable_square``, and the diagonal of E_D.
+    """
+    steps = np.arange(1, k + 1)
+    odd = 2 * steps - 1
+    vectors = np.sin(np.pi / (2 * k) * (np.outer(steps, odd) % (4 * k)))
+    lam = 2.0 - 2.0 * np.cos(np.pi / (2 * k) * odd)
+    edge = np.ones(k)
+    edge[-1] = 0.5
+    return vectors, *_separable_square(vectors, lam, np.full(k, k / 2.0)), edge
+
+
+def _axis_schur(k: int) -> np.ndarray:
+    """K_GI K_II^-1 K_IG of one region-2 square on its 2k off-origin axis vertices G, in closed form.
+
+    G lists the vertices (a, 0), a = 1..k, then (0, b), b = 1..k; K_IG ties
+    each to its off-axis neighbour, (a, 1) or (1, b), with weight -E_D[a, a]
+    or -E_D[b, b] (``_interior_square``).  With U = E_D V, v the first row of V and
+    R = 1 / scale, the (a, 0) block is U diag(R v^2) U^T, as is the (0, b)
+    block, and the coupling between them is U (v v^T * R) U^T: a few dense
+    products instead of a factorization (the capacitance matrix of Buzbee,
+    Dorr, George and Golub, SIAM J. Numer. Anal. 8, 1971).
+    """
+    vectors, _, scale, edge = _interior_square(k)
+    u = edge[:, None] * vectors
+    first = vectors[0]
+    inverse = 1.0 / scale
+    along = (u * (inverse @ first**2)) @ u.T
+    across = u @ (first[:, None] * inverse * first) @ u.T
+    return np.block([[along, across], [across.T, along]])
+
+
+@dataclass(frozen=True)
+class _Region2Interior:
+    """The off-axis p2 unknowns of the two region-2 squares of a registry mesh, eliminated in closed form.
+
+    Off the interface cross, a p2 row of the hybrid system holds only K / a2
+    (M_beta and the condensed interface terms touch the cross alone), so the
+    interior I of each square is removed by its Schur complement: SuperLU
+    keeps the p2 unknowns on the cross, whose stiffness is the
+    Steklov-Poincare operator K_GG - K_GI K_II^-1 K_IG, and y_I is recovered
+    from y_G with two closed-form interior solves (``_interior_square``).
+    """
+
+    cross: np.ndarray     # (4k+1,) p2 indices on the cross, ascending: the p2 unknowns SuperLU keeps
+    to_cross: np.ndarray  # (n_p2,) index of each p2 unknown in ``cross``, -1 off the cross
+    interior: np.ndarray  # (2, k, k) p2 indices of the vertices (a, b), a, b = 1..k, of Q2 and Q4
+    axes: np.ndarray      # (2, 2, k) p2 indices of (a, 0) and of (0, b), a, b = 1..k
+    rows: np.ndarray      # the unit stiffness of region 2 on ``cross``, interior eliminated,
+    cols: np.ndarray      # as (rows, cols, vals) on ``cross`` indices
+    vals: np.ndarray
+    edge: np.ndarray      # (k,) diagonal of E_D: -K_IG of the axis vertex next to each interior one
+    solve: object         # K_II^-1 on a (2, k, k) load
+
+    @classmethod
+    def of(cls, layout, grids: np.ndarray, k_unit: sp.csr_matrix) -> "_Region2Interior":
+        """The elimination on the grids ``grids`` of ``_region2_grids``, with the unit stiffness ``k_unit``."""
+        p2 = layout.vert_to_p2[grids]
+        interior = p2[:, 1:, 1:]
+        axes = np.stack([p2[:, 1:, 0], p2[:, 0, 1:]], axis=1)
+        on_cross = np.ones(layout.n_p2, dtype=bool)
+        on_cross[interior] = False
+        cross = np.flatnonzero(on_cross)
+        to_cross = np.full(layout.n_p2, -1, dtype=np.int64)
+        to_cross[cross] = np.arange(len(cross))
+        k = interior.shape[-1]
+        gamma = to_cross[axes.reshape(2, 2 * k)]
+        stiffness = k_unit[cross][:, cross].tocoo()
+        stiffness = sp.coo_matrix((
+            np.concatenate([stiffness.data, -np.tile(_axis_schur(k).ravel(), 2)]),
+            (np.concatenate([stiffness.row, np.repeat(gamma, 2 * k, axis=1).ravel()]),
+             np.concatenate([stiffness.col, np.tile(gamma, 2 * k).ravel()])),
+        ), shape=(len(cross), len(cross)))
+        stiffness.sum_duplicates()
+        _, solve, _, edge = _interior_square(k)
+        return cls(cross=cross, to_cross=to_cross, interior=interior, axes=axes, rows=stiffness.row,
+                   cols=stiffness.col, vals=stiffness.data, edge=edge, solve=solve)
+
+    def condense(self, g_p2: np.ndarray) -> None:
+        """Move the interior part of the p2 load ``g_p2`` onto the axes: g_G -= K_GI K_II^-1 g_I, in place."""
+        x = self.solve(g_p2[self.interior])
+        g_p2[self.axes[:, 0]] += self.edge * x[:, :, 0]
+        g_p2[self.axes[:, 1]] += self.edge * x[:, 0, :]
+
+    def recover(self, p2: np.ndarray, g_p2: np.ndarray, a2: float) -> None:
+        """Fill the interior of ``p2`` from its cross: y_I = K_II^-1 (a2 g_I - K_IG y_G)."""
+        load = a2 * g_p2[self.interior]
+        load[:, :, 0] += self.edge * p2[self.axes[:, 0]]
+        load[:, 0, :] += self.edge * p2[self.axes[:, 1]]
+        p2[self.interior] = self.solve(load)
 
 
 def _hybrid_factorization(system: SaddleSystem):
@@ -195,10 +311,18 @@ def _hybrid_factorization(system: SaddleSystem):
     so psi0 only recovers phi.  On a mesh that ``build_cartesian_mesh``
     holds, K_phiphi psi0 = F_phi is solved in closed form on the two
     region-2 squares (``_cosine_laplacian``); on any other mesh SuperLU
-    factors K_phiphi.  SuperLU factors [multipliers | p2], with a zero-free
+    factors K_phiphi.
+
+    On such a mesh, too, a p2 row off the interface cross holds K / a2
+    alone, so the interior of each region-2 square is eliminated in closed
+    form (``_Region2Interior``): its load is condensed onto the axes, the
+    cross carries the Steklov-Poincare stiffness (K_GG - K_GI K_II^-1 K_IG)
+    / a2, and the interior values are recovered after the solve.  SuperLU
+    then factors [multipliers | cross p2], 4k + 1 p2 unknowns at level k;
+    on any other mesh it factors [multipliers | p2].  Either has a zero-free
     diagonal: with N the flux block of a local saddle inverse, a
     multiplier's diagonal is a sum of -N_ii, negative, and that of p2 adds
-    the condensed S N S^T to M_beta + K / a2, positive.
+    the condensed S N S^T to M_beta plus the stiffness over a2, positive.
     """
     m, lo = system.mesh, system.layout
     n_u1, n_p2 = lo.n_u1, lo.n_p2
@@ -214,10 +338,21 @@ def _hybrid_factorization(system: SaddleSystem):
     own = (m.edge_tris[edges, 0] == tris[:, None]) | iface
     u1_dofs = lo.edge_to_u1[edges]
 
-    # Hybrid dofs: the multipliers, in u1 order, then p2.
+    # The p2 unknowns SuperLU keeps, and their region-2 stiffness as (rows, cols, vals).
+    grids = _region2_grids(m)
+    if grids is None:
+        interior, kept, to_kept = None, slice(None), np.arange(n_p2)
+        stiffness = system.K.tocoo()
+        stiffness = stiffness.row, stiffness.col, stiffness.data
+    else:
+        interior = _kept(m, "region-2 interior", lambda: _Region2Interior.of(lo, grids, system.K))
+        kept, to_kept = interior.cross, interior.to_cross
+        stiffness = interior.rows, interior.cols, interior.vals
+
+    # Hybrid dofs: the multipliers, in u1 order, then the kept p2.
     multiplied = m.edge_kind[lo.u1_edges] == EdgeKind.INTERIOR_1
     n_h = int(multiplied.sum())
-    n = n_h + n_p2
+    n = n_h + (n_p2 if interior is None else len(interior.cross))
     u1_to_h = np.full(n_u1, -1, dtype=np.int64)
     u1_to_h[multiplied] = np.arange(n_h)
 
@@ -232,7 +367,7 @@ def _hybrid_factorization(system: SaddleSystem):
     couple[..., 0] = np.where(cols[..., 0] >= 0, signs, 0.0)
     e = m.interface_edges
     t1 = lo.tri_to_p1[m.interface_tri1]
-    cols[t1, m.interface_slot] = n_h + lo.vert_to_p2[m.edges[e]]
+    cols[t1, m.interface_slot] = n_h + to_kept[lo.vert_to_p2[m.edges[e]]]
     couple[t1, m.interface_slot] = _interface_coupling(m)
     reads = np.where(iface[..., None], -couple, couple)
     valid = cols >= 0
@@ -249,17 +384,18 @@ def _hybrid_factorization(system: SaddleSystem):
     side = np.flatnonzero(iface.any(axis=1))
     parts = [condensed(slice(None), 0, 0)] + [condensed(side, c, d) for c, d in ((0, 1), (1, 0), (1, 1))]
     vals, rows, h_cols = map(np.concatenate, zip(*(_scatter_entries(*part) for part in parts)))
-    # The [p2 | p2] block of A is M_beta; K / a2 is added to it.
-    a = system.A[n_u1:, n_u1:].tocoo()
-    k = system.K.tocoo()
+    # M_beta, the [p2 | p2] block of A, read off its CSR rows; the stiffness / a2 is added to it.
+    a, start = system.A, system.A.indptr[n_u1]
+    a_rows = np.repeat(np.arange(n_p2), np.diff(a.indptr[n_u1:]))
+    a_cols = a.indices[start:] - n_u1
+    on_p2 = a_cols >= 0
     hybrid = sp.csc_matrix((
-        np.concatenate([a.data, k.data / a2, vals]),
-        (np.concatenate([a.row + n_h, k.row + n_h, rows]),
-         np.concatenate([a.col + n_h, k.col + n_h, h_cols])),
+        np.concatenate([a.data[start:][on_p2], stiffness[2] / a2, vals]),
+        (np.concatenate([n_h + to_kept[a_rows[on_p2]], n_h + stiffness[0], rows]),
+         np.concatenate([n_h + to_kept[a_cols[on_p2]], n_h + stiffness[1], h_cols])),
     ), shape=(n, n))
     hybrid.eliminate_zeros()
     lu = _factor(hybrid)
-    grids = _region2_grids(m)
     laplacian = (_factor(system.K[phi][:, phi]).solve if grids is None
                  else _cosine_laplacian(lo.vert_to_p2[grids], phi, pin))
 
@@ -269,16 +405,22 @@ def _hybrid_factorization(system: SaddleSystem):
         load[:, :3] = np.where(own, b[u1_dofs], 0.0)
         load[:, 3] = b[lo.offset_p1:]
         z = np.einsum("tij,tj->ti", inverse, load)
+        g_p2 = b[n_u1:lo.offset_phi].copy()
+        g_p2[phi] += f_phi / a2
+        g_p2[pin] -= f_phi.sum() / a2
+        if interior is not None:
+            interior.condense(g_p2)
         g = np.zeros(n)
-        g[n_h:] = b[n_u1:lo.offset_phi]
-        g[n_h + phi] += f_phi / a2
-        g[n_h + pin] -= f_phi.sum() / a2
+        g[n_h:] = g_p2[kept]
         g -= np.bincount(cols[valid], (reads * z[:, :3, None])[valid], minlength=n)
         y = lu.solve(g)
         z -= np.einsum("tij,tj->ti", inverse[:, :, :3], (couple * y[cols]).sum(axis=-1))
         u1 = np.empty(n_u1)
         u1[u1_dofs[own]] = z[:, :3][own]
-        p2 = y[n_h:]
+        p2 = np.empty(n_p2)
+        p2[kept] = y[n_h:]
+        if interior is not None:
+            interior.recover(p2, g_p2, a2)
         return np.concatenate([u1, p2, (laplacian(f_phi) + p2[pin] - p2[phi]) / a2, z[:, 3]])
 
     return solve_full
@@ -289,11 +431,13 @@ def solve(system: SaddleSystem) -> SolutionFields:
 
     Region 1 is hybridized and condensed element by element, and the
     potential is decoupled through psi = p2 + a2 phi (see
-    ``_hybrid_factorization``).  The region-2 Laplacian of psi is solved in
-    closed form on a mesh that ``build_cartesian_mesh`` holds and factored
-    by SuperLU on any other; SuperLU factors the condensed [multipliers |
-    p2] system, with a zero-free diagonal (negative on the multipliers,
-    positive on p2), with a symmetric-mode minimum-degree ordering.  One
+    ``_hybrid_factorization``).  On a mesh that ``build_cartesian_mesh``
+    holds, the region-2 Laplacian of psi is solved in closed form and the
+    p2 unknowns off the interface cross are eliminated in closed form, so
+    SuperLU factors the condensed [multipliers | cross p2] system; on any
+    other mesh it factors the Laplacian and [multipliers | p2].  The
+    condensed system has a zero-free diagonal (negative on the multipliers,
+    positive on p2) and a symmetric-mode minimum-degree ordering.  One
     step of iterative refinement against the residual of the full saddle
     system, applied block by block, follows, and the guard checks that
     residual relative to the largest load entry.

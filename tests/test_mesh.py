@@ -3,6 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from twodarcy import assembly
+from twodarcy.assembly import assemble_system
+from twodarcy.manufactured import example4
 from twodarcy.mesh import (
     REGION_OF_QUADRANT,
     EdgeKind,
@@ -10,6 +13,7 @@ from twodarcy.mesh import (
     build_cartesian_mesh,
     quadrants_of,
 )
+from twodarcy.spaces import build_dof_layout
 
 from oracles import (
     _SAMPLES, assert_orientation_matches_geometry, moved_copy, two_interface_edge_mesh, validate_consistency,
@@ -41,6 +45,46 @@ def test_count_identities_and_area(level):
     assert len(m.interface_edges) == 4 * level
     assert abs(m.areas.sum() - 4.0) <= 1e-12
     assert np.all(m.areas > 0)
+
+
+def _reflected(level):
+    """The level's mesh reflected across y = x: the regions stay, every triangle turns clockwise."""
+    m = build_cartesian_mesh(level)
+    return dataclasses.replace(m, vertices=m.vertices[:, ::-1].copy())
+
+
+def _collapsed(level):
+    """A copy with the vertex (1/4, 1/4) moved onto (1/2, 1/4): two triangles have zero area."""
+    m = build_cartesian_mesh(level)
+    vertices = m.vertices.copy()
+    vertices[(vertices == [0.25, 0.25]).all(axis=1)] = [0.5, 0.25]
+    return dataclasses.replace(m, vertices=vertices)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _reflected(4), id="reflected4"),
+    pytest.param(lambda: _reflected(8), id="reflected8"),
+    pytest.param(lambda: moved_copy(build_cartesian_mesh(4), 3, 0.75), id="folded"),
+    pytest.param(lambda: _collapsed(4), id="collapsed"),
+])
+def test_clockwise_or_degenerate_mesh_is_rejected_before_assembly(make, monkeypatch):
+    # Such a mesh would assemble and solve, and only the error norms would fail.
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembly started")
+
+    m = make()
+    assert m.areas.min() <= 0.0
+    monkeypatch.setattr(assembly, "rt0_local_mass", no_assembly)
+    for _ in range(2):  # a failed check is not kept
+        with pytest.raises(ValueError, match="clockwise or have zero area"):
+            assemble_system(m, build_dof_layout(m), example4())
+
+
+def test_orientation_is_checked_once_per_mesh():
+    # A mesh that passes keeps the result, like its layouts and operators.
+    m = moved_copy(build_cartesian_mesh(4))
+    assemble_system(m, build_dof_layout(m), example4())
+    assert "counterclockwise" in vars(m)["_kept"]
 
 
 def test_rejects_nonpositive_level():

@@ -15,6 +15,7 @@ from twodarcy.manufactured import example1, example2, example3, example4
 from twodarcy.mesh import EdgeKind, _region2_grids, build_cartesian_mesh
 from twodarcy.solver import (
     SolverError,
+    _axis_schur,
     _cosine_laplacian,
     _factor,
     _hybrid_factorization,
@@ -29,6 +30,17 @@ from oracles import (
     with_coefficients,
 )
 from test_coefficients import coefficients, derandomized
+
+
+CASE_VARIANTS = {
+    "example1": example1,
+    "example2": example2,
+    "example2_paper_literal": lambda: example2("paper_literal"),
+    "example3": example3,
+    "example3_paper_literal": lambda: example3("paper_literal"),
+    "example4": example4,
+    "example4_constant_projection": lambda: example4("constant_projection"),
+}
 
 
 def _solve_example1(level):
@@ -182,19 +194,97 @@ def test_region2_stiffness_is_the_tensor_stencil(level):
         assert abs(square - stencil).max() <= 1e-13 * abs(square).max()
 
 
+def _recorded_factorizations(monkeypatch):
+    """The matrices ``solver._factor`` receives from now on, as CSC."""
+    recorded = []
+    factor = solver._factor
+    monkeypatch.setattr(solver, "_factor", lambda matrix: recorded.append(matrix.tocsc()) or factor(matrix))
+    return recorded
+
+
+def _n_multipliers(m):
+    return int(np.count_nonzero(m.edge_kind == EdgeKind.INTERIOR_1))
+
+
 def test_laplacian_path_follows_mesh_identity(monkeypatch):
-    # Only the registry mesh is known to be the uniform grid; any copy, even
-    # one with the same vertex values, factors its Laplacian with SuperLU.
+    # Only the registry mesh is known to be the uniform grid: SuperLU factors
+    # [multipliers | cross p2] once.  Any copy, even one with the same vertex
+    # values, factors [multipliers | p2] and its Laplacian.
     calls = []
     splu = solver.spla.splu
-    monkeypatch.setattr(solver.spla, "splu", lambda *args, **kwargs: calls.append(1) or splu(*args, **kwargs))
+    monkeypatch.setattr(solver.spla, "splu", lambda matrix, *args, **kwargs: calls.append(matrix.shape[0])
+                        or splu(matrix, *args, **kwargs))
     m = build_cartesian_mesh(4)
-    for mesh, factorizations in ((m, 1), (moved_copy(m), 2),
-                                 (dataclasses.replace(m, vertices=m.vertices.copy()), 2)):
+    lo = build_dof_layout(m)
+    n_h = _n_multipliers(m)
+    for mesh, sizes in ((m, [n_h + lo.n_p2 - 2 * 4**2]), (moved_copy(m), [n_h + lo.n_p2, lo.n_phi]),
+                        (dataclasses.replace(m, vertices=m.vertices.copy()), [n_h + lo.n_p2, lo.n_phi])):
         calls.clear()
         assert solve(assemble_system(mesh, build_dof_layout(mesh), example4())).residual <= solver.RESIDUAL_TOL
-        assert len(calls) == factorizations
+        assert calls == sizes
     assert _region2_grids(dataclasses.replace(m, tri_region=m.tri_region.copy())) is None
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 16])
+def test_axis_schur_matches_splu(k):
+    # At k = 1 the interior of a square is its one corner vertex.
+    m = build_cartesian_mesh(k)
+    lo = build_dof_layout(m)
+    stiffness = p1_stiffness_omega2(m, lo)
+    for grid in lo.vert_to_p2[_region2_grids(m)]:
+        interior, axes = grid[1:, 1:].ravel(), np.concatenate([grid[1:, 0], grid[0, 1:]])
+        coupling = stiffness[interior][:, axes].toarray()
+        expected = coupling.T @ _factor(stiffness[interior][:, interior]).solve(coupling)
+        assert np.abs(_axis_schur(k) - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def _check_interior_rows(system, monkeypatch):
+    """In the unreduced hybrid matrix, each off-axis p2 row of a region-2 square is K / a2 exactly."""
+    recorded = _recorded_factorizations(monkeypatch)
+    # A copy with the registry's vertex values factors [multipliers | p2], the matrix before the reduction.
+    m = system.mesh
+    copy = dataclasses.replace(m, vertices=m.vertices.copy())
+    _hybrid_factorization(dataclasses.replace(system, mesh=copy))
+    hybrid, n_h = recorded[0].tocsr(), _n_multipliers(m)
+    interior = system.layout.vert_to_p2[_region2_grids(m)[:, 1:, 1:]].ravel()
+    rows = hybrid[n_h + interior]
+    assert rows[:, :n_h].nnz == 0
+    assert (rows[:, n_h:] != system.K[interior] / system.coeffs.a2).nnz == 0
+
+
+@pytest.mark.parametrize("level", [1, 2, 8])
+@pytest.mark.parametrize("variant", sorted(CASE_VARIANTS))
+def test_interior_p2_rows_hold_only_the_stiffness(variant, level, monkeypatch):
+    # The reduction rests on this: off the cross, M_beta and the condensed
+    # interface terms are zero, and no multiplier is reached.
+    m = build_cartesian_mesh(level)
+    _check_interior_rows(assemble_system(m, build_dof_layout(m), CASE_VARIANTS[variant]()), monkeypatch)
+
+
+@derandomized
+@given(coefficients)
+def test_interior_p2_rows_hold_only_the_stiffness_over_coefficients(coeffs):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        m = build_cartesian_mesh(8)
+        system = assemble_system(m, build_dof_layout(m), with_coefficients(example4(), coeffs))
+        _check_interior_rows(system, monkeypatch)
+
+
+@pytest.mark.parametrize("level", [4, 8, 16])
+def test_reduced_pattern_is_independent_of_the_values(level, monkeypatch):
+    # A kept fill-reducing ordering needs one pattern per level and pin: the
+    # dense Steklov-Poincare blocks must not let eliminate_zeros or the
+    # rounding drop depend on the coefficients.
+    recorded = _recorded_factorizations(monkeypatch)
+    m = build_cartesian_mesh(level)
+    layout = build_dof_layout(m)
+    draws = 10.0 ** np.random.default_rng(level).uniform(-4.0, 4.0, (6, 3))
+    for make in (example1, example2, example3, example4):
+        for a1, a2, beta in draws:
+            case = with_coefficients(make(), CoefficientSet(a1, a2, beta))
+            _hybrid_factorization(assemble_system(m, layout, case))
+    assert recorded[0].shape[0] == _n_multipliers(m) + layout.n_p2 - 2 * level**2
+    assert len({(r.indptr.tobytes(), r.indices.tobytes()) for r in recorded}) == 1
 
 
 def test_assembly_and_diagnostics_scatter_every_block(monkeypatch):
@@ -209,17 +299,6 @@ def test_assembly_and_diagnostics_scatter_every_block(monkeypatch):
     assert min(diag.inf_sup, diag.kernel_coercivity, diag.c_definiteness) > 0.0
 
 
-CASE_VARIANTS = {
-    "example1": example1,
-    "example2": example2,
-    "example2_paper_literal": lambda: example2("paper_literal"),
-    "example3": example3,
-    "example3_paper_literal": lambda: example3("paper_literal"),
-    "example4": example4,
-    "example4_constant_projection": lambda: example4("constant_projection"),
-}
-
-
 def _assert_matches_full_lu(system):
     sol = solve(system)
     x = np.concatenate([sol.u1, sol.p2, sol.phi, sol.p1])
@@ -230,10 +309,12 @@ def _assert_matches_full_lu(system):
 @pytest.mark.parametrize("level", [1, 2, 4, 8, 32])
 @pytest.mark.parametrize("variant", sorted(CASE_VARIANTS))
 def test_solve_matches_full_matrix_lu(variant, level):
-    # No element matrix of a moved copy has an exact zero, so every
-    # condensed entry is scattered there.
+    # Both paths: the registry mesh eliminates the region-2 interior in
+    # closed form, a copy keeps it.  No element matrix of a moved copy has an
+    # exact zero, so every condensed entry is scattered there.  The level-1
+    # copy moves no vertex: all of them are on the axes or the boundary.
     uniform = build_cartesian_mesh(level)
-    for m in (uniform, moved_copy(uniform)) if level in (2, 4, 8) else (uniform,):
+    for m in (uniform, moved_copy(uniform)) if level in (1, 2, 4, 8) else (uniform,):
         _assert_matches_full_lu(assemble_system(m, build_dof_layout(m), CASE_VARIANTS[variant]()))
 
 
