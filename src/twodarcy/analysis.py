@@ -29,7 +29,7 @@ from .manufactured import ManufacturedCase
 from .mesh import REGION_OF_QUADRANT, BipartiteMesh, _is_integer, build_cartesian_mesh, quadrants_of
 from .quadrature import segment_rule
 from .solver import SolutionFields, SolverError, solve
-from .spaces import build_dof_layout, rt0_basis
+from .spaces import _corner_sum, _p1_gradients, build_dof_layout, rt0_basis
 
 __all__ = [
     "COLUMNS",
@@ -85,8 +85,8 @@ def u1_cell_values(sol: SolutionFields, m: BipartiteMesh) -> np.ndarray:
     """Flux field evaluated at the region-1 triangle centroids."""
     _check_mesh(sol, m)
     tris = sol.layout.p1_triangles
-    basis = rt0_basis(m, tris, m.centroids[tris][:, None, :])[:, :, 0]     # (t, 3, 2)
-    return np.einsum("ti,tid->td", sol.u1[sol.layout.edge_to_u1[m.tri_edges[tris]]], basis)
+    basis = rt0_basis(m, tris, m.centroids[tris][:, None, :]).T[:, 0]      # (2, 3, t) planes
+    return _corner_sum(sol.u1[sol.layout.edge_to_u1[m.tri_edges[tris].T]], basis)
 
 
 # Lower-left corner of the unit square of each quadrant id.
@@ -160,10 +160,9 @@ def error_norms(sol: SolutionFields, case: ManufacturedCase, m: BipartiteMesh) -
     c2 = m.centroids[tris2]
     qc2 = m.tri_quadrant[tris2]
 
-    nodal = sol.p2[layout.vert_to_p2[m.triangles[tris2]]]
-    p2h_c = nodal.mean(axis=1)
-    grads = m.hat_gradients[tris2]
-    g2h = np.einsum("ti,tid->td", nodal, grads)
+    nodal = sol.p2[layout.vert_to_p2[m.triangles[tris2].T]]               # (3, t) corner values
+    p2h_c = (nodal[0] + nodal[1] + nodal[2]) / 3.0
+    g2h = _p1_gradients(m, tris2, nodal)
 
     e_p2 = math.sqrt(float(areas2 @ (p2h_c - case.p(c2[:, 0], c2[:, 1], qc2)) ** 2))
     e_semi = math.sqrt(float(

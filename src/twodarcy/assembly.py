@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import BipartiteMesh, _check_orientation, _kept
+from .mesh import BipartiteMesh, _check_orientation, _kept, _planes
 from .quadrature import segment_rule
 from .spaces import DofLayout
 
@@ -122,6 +122,14 @@ def _scatter(parts, shape) -> sp.csr_matrix:
     return out
 
 
+def _symmetric_local(n: int, entry) -> np.ndarray:
+    """(n, 3, 3) symmetric local matrices whose (i, j) and (j, i) entries are ``entry(i, j)``, i <= j."""
+    out = np.empty((n, 3, 3))
+    for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+        out[:, i, j] = out[:, j, i] = entry(i, j)
+    return out
+
+
 def rt0_local_mass(m: BipartiteMesh, tris, a: float = 1.0) -> np.ndarray:
     """(t, 3, 3) flux-basis mass matrices of ``tris``, scaled by the resistance ``a``.
 
@@ -129,14 +137,15 @@ def rt0_local_mass(m: BipartiteMesh, tris, a: float = 1.0) -> np.ndarray:
     second moments of K give, exactly,
     ``M_ij = a s_i s_j / (4|K|) [(c - P_i).(c - P_j) + sum_k |P_k - c|^2 / 12]``.
     """
-    d = m.centroids[tris][:, None, :] - m.vertices[m.triangles[tris]]     # (t, 3, 2)
-    dx, dy = d[..., 0], d[..., 1]
-    spread = (dx * dx + dy * dy).sum(axis=1) / 12.0
-    s = m.tri_edge_signs[tris].astype(float)
-    scale = (a / 4.0) / m.areas[tris]
-    moments = dx[:, :, None] * dx[:, None, :] + dy[:, :, None] * dy[:, None, :]
-    moments += spread[:, None, None]
-    return (scale[:, None, None] * s[:, :, None] * s[:, None, :]) * moments
+    x, y = _planes(m, m.triangles[tris])
+    cx, cy = np.take(m.centroids.T, tris, axis=1)
+    dx, dy = cx - x, cy - y                                                # (3, t) planes of c - P_i
+    squares = dx * dx + dy * dy
+    spread = (squares[0] + squares[1] + squares[2]) / 12.0
+    s = np.take(m.tri_edge_signs.T, tris, axis=1).astype(float)
+    scaled = (a / 4.0) / m.areas[tris] * s                                 # a s_i / (4|K|)
+    return _symmetric_local(
+        len(spread), lambda i, j: (scaled[i] * s[j]) * ((dx[i] * dx[j] + dy[i] * dy[j]) + spread))
 
 
 _P1_TRACE_MASS_REF = (np.full((2, 2), 1.0) + np.eye(2)) / 6.0
@@ -144,8 +153,10 @@ _P1_TRACE_MASS_REF = (np.full((2, 2), 1.0) + np.eye(2)) / 6.0
 
 def _p1_local_stiffness(m: BipartiteMesh, tris) -> np.ndarray:
     """(t, 3, 3) unit nodal stiffness matrices of ``tris``."""
-    grads = m.hat_gradients[tris]
-    return m.areas[tris][:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
+    gx, gy = np.take(m.hat_gradients.T, tris, axis=2)                      # (3, t) planes
+    area = m.areas[tris]
+    # Each dot product is summed onto zero, so two -0 terms give +0.
+    return _symmetric_local(len(area), lambda i, j: area * (0.0 + gx[i] * gx[j] + gy[i] * gy[j]))
 
 
 def p1_stiffness_omega2(m: BipartiteMesh, layout: DofLayout) -> sp.csr_matrix:

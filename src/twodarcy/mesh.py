@@ -50,9 +50,9 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def _freeze(value):
-    """Make the array attributes of ``value``, or of each item of a tuple ``value``, read-only."""
+    """Make ``value``, or each item of a tuple ``value``, read-only: an array, or an object's array fields."""
     for item in value if isinstance(value, tuple) else (value,):
-        for attribute in getattr(item, "__dict__", {}).values():
+        for attribute in (item,) if isinstance(item, np.ndarray) else getattr(item, "__dict__", {}).values():
             if isinstance(attribute, np.ndarray):
                 _read_only(attribute)
     return value
@@ -85,6 +85,16 @@ def _check_orientation(m) -> None:
             )
 
     _kept(m, "counterclockwise", check)
+
+
+def _planes(m, vertex_ids) -> tuple[np.ndarray, np.ndarray]:
+    """x and y coordinates of the (n, c) ``vertex_ids`` as two contiguous (c, n) planes.
+
+    Row j of a plane holds corner (or end) j of every item, so a per-item
+    formula reads whole rows instead of strided columns of an (n, c, 2) copy.
+    """
+    ids = vertex_ids.T
+    return m.vertices[:, 0][ids], m.vertices[:, 1][ids]
 
 
 def _cached_array(method):
@@ -144,26 +154,30 @@ class BipartiteMesh:
 
     @_cached_array
     def areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        x, y = _planes(self, self.triangles)
+        return 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0]))
 
     @_cached_array
     def centroids(self) -> np.ndarray:
-        return self.vertices[self.triangles].mean(axis=1)
+        """(nt, 2) centroids, held as (2, nt) planes: ``centroids.T`` is contiguous."""
+        x, y = _planes(self, self.triangles)
+        return (np.array([x[0] + x[1] + x[2], y[0] + y[1] + y[2]]) / 3.0).T
 
     @_cached_array
     def hat_gradients(self) -> np.ndarray:
-        """(nt, 3, 2) constant gradients of the hat functions of every triangle."""
-        p = self.vertices[self.triangles]
-        d = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]
-        perp = np.stack([-d[..., 1], d[..., 0]], axis=-1)
-        return perp / (2.0 * self.areas)[:, None, None]
+        """(nt, 3, 2) constant gradients of the hat functions of every triangle.
+
+        Held as (2, 3, nt) planes: ``hat_gradients.T`` is contiguous.  Hat i
+        has the edge from vertex i+1 to i+2 turned by +90 degrees, over 2|K|.
+        """
+        x, y = _planes(self, self.triangles)
+        return (np.array([-(y[[2, 0, 1]] - y[[1, 2, 0]]), x[[2, 0, 1]] - x[[1, 2, 0]]]) / (2.0 * self.areas)).T
 
     @_cached_array
     def edge_vectors(self) -> np.ndarray:
-        return self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
+        """(ne, 2) low-to-high vertex vectors, held as (2, ne) planes: ``edge_vectors.T`` is contiguous."""
+        x, y = _planes(self, self.edges)
+        return np.array([x[1] - x[0], y[1] - y[0]]).T
 
     @_cached_array
     def edge_lengths(self) -> np.ndarray:

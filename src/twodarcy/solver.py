@@ -398,6 +398,8 @@ def _hybrid_factorization(system: SaddleSystem):
     lu = _factor(hybrid)
     laplacian = (_factor(system.K[phi][:, phi]).solve if grids is None
                  else _cosine_laplacian(lo.vert_to_p2[grids], phi, pin))
+    # Index arrays of every solve, made after the factorizations so as not to raise their peak memory.
+    valid_cols, owned_u1 = cols[valid], u1_dofs[own]
 
     def solve_full(b):
         f_phi = b[lo.offset_phi:lo.offset_p1]
@@ -412,11 +414,12 @@ def _hybrid_factorization(system: SaddleSystem):
             interior.condense(g_p2)
         g = np.zeros(n)
         g[n_h:] = g_p2[kept]
-        g -= np.bincount(cols[valid], (reads * z[:, :3, None])[valid], minlength=n)
+        g -= np.bincount(valid_cols, (reads * z[:, :3, None])[valid], minlength=n)
         y = lu.solve(g)
-        z -= np.einsum("tij,tj->ti", inverse[:, :, :3], (couple * y[cols]).sum(axis=-1))
+        z -= np.einsum("tij,tj->ti", inverse[:, :, :3],
+                       couple[..., 0] * y[cols[..., 0]] + couple[..., 1] * y[cols[..., 1]])
         u1 = np.empty(n_u1)
-        u1[u1_dofs[own]] = z[:, :3][own]
+        u1[owned_u1] = z[:, :3][own]
         p2 = np.empty(n_p2)
         p2[kept] = y[n_h:]
         if interior is not None:

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import BipartiteMesh, EdgeKind, _is_integer, _kept, _read_only
+from .mesh import BipartiteMesh, EdgeKind, _is_integer, _kept, _planes, _read_only
 
 __all__ = [
     "DofLayout",
@@ -149,9 +149,26 @@ def _new_dof_layout(m: BipartiteMesh, pin_vertex: int | None) -> DofLayout:
 
 
 def rt0_basis(m: BipartiteMesh, tris, x) -> np.ndarray:
-    """(t, 3, q, 2) flux-normalized basis of every edge of ``tris`` at the (t, q, 2) points x."""
-    scale = m.tri_edge_signs[tris] / (2.0 * m.areas[tris])[:, None]
-    return scale[:, :, None, None] * (x[:, None, :, :] - m.vertices[m.triangles[tris]][:, :, None, :])
+    """(t, 3, q, 2) flux-normalized basis of every edge of ``tris`` at the (t, q, 2) points x.
+
+    Held as (2, q, 3, t) planes: the transpose of the result is contiguous.
+    """
+    corners = np.array(_planes(m, m.triangles[tris]))                        # (2, 3, t)
+    scale = np.take(m.tri_edge_signs.T, tris, axis=1) / (2.0 * m.areas[tris])
+    return (scale * (x.T[:, :, None, :] - corners[:, None])).T
+
+
+def _corner_sum(weights, planes) -> np.ndarray:
+    """(t, 2) sum over the three corners of the (3, t) ``weights`` times the (2, 3, t) x and y ``planes``.
+
+    Each sum runs in corner order onto zero, as ``einsum("ti,tid->td")`` does.
+    """
+    return (0.0 + weights[0] * planes[:, 0] + weights[1] * planes[:, 1] + weights[2] * planes[:, 2]).T
+
+
+def _p1_gradients(m: BipartiteMesh, tris, values) -> np.ndarray:
+    """(t, 2) gradients on ``tris`` of the P1 field with the (3, t) corner ``values``."""
+    return _corner_sum(values, np.take(m.hat_gradients.T, tris, axis=2))
 
 
 def potential_to_velocity(phi, m: BipartiteMesh, layout: DofLayout) -> np.ndarray:
@@ -166,6 +183,5 @@ def potential_to_velocity(phi, m: BipartiteMesh, layout: DofLayout) -> np.ndarra
     nodal = np.zeros(m.n_vertices)
     free = layout.vert_to_phi >= 0
     nodal[free] = phi[layout.vert_to_phi[free]]
-    grads = m.hat_gradients[layout.u2_triangles]
-    vals = nodal[m.triangles[layout.u2_triangles]]
-    return np.einsum("ti,tid->td", vals, grads)
+    tris = layout.u2_triangles
+    return _p1_gradients(m, tris, nodal[m.triangles[tris].T])

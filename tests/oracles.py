@@ -1,17 +1,18 @@
 """Reference implementations the tests compare the solve path against.
 
 None of these runs in the package: the symmetric triangle rule and
-pointwise quadrature on one element, the hat functions, a sampled check
+pointwise quadrature on one element, the hat functions, the per-triangle
+geometry and element matrices on (t, 3, 2) corner copies, a sampled check
 that every triangle lies in the region it is tagged with, the edge and
 interface orientations from the geometry, a copy of a mesh with its
 vertices off the axes and the boundary moved (and a strategy drawing
-such copies), a mesh with two interface edges on one triangle, an exactly
-representable patch case with the volume load that balances its pressure
-gradient, a finite-difference check of the closed-form calculus of a
-manufactured case, the exact-field interpolant with its residual in the
-discrete dual norm, the flux mass matrix on its own, the whole
-unhybridized saddle matrix with its sparse LU, and a reader of the binary
-legacy-VTK files the field dumps write.
+such copies), the copy reflected across y = x, a mesh with two interface
+edges on one triangle, an exactly representable patch case with the
+volume load that balances its pressure gradient, a finite-difference
+check of the closed-form calculus of a manufactured case, the exact-field
+interpolant with its residual in the discrete dual norm, the flux mass
+matrix on its own, the whole unhybridized saddle matrix with its sparse
+LU, and a reader of the binary legacy-VTK files the field dumps write.
 """
 
 from __future__ import annotations
@@ -110,6 +111,67 @@ def p1_eval(m: BipartiteMesh, tri: int, local_vertex: int, x) -> np.ndarray:
     return (da[..., 0] * db[..., 1] - da[..., 1] * db[..., 0]) / (2.0 * m.areas[tri])
 
 
+# -- geometry and element matrices on (t, 3, 2) corner copies -------------------
+#
+# The package computes these from (3, t) coordinate planes with the same
+# floating-point operations in the same order, so the two must agree bit for
+# bit (tests/test_planes.py).  Each reference derives what it needs from the
+# vertices itself, not from the mesh's cached geometry.
+
+def stacked_areas(m: BipartiteMesh) -> np.ndarray:
+    p = m.vertices[m.triangles]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def stacked_centroids(m: BipartiteMesh) -> np.ndarray:
+    return m.vertices[m.triangles].mean(axis=1)
+
+
+def stacked_hat_gradients(m: BipartiteMesh) -> np.ndarray:
+    p = m.vertices[m.triangles]
+    d = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]
+    perp = np.stack([-d[..., 1], d[..., 0]], axis=-1)
+    return perp / (2.0 * stacked_areas(m))[:, None, None]
+
+
+def stacked_edge_vectors(m: BipartiteMesh) -> np.ndarray:
+    return m.vertices[m.edges[:, 1]] - m.vertices[m.edges[:, 0]]
+
+
+def stacked_p1_local_stiffness(m: BipartiteMesh, tris) -> np.ndarray:
+    grads = stacked_hat_gradients(m)[tris]
+    return stacked_areas(m)[tris][:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
+
+
+def stacked_rt0_local_mass(m: BipartiteMesh, tris, a: float = 1.0) -> np.ndarray:
+    d = stacked_centroids(m)[tris][:, None, :] - m.vertices[m.triangles[tris]]     # (t, 3, 2)
+    dx, dy = d[..., 0], d[..., 1]
+    spread = (dx * dx + dy * dy).sum(axis=1) / 12.0
+    s = m.tri_edge_signs[tris].astype(float)
+    scale = (a / 4.0) / stacked_areas(m)[tris]
+    moments = dx[:, :, None] * dx[:, None, :] + dy[:, :, None] * dy[:, None, :]
+    moments += spread[:, None, None]
+    return (scale[:, None, None] * s[:, :, None] * s[:, None, :]) * moments
+
+
+def stacked_rt0_basis(m: BipartiteMesh, tris, x) -> np.ndarray:
+    scale = m.tri_edge_signs[tris] / (2.0 * stacked_areas(m)[tris])[:, None]
+    return scale[:, :, None, None] * (x[:, None, :, :] - m.vertices[m.triangles[tris]][:, :, None, :])
+
+
+def stacked_p1_gradients(m: BipartiteMesh, tris, nodal) -> np.ndarray:
+    """(t, 2) gradients on ``tris`` of the P1 field with the (t, 3) corner values ``nodal``."""
+    return np.einsum("ti,tid->td", nodal, stacked_hat_gradients(m)[tris])
+
+
+def stacked_u1_cell_values(sol, m: BipartiteMesh) -> np.ndarray:
+    tris = sol.layout.p1_triangles
+    basis = stacked_rt0_basis(m, tris, stacked_centroids(m)[tris][:, None, :])[:, :, 0]
+    return np.einsum("ti,tid->td", sol.u1[sol.layout.edge_to_u1[m.tri_edges[tris]]], basis)
+
+
 # -- mesh consistency -----------------------------------------------------------
 
 @dataclass
@@ -181,6 +243,12 @@ def moved_copy(m: BipartiteMesh, seed=3, amplitude=0.25) -> BipartiteMesh:
     free = np.all((m.vertices != 0.0) & (np.abs(m.vertices) < 1.0), axis=1)
     step = np.random.default_rng(seed).uniform(-amplitude, amplitude, m.vertices.shape) / m.level_inv
     return dataclasses.replace(m, vertices=m.vertices + free[:, None] * step)
+
+
+def reflected_copy(level: int) -> BipartiteMesh:
+    """The level's mesh reflected across y = x: the regions stay, every triangle turns clockwise."""
+    m = build_cartesian_mesh(level)
+    return dataclasses.replace(m, vertices=m.vertices[:, ::-1].copy())
 
 
 # Moved copies of the level-4 mesh, seeded, moved by up to a quarter of h.

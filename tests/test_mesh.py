@@ -16,7 +16,8 @@ from twodarcy.mesh import (
 from twodarcy.spaces import build_dof_layout
 
 from oracles import (
-    _SAMPLES, assert_orientation_matches_geometry, moved_copy, two_interface_edge_mesh, validate_consistency,
+    _SAMPLES, assert_orientation_matches_geometry, moved_copy, reflected_copy, two_interface_edge_mesh,
+    validate_consistency,
 )
 
 
@@ -47,12 +48,6 @@ def test_count_identities_and_area(level):
     assert np.all(m.areas > 0)
 
 
-def _reflected(level):
-    """The level's mesh reflected across y = x: the regions stay, every triangle turns clockwise."""
-    m = build_cartesian_mesh(level)
-    return dataclasses.replace(m, vertices=m.vertices[:, ::-1].copy())
-
-
 def _collapsed(level):
     """A copy with the vertex (1/4, 1/4) moved onto (1/2, 1/4): two triangles have zero area."""
     m = build_cartesian_mesh(level)
@@ -62,8 +57,8 @@ def _collapsed(level):
 
 
 @pytest.mark.parametrize("make", [
-    pytest.param(lambda: _reflected(4), id="reflected4"),
-    pytest.param(lambda: _reflected(8), id="reflected8"),
+    pytest.param(lambda: reflected_copy(4), id="reflected4"),
+    pytest.param(lambda: reflected_copy(8), id="reflected8"),
     pytest.param(lambda: moved_copy(build_cartesian_mesh(4), 3, 0.75), id="folded"),
     pytest.param(lambda: _collapsed(4), id="collapsed"),
 ])

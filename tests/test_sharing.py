@@ -78,6 +78,16 @@ def test_shared_arrays_are_read_only():
             setattr(shared, field, getattr(shared, field))
 
 
+def test_kept_arrays_and_tuples_of_arrays_are_read_only():
+    # Kept values without a __dict__ of their own are frozen too.
+    m = dataclasses.replace(build_cartesian_mesh(2))
+    array = mesh_module._kept(m, "array", lambda: np.zeros(3))
+    pair = mesh_module._kept(m, "pair", lambda: (np.zeros(2), np.ones(2)))
+    for kept in (array, *pair):
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 1.0
+
+
 def _fields(m, case):
     sol = solve(assemble_system(m, build_dof_layout(m), case))
     return [sol.u1, sol.p2, sol.phi, sol.u2, sol.p1]
