@@ -257,7 +257,7 @@ def interface_flux_residuals(sol: SolutionFields, case: ManufacturedCase,
     _check_mesh(sol, m)
     layout = sol.layout
     e = m.interface_edges
-    length = m.edge_lengths[e]
+    length = m.interface_lengths
     n = m.interface_normals
     x = _edge_points(m, e, LINE_RULE)
     u1n = m.interface_signs * sol.u1[layout.edge_to_u1[e]] / length

@@ -198,7 +198,7 @@ def assemble_A(m: BipartiteMesh, layout: DofLayout, coeffs: CoefficientSet,
     e = m.interface_edges
     e_u1 = layout.edge_to_u1[e][:, None]
     p2 = layout.offset_p2 + layout.vert_to_p2[m.edges[e]]   # (ni, 2) rows and columns of A
-    trace = (coeffs.beta * m.edge_lengths[e])[:, None, None] * _P1_TRACE_MASS_REF
+    trace = (coeffs.beta * m.interface_lengths)[:, None, None] * _P1_TRACE_MASS_REF
     couple = _interface_coupling(m)
     parts = [(flux_mass, u1, u1), (couple[:, None, :], e_u1, p2), (-couple[:, :, None], p2, e_u1),
              (trace, p2, p2)]
@@ -265,7 +265,7 @@ def assemble_rhs(m: BipartiteMesh, layout: DofLayout, case) -> tuple[np.ndarray,
     stress = np.asarray(case.f_stress(x[..., 0], x[..., 1]), dtype=float)
     flux = np.asarray(case.f_n(x[..., 0], x[..., 1]), dtype=float)
     f1[layout.edge_to_u1[e]] += m.interface_signs * (stress @ LINE_RULE.weights)
-    load = (m.edge_lengths[e][:, None] * (LINE_RULE.weights * flux)) @ _LINE_HAT
+    load = (m.interface_lengths[:, None] * (LINE_RULE.weights * flux)) @ _LINE_HAT
     np.subtract.at(f1, layout.offset_p2 + layout.vert_to_p2[m.edges[e]].ravel(), load.ravel())
 
     return f1, f2

@@ -174,22 +174,6 @@ class BipartiteMesh:
         return (np.array([-(y[[2, 0, 1]] - y[[1, 2, 0]]), x[[2, 0, 1]] - x[[1, 2, 0]]]) / (2.0 * self.areas)).T
 
     @_cached_array
-    def edge_vectors(self) -> np.ndarray:
-        """(ne, 2) low-to-high vertex vectors, held as (2, ne) planes: ``edge_vectors.T`` is contiguous."""
-        x, y = _planes(self, self.edges)
-        return np.array([x[1] - x[0], y[1] - y[0]]).T
-
-    @_cached_array
-    def edge_lengths(self) -> np.ndarray:
-        return np.hypot(self.edge_vectors[:, 0], self.edge_vectors[:, 1])
-
-    @_cached_array
-    def edge_normals(self) -> np.ndarray:
-        """Unit normals of all edges: the lo->hi tangent rotated by -90 degrees."""
-        t = self.edge_vectors / self.edge_lengths[:, None]
-        return np.column_stack([t[:, 1], -t[:, 0]])
-
-    @_cached_array
     def tri_edge_signs(self) -> np.ndarray:
         """(nt, 3) int8: +1 where the global normal of a triangle's edge points out of it, else -1.
 
@@ -208,9 +192,18 @@ class BipartiteMesh:
         return self.tri_edge_signs[self.interface_tri1, self.interface_slot].astype(float)
 
     @_cached_array
+    def interface_lengths(self) -> np.ndarray:
+        """(ni,) lengths of the interface edges."""
+        x, y = _planes(self, self.edges[self.interface_edges])
+        return np.hypot(x[1] - x[0], y[1] - y[0])
+
+    @_cached_array
     def interface_normals(self) -> np.ndarray:
-        """(ni, 2) region-1 outer normals: the global normals turned by the interface signs."""
-        return self.interface_signs[:, None] * self.edge_normals[self.interface_edges]
+        """(ni, 2) region-1 outer normals: the interface edges' global normals turned by the interface signs."""
+        x, y = _planes(self, self.edges[self.interface_edges])
+        tangent = (x[1] - x[0]) / self.interface_lengths, (y[1] - y[0]) / self.interface_lengths
+        return self.interface_signs[:, None] * np.column_stack([tangent[1], -tangent[0]])
+
 
 def _connectivity(triangles: np.ndarray):
     """Edge table, edge->triangle adjacency and triangle->edge map.

@@ -7,15 +7,15 @@ on every interior region-1 edge restores their continuity, and each
 triangle's fluxes and cell pressure are eliminated locally.  The potential
 is decoupled: as a2 is a region constant, psi = p2 + a2 phi solves a
 region-2 Laplacian on its own.  On a mesh that ``build_cartesian_mesh``
-holds, that Laplacian is the 5-point Neumann stencil on two unit squares
-and is solved in closed form with cosine eigenvectors (Buzbee, Golub and
-Nielson, SIAM J. Numer. Anal. 7, 1970), and the p2 unknowns off the
-interface cross, where p2 meets only the same stencil, are eliminated in
-closed form with quarter-wave sines (the capacitance-matrix method of
-Buzbee, Dorr, George and Golub, SIAM J. Numer. Anal. 8, 1971); on any other
-mesh SuperLU factors the Laplacian and keeps every p2 unknown.  SuperLU
-factors the condensed system of the multipliers and the kept p2, with a
-zero-free diagonal (negative on the multipliers, positive on p2), with a
+holds, that Laplacian is the 5-point stencil on two unit squares, and off
+the interface cross p2 meets only the same stencil, so the unknowns of
+both off the cross are eliminated in closed form with quarter-wave sines
+(the capacitance-matrix method of Buzbee, Dorr, George and Golub, SIAM J.
+Numer. Anal. 8, 1971): psi is left with a dense Cholesky solve on the
+cross, p2 with its cross unknowns in SuperLU.  On any other mesh SuperLU
+factors the Laplacian and keeps every p2 unknown.  SuperLU factors the
+condensed system of the multipliers and the kept p2, with a zero-free
+diagonal (negative on the multipliers, positive on p2), with a
 symmetric-mode minimum-degree ordering instead of COLAMD with partial
 pivoting.  At level 96 that is 55,297 unknowns with a fill of 1.19M,
 against 14.0M for the full saddle matrix.
@@ -135,67 +135,17 @@ def _local_saddle_inverse(mass: np.ndarray, s: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def _separable_square(vectors: np.ndarray, lam: np.ndarray, w: np.ndarray):
-    """Closed-form solve of (T (x) E + E (x) T) X = F on a square grid, and its spectral scale.
-
-    From the 1D generalized eigenpairs T V = E V diag(lam) with V^T E V =
-    diag(w), X = V [(V^T F V) / scale] V^T with scale = w w^T (lam_a + lam_b)
-    (Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970); F may hold a
-    stack of squares.  A zero of scale, the constant mode of a Neumann
-    square, is free: that mode is set to 0.
-    """
-    vt = np.ascontiguousarray(vectors.T)
-    scale = np.outer(w, w) * (lam[:, None] + lam[None, :])
-    scale[scale == 0.0] = np.inf
-    return (lambda f: vectors @ (vt @ f @ vectors / scale) @ vt), scale
-
-
-def _cosine_laplacian(grids: np.ndarray, phi: np.ndarray, pin: int):
-    """Closed-form solve of K_phiphi psi0 = F_phi on the two region-2 squares of a uniform mesh.
-
-    ``grids`` holds the (2, k+1, k+1) p2 indices of Q2 and Q4, both starting
-    at the origin.  On one square K is T (x) E + E (x) T, with T =
-    tridiag(-1, [1, 2, ..., 2, 1], -1) and E = diag(1/2, 1, ..., 1, 1/2),
-    whose eigenvectors are the cosines V[i, a] = cos(pi i a / k)
-    (``_separable_square``), so a load with zero sum is solved up to a
-    constant.  The load, extended by -sum(F_phi) on the pin row, is split at
-    the origin so that each square's part sums to zero; Q2 is then shifted
-    to Q4's origin value and the pin value is subtracted.
-    """
-    k = grids.shape[-1] - 1
-    modes = np.arange(k + 1)
-    w = np.full(k + 1, k / 2.0)
-    w[[0, -1]] = k
-    square, _ = _separable_square(np.cos(np.pi / k * (np.outer(modes, modes) % (2 * k))),
-                                  2.0 - 2.0 * np.cos(np.pi / k * modes), w)
-    n_p2 = len(phi) + 1
-
-    def solve_laplacian(f_phi):
-        f = np.zeros(n_p2)
-        f[phi] = f_phi
-        f[pin] = -f_phi.sum()
-        loads = f[grids]
-        loads[0, 0, 0] = 0.0
-        loads[0, 0, 0] = -loads[0].sum()
-        loads[1, 0, 0] -= loads[0, 0, 0]
-        x = square(loads)
-        x[0] += x[1, 0, 0] - x[0, 0, 0]
-        psi = np.empty(n_p2)
-        psi[grids] = x
-        return psi[phi] - psi[pin]
-
-    return solve_laplacian
-
-
 def _interior_square(k: int):
-    """``_separable_square`` of K on the off-axis vertices of one region-2 square, and E_D's diagonal.
+    """The eigenpairs of K on the off-axis vertices of one region-2 square, and E_D's diagonal.
 
     On the vertices (a, b), a, b = 1..k, K is T_D (x) E_D + E_D (x) T_D with
     T_D = tridiag(-1, [2, ..., 2, 1], -1) and E_D = diag(1, ..., 1, 1/2):
     Dirichlet at the axes, Neumann at the outer sides.  Its eigenvectors are
     the quarter-wave sines V[i, c] = sin((2c - 1) pi i / (2k)), i, c = 1..k,
-    with V^T E_D V = (k / 2) I.  Returns V, the solve and scale of
-    ``_separable_square``, and the diagonal of E_D.
+    with T_D V = E_D V diag(lam) and V^T E_D V = (k / 2) I, so that K^-1 F =
+    V [(V^T F V) / scale] V^T with scale = (k / 2)^2 (lam_a + lam_b) (Buzbee,
+    Golub and Nielson, SIAM J. Numer. Anal. 7, 1970).  Returns V, scale and
+    the diagonal of E_D.
     """
     steps = np.arange(1, k + 1)
     odd = 2 * steps - 1
@@ -203,21 +153,21 @@ def _interior_square(k: int):
     lam = 2.0 - 2.0 * np.cos(np.pi / (2 * k) * odd)
     edge = np.ones(k)
     edge[-1] = 0.5
-    return vectors, *_separable_square(vectors, lam, np.full(k, k / 2.0)), edge
+    return vectors, k * k / 4.0 * (lam[:, None] + lam[None, :]), edge
 
 
-def _axis_schur(k: int) -> np.ndarray:
+def _axis_schur(vectors: np.ndarray, scale: np.ndarray, edge: np.ndarray) -> np.ndarray:
     """K_GI K_II^-1 K_IG of one region-2 square on its 2k off-origin axis vertices G, in closed form.
 
     G lists the vertices (a, 0), a = 1..k, then (0, b), b = 1..k; K_IG ties
     each to its off-axis neighbour, (a, 1) or (1, b), with weight -E_D[a, a]
-    or -E_D[b, b] (``_interior_square``).  With U = E_D V, v the first row of V and
-    R = 1 / scale, the (a, 0) block is U diag(R v^2) U^T, as is the (0, b)
-    block, and the coupling between them is U (v v^T * R) U^T: a few dense
-    products instead of a factorization (the capacitance matrix of Buzbee,
-    Dorr, George and Golub, SIAM J. Numer. Anal. 8, 1971).
+    or -E_D[b, b] (``vectors``, ``scale`` and ``edge`` of ``_interior_square``).
+    With U = E_D V, v the first row of V and R = 1 / scale, the (a, 0) block
+    is U diag(R v^2) U^T, as is the (0, b) block, and the coupling between
+    them is U (v v^T * R) U^T: a few dense products instead of a
+    factorization (the capacitance matrix of Buzbee, Dorr, George and Golub,
+    SIAM J. Numer. Anal. 8, 1971).
     """
-    vectors, _, scale, edge = _interior_square(k)
     u = edge[:, None] * vectors
     first = vectors[0]
     inverse = 1.0 / scale
@@ -228,14 +178,17 @@ def _axis_schur(k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Region2Interior:
-    """The off-axis p2 unknowns of the two region-2 squares of a registry mesh, eliminated in closed form.
+    """The off-axis unknowns of the two region-2 squares of a registry mesh, eliminated in closed form.
 
     Off the interface cross, a p2 row of the hybrid system holds only K / a2
-    (M_beta and the condensed interface terms touch the cross alone), so the
-    interior I of each square is removed by its Schur complement: SuperLU
-    keeps the p2 unknowns on the cross, whose stiffness is the
-    Steklov-Poincare operator K_GG - K_GI K_II^-1 K_IG, and y_I is recovered
-    from y_G with two closed-form interior solves (``_interior_square``).
+    (M_beta and the condensed interface terms touch the cross alone), and the
+    potential psi = p2 + a2 phi solves K psi = f, so the interior I of each
+    square is removed by its Schur complement from both: the cross keeps the
+    Steklov-Poincare stiffness K_GG - K_GI K_II^-1 K_IG, and y_I is
+    recovered from y_G with a closed-form interior solve (``_interior_square``).
+    SuperLU factors the p2 one; psi, fixed to 0 at the origin, splits into
+    the two squares' axes, whose blocks ``factor`` holds as Cholesky factors.
+    Each method takes a stack of loads or values along its leading axes.
     """
 
     cross: np.ndarray     # (4k+1,) p2 indices on the cross, ascending: the p2 unknowns SuperLU keeps
@@ -245,8 +198,10 @@ class _Region2Interior:
     rows: np.ndarray      # the unit stiffness of region 2 on ``cross``, interior eliminated,
     cols: np.ndarray      # as (rows, cols, vals) on ``cross`` indices
     vals: np.ndarray
-    edge: np.ndarray      # (k,) diagonal of E_D: -K_IG of the axis vertex next to each interior one
-    solve: object         # K_II^-1 on a (2, k, k) load
+    factor: np.ndarray    # (2, 2k, 2k) lower Cholesky factors of its blocks on ``axes`` of Q2 and Q4
+    vectors: np.ndarray   # (k, k) V, and the ``scale`` and E_D diagonal ``edge`` of ``_interior_square``
+    scale: np.ndarray
+    edge: np.ndarray
 
     @classmethod
     def of(cls, layout, grids: np.ndarray, k_unit: sp.csr_matrix) -> "_Region2Interior":
@@ -261,29 +216,45 @@ class _Region2Interior:
         to_cross[cross] = np.arange(len(cross))
         k = interior.shape[-1]
         gamma = to_cross[axes.reshape(2, 2 * k)]
+        vectors, scale, edge = _interior_square(k)
         stiffness = k_unit[cross][:, cross].tocoo()
         stiffness = sp.coo_matrix((
-            np.concatenate([stiffness.data, -np.tile(_axis_schur(k).ravel(), 2)]),
+            np.concatenate([stiffness.data, -np.tile(_axis_schur(vectors, scale, edge).ravel(), 2)]),
             (np.concatenate([stiffness.row, np.repeat(gamma, 2 * k, axis=1).ravel()]),
              np.concatenate([stiffness.col, np.tile(gamma, 2 * k).ravel()])),
         ), shape=(len(cross), len(cross)))
         stiffness.sum_duplicates()
-        _, solve, _, edge = _interior_square(k)
+        factor = np.linalg.cholesky(stiffness.toarray()[gamma[:, :, None], gamma[:, None, :]])
         return cls(cross=cross, to_cross=to_cross, interior=interior, axes=axes, rows=stiffness.row,
-                   cols=stiffness.col, vals=stiffness.data, edge=edge, solve=solve)
+                   cols=stiffness.col, vals=stiffness.data, factor=factor, vectors=vectors, scale=scale,
+                   edge=edge)
 
-    def condense(self, g_p2: np.ndarray) -> None:
-        """Move the interior part of the p2 load ``g_p2`` onto the axes: g_G -= K_GI K_II^-1 g_I, in place."""
-        x = self.solve(g_p2[self.interior])
-        g_p2[self.axes[:, 0]] += self.edge * x[:, :, 0]
-        g_p2[self.axes[:, 1]] += self.edge * x[:, 0, :]
+    def _solve(self, f: np.ndarray) -> np.ndarray:
+        """K_II^-1 on a (..., 2, k, k) load."""
+        return self.vectors @ (self.vectors.T @ f @ self.vectors / self.scale) @ self.vectors.T
 
-    def recover(self, p2: np.ndarray, g_p2: np.ndarray, a2: float) -> None:
-        """Fill the interior of ``p2`` from its cross: y_I = K_II^-1 (a2 g_I - K_IG y_G)."""
-        load = a2 * g_p2[self.interior]
-        load[:, :, 0] += self.edge * p2[self.axes[:, 0]]
-        load[:, 0, :] += self.edge * p2[self.axes[:, 1]]
-        p2[self.interior] = self.solve(load)
+    def condense(self, g: np.ndarray) -> None:
+        """Move the interior part of each load in ``g`` onto the axes: g_G -= K_GI K_II^-1 g_I, in place."""
+        x = self._solve(g[..., self.interior])
+        g[..., self.axes[:, 0]] += self.edge * x[..., :, 0]
+        g[..., self.axes[:, 1]] += self.edge * x[..., 0, :]
+
+    def potential(self, f: np.ndarray) -> np.ndarray:
+        """psi on the cross, 0 at the origin and off the cross, from the condensed load ``f`` of K psi = f.
+
+        LAPACK's potrs on the upper factor L^T: unlike ``cho_solve``, it adds no finiteness check or wrapper cost.
+        """
+        axes = self.axes.reshape(2, -1)
+        psi = np.zeros(len(f))
+        psi[axes] = [la.lapack.dpotrs(factor.T, load)[0] for factor, load in zip(self.factor, f[axes])]
+        return psi
+
+    def recover(self, y: np.ndarray, g: np.ndarray) -> None:
+        """Fill the interior of each field in ``y`` from its cross: y_I = K_II^-1 (g_I - K_IG y_G), in place."""
+        load = g[..., self.interior]
+        load[..., :, 0] += self.edge * y[..., self.axes[:, 0]]
+        load[..., 0, :] += self.edge * y[..., self.axes[:, 1]]
+        y[..., self.interior] = self._solve(load)
 
 
 def _hybrid_factorization(system: SaddleSystem):
@@ -307,22 +278,23 @@ def _hybrid_factorization(system: SaddleSystem):
     with K_phiphi psi0 = F_phi.  Substituting phi = (psi - p2) / a2 into the
     p2 rows turns their potential coupling into K p2 / a2 and moves
     K[:, phi] psi0 / a2 to the load; as the columns of K sum to zero too,
-    that is F_phi / a2 on the phi rows and -sum(F_phi) / a2 on the pin row,
-    so psi0 only recovers phi.  On a mesh that ``build_cartesian_mesh``
-    holds, K_phiphi psi0 = F_phi is solved in closed form on the two
-    region-2 squares (``_cosine_laplacian``); on any other mesh SuperLU
-    factors K_phiphi.
+    that is f / a2 with f the load F_phi extended by -sum(F_phi) on the pin
+    row, so psi0 only recovers phi.  On any mesh but those that
+    ``build_cartesian_mesh`` holds, SuperLU factors K_phiphi.
 
-    On such a mesh, too, a p2 row off the interface cross holds K / a2
-    alone, so the interior of each region-2 square is eliminated in closed
-    form (``_Region2Interior``): its load is condensed onto the axes, the
-    cross carries the Steklov-Poincare stiffness (K_GG - K_GI K_II^-1 K_IG)
-    / a2, and the interior values are recovered after the solve.  SuperLU
-    then factors [multipliers | cross p2], 4k + 1 p2 unknowns at level k;
-    on any other mesh it factors [multipliers | p2].  Either has a zero-free
-    diagonal: with N the flux block of a local saddle inverse, a
-    multiplier's diagonal is a sum of -N_ii, negative, and that of p2 adds
-    the condensed S N S^T to M_beta plus the stiffness over a2, positive.
+    On such a mesh, a p2 row off the interface cross holds K / a2 alone, and
+    K psi = f holds there too (K_phiphi psi0 = F_phi with psi0 = psi_phi -
+    psi[pin]), so the interior of each region-2 square is eliminated in
+    closed form from both (``_Region2Interior``): the two loads are condensed
+    onto the axes together, the cross carries the Steklov-Poincare stiffness
+    (K_GG - K_GI K_II^-1 K_IG) / a2 for p2 and its unit form, fixed at the
+    origin, for psi, and the interior values of both are recovered together
+    after the solves.  SuperLU then factors [multipliers | cross p2], 4k + 1
+    p2 unknowns at level k; on any other mesh it factors [multipliers | p2].
+    Either has a zero-free diagonal: with N the flux block of a local saddle
+    inverse, a multiplier's diagonal is a sum of -N_ii, negative, and that
+    of p2 adds the condensed S N S^T to M_beta plus the stiffness over a2,
+    positive.
     """
     m, lo = system.mesh, system.layout
     n_u1, n_p2 = lo.n_u1, lo.n_p2
@@ -396,8 +368,7 @@ def _hybrid_factorization(system: SaddleSystem):
     ), shape=(n, n))
     hybrid.eliminate_zeros()
     lu = _factor(hybrid)
-    laplacian = (_factor(system.K[phi][:, phi]).solve if grids is None
-                 else _cosine_laplacian(lo.vert_to_p2[grids], phi, pin))
+    laplacian = _factor(system.K[phi][:, phi]).solve if grids is None else None
     # Index arrays of every solve, made after the factorizations so as not to raise their peak memory.
     valid_cols, owned_u1 = cols[valid], u1_dofs[own]
 
@@ -407,13 +378,15 @@ def _hybrid_factorization(system: SaddleSystem):
         load[:, :3] = np.where(own, b[u1_dofs], 0.0)
         load[:, 3] = b[lo.offset_p1:]
         z = np.einsum("tij,tj->ti", inverse, load)
-        g_p2 = b[n_u1:lo.offset_phi].copy()
-        g_p2[phi] += f_phi / a2
-        g_p2[pin] -= f_phi.sum() / a2
+        # The psi load f, extended to the pin row, and the p2 load, stacked for the interior elimination.
+        loads = np.zeros((2, n_p2))
+        loads[1, phi] = f_phi
+        loads[1, pin] = -f_phi.sum()
+        loads[0] = b[n_u1:lo.offset_phi] + loads[1] / a2
         if interior is not None:
-            interior.condense(g_p2)
+            interior.condense(loads)
         g = np.zeros(n)
-        g[n_h:] = g_p2[kept]
+        g[n_h:] = loads[0, kept]
         g -= np.bincount(valid_cols, (reads * z[:, :3, None])[valid], minlength=n)
         y = lu.solve(g)
         z -= np.einsum("tij,tj->ti", inverse[:, :, :3],
@@ -422,9 +395,13 @@ def _hybrid_factorization(system: SaddleSystem):
         u1[owned_u1] = z[:, :3][own]
         p2 = np.empty(n_p2)
         p2[kept] = y[n_h:]
-        if interior is not None:
-            interior.recover(p2, g_p2, a2)
-        return np.concatenate([u1, p2, (laplacian(f_phi) + p2[pin] - p2[phi]) / a2, z[:, 3]])
+        if interior is None:
+            psi0 = laplacian(f_phi)
+        else:
+            p2, psi = fields = np.stack([p2, interior.potential(loads[1])])
+            interior.recover(fields, loads * np.array([[a2], [1.0]]))
+            psi0 = psi[phi] - psi[pin]
+        return np.concatenate([u1, p2, (psi0 + p2[pin] - p2[phi]) / a2, z[:, 3]])
 
     return solve_full
 
@@ -435,9 +412,9 @@ def solve(system: SaddleSystem) -> SolutionFields:
     Region 1 is hybridized and condensed element by element, and the
     potential is decoupled through psi = p2 + a2 phi (see
     ``_hybrid_factorization``).  On a mesh that ``build_cartesian_mesh``
-    holds, the region-2 Laplacian of psi is solved in closed form and the
-    p2 unknowns off the interface cross are eliminated in closed form, so
-    SuperLU factors the condensed [multipliers | cross p2] system; on any
+    holds, the psi and p2 unknowns off the interface cross are eliminated in
+    closed form, psi on the cross is a dense Cholesky solve, and SuperLU
+    factors the condensed [multipliers | cross p2] system; on any
     other mesh it factors the Laplacian and [multipliers | p2].  The
     condensed system has a zero-free diagonal (negative on the multipliers,
     positive on p2) and a symmetric-mode minimum-degree ordering.  One

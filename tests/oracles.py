@@ -2,7 +2,8 @@
 
 None of these runs in the package: the symmetric triangle rule and
 pointwise quadrature on one element, the hat functions, the per-triangle
-geometry and element matrices on (t, 3, 2) corner copies, a sampled check
+geometry and element matrices on (t, 3, 2) corner copies, the vectors,
+lengths and normals of every edge, a sampled check
 that every triangle lies in the region it is tagged with, the edge and
 interface orientations from the geometry, a copy of a mesh with its
 vertices off the axes and the boundary moved (and a strategy drawing
@@ -136,8 +137,20 @@ def stacked_hat_gradients(m: BipartiteMesh) -> np.ndarray:
     return perp / (2.0 * stacked_areas(m))[:, None, None]
 
 
-def stacked_edge_vectors(m: BipartiteMesh) -> np.ndarray:
+def edge_vectors(m: BipartiteMesh) -> np.ndarray:
+    """(ne, 2) low-to-high vertex vectors of every edge (the package derives the interface edges' only)."""
     return m.vertices[m.edges[:, 1]] - m.vertices[m.edges[:, 0]]
+
+
+def edge_lengths(m: BipartiteMesh) -> np.ndarray:
+    vectors = edge_vectors(m)
+    return np.hypot(vectors[:, 0], vectors[:, 1])
+
+
+def edge_normals(m: BipartiteMesh) -> np.ndarray:
+    """(ne, 2) global normals of every edge: the low-to-high tangent rotated by -90 degrees."""
+    t = edge_vectors(m) / edge_lengths(m)[:, None]
+    return np.column_stack([t[:, 1], -t[:, 0]])
 
 
 def stacked_p1_local_stiffness(m: BipartiteMesh, tris) -> np.ndarray:
@@ -216,7 +229,7 @@ def validate_consistency(m: BipartiteMesh, tol: float = 1e-12) -> ConsistencyRep
 def geometric_edge_signs(m: BipartiteMesh) -> np.ndarray:
     """(nt, 3) +1 where the global normal of a triangle's edge points away from its centroid, else -1."""
     midpoints = m.vertices[m.edges].mean(axis=1)
-    out = np.einsum("tid,tid->ti", m.edge_normals[m.tri_edges],
+    out = np.einsum("tid,tid->ti", edge_normals(m)[m.tri_edges],
                     midpoints[m.tri_edges] - m.centroids[:, None, :])
     return np.where(out > 0, 1, -1)
 
@@ -224,7 +237,7 @@ def geometric_edge_signs(m: BipartiteMesh) -> np.ndarray:
 def geometric_interface_normals(m: BipartiteMesh) -> np.ndarray:
     """(ni, 2) global normals of the interface edges, flipped towards the region-2 centroid."""
     e = m.interface_edges
-    n = m.edge_normals[e]
+    n = edge_normals(m)[e]
     towards_2 = np.einsum("id,id->i", n, m.centroids[m.interface_tri2] - m.vertices[m.edges[e]].mean(axis=1))
     return np.where(towards_2[:, None] > 0, n, -n)
 
@@ -234,7 +247,7 @@ def assert_orientation_matches_geometry(m: BipartiteMesh) -> None:
     np.testing.assert_array_equal(m.tri_edge_signs, geometric_edge_signs(m))
     normals = geometric_interface_normals(m)
     np.testing.assert_array_equal(m.interface_normals, normals)
-    along = np.einsum("id,id->i", m.edge_normals[m.interface_edges], normals)
+    along = np.einsum("id,id->i", edge_normals(m)[m.interface_edges], normals)
     np.testing.assert_array_equal(m.interface_signs, np.where(along > 0, 1.0, -1.0))
 
 
@@ -433,8 +446,8 @@ def interpolate_exact(case: ManufacturedCase, m: BipartiteMesh,
     edges = layout.u1_edges
     pts = _edge_points(m, edges, LINE_RULE)
     u = case.u(pts[..., 0], pts[..., 1], m.tri_quadrant[owner[edges]][:, None])
-    un = np.einsum("eqd,ed->eq", u, m.edge_normals[edges])
-    x[:layout.n_u1] = m.edge_lengths[edges] * (un @ LINE_RULE.weights)
+    un = np.einsum("eqd,ed->eq", u, edge_normals(m)[edges])
+    x[:layout.n_u1] = edge_lengths(m)[edges] * (un @ LINE_RULE.weights)
 
     vx, vy = m.vertices[layout.p2_vertices].T
     quadrant = _omega2_quadrants(vx, vy)

@@ -44,11 +44,14 @@ TRACE_RULE = segment_rule(2)  # exact for the P1 trace mass
 
 
 def _edge_geometry(m, pos):
-    """Edge id, segment, length and the sign that turns its global normal towards region 2."""
+    """Edge id, segment, length and the sign that turns its global normal towards region 2, and that normal."""
     e = m.interface_edges[pos]
     seg = m.vertices[m.edges[e]]
-    towards_2 = float(np.dot(m.edge_normals[e], m.centroids[m.interface_tri2[pos]] - seg.mean(axis=0)))
-    return e, seg, m.edge_lengths[e], (1.0 if towards_2 > 0 else -1.0)
+    dx, dy = seg[1] - seg[0]
+    length = float(np.hypot(dx, dy))
+    normal = np.array([dy, -dx]) / length
+    towards_2 = float(np.dot(normal, m.centroids[m.interface_tri2[pos]] - seg.mean(axis=0)))
+    return e, seg, length, (1.0 if towards_2 > 0 else -1.0), normal
 
 
 def _segment_points(seg, rule):
@@ -61,7 +64,7 @@ def reference_A(m, layout, coeffs):
     hat = np.column_stack([1.0 - TRACE_RULE.points, TRACE_RULE.points])
     line_hat = np.column_stack([1.0 - LINE_RULE.points, LINE_RULE.points])
     for pos in range(len(m.interface_edges)):
-        e, seg, length, s_e = _edge_geometry(m, pos)
+        e, seg, length, s_e, _ = _edge_geometry(m, pos)
         p2 = layout.vert_to_p2[m.edges[e]]
         local = coeffs.beta * length * np.einsum("q,qi,qj->ij", TRACE_RULE.weights, hat, hat)
         for i in range(2):
@@ -87,7 +90,7 @@ def reference_rhs(m, layout, case):
     f1, f2 = assemble_rhs(m, layout, dataclasses.replace(case, f_stress=zero, f_n=zero))
     line_hat = np.column_stack([1.0 - LINE_RULE.points, LINE_RULE.points])
     for pos in range(len(m.interface_edges)):
-        e, seg, length, s_e = _edge_geometry(m, pos)
+        e, seg, length, s_e, _ = _edge_geometry(m, pos)
         x = _segment_points(seg, LINE_RULE)
         stress = np.asarray(case.f_stress(x[:, 0], x[:, 1]), dtype=float)
         flux = np.asarray(case.f_n(x[:, 0], x[:, 1]), dtype=float)
@@ -102,8 +105,8 @@ def reference_flux_residuals(sol, case, m):
     hat = np.column_stack([1.0 - LINE_RULE.points, LINE_RULE.points])
     out = np.empty(len(m.interface_edges))
     for pos in range(len(m.interface_edges)):
-        e, seg, length, s_e = _edge_geometry(m, pos)
-        n = s_e * m.edge_normals[e]
+        e, seg, length, s_e, normal = _edge_geometry(m, pos)
+        n = s_e * normal
         u1n = s_e * sol.u1[layout.edge_to_u1[e]] / length
         u2n = float(sol.u2[layout.tri_to_u2[m.interface_tri2[pos]]] @ n)
         p2h = hat @ sol.p2[layout.vert_to_p2[m.edges[e]]]
@@ -159,6 +162,6 @@ def test_interface_quadrature_orientation_matches_edge_normals():
     x, s = _edge_points(m, m.interface_edges, LINE_RULE), m.interface_signs
     assert x.shape == (len(m.interface_edges), len(LINE_RULE.points), 2)
     for pos in range(len(m.interface_edges)):
-        e, seg, _, s_e = _edge_geometry(m, pos)
+        e, seg, _, s_e, _ = _edge_geometry(m, pos)
         np.testing.assert_array_equal(x[pos], _segment_points(seg, LINE_RULE))
         assert s[pos] == s_e

@@ -36,7 +36,7 @@ def test_level2_counts():
     assert m.n_vertices == 25
     assert m.n_triangles == 32
     assert len(m.interface_edges) == 8
-    np.testing.assert_allclose(m.edge_lengths[m.interface_edges], 0.5)
+    np.testing.assert_allclose(m.interface_lengths, 0.5)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 8, pytest.param(np.int64(6), id="int64")])

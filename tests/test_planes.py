@@ -20,7 +20,7 @@ from twodarcy.solver import solve
 from twodarcy.spaces import _p1_gradients, build_dof_layout, potential_to_velocity, rt0_basis
 
 from oracles import (
-    moved_copy, reflected_copy, stacked_areas, stacked_centroids, stacked_edge_vectors,
+    edge_lengths, edge_normals, moved_copy, reflected_copy, stacked_areas, stacked_centroids,
     stacked_hat_gradients, stacked_p1_gradients, stacked_p1_local_stiffness, stacked_rt0_basis,
     stacked_rt0_local_mass, stacked_u1_cell_values,
 )
@@ -45,7 +45,9 @@ def test_geometry_matches_corner_copies(make):
     assert_same_bits(m.areas, stacked_areas(m))
     assert_same_bits(m.centroids, stacked_centroids(m))
     assert_same_bits(m.hat_gradients, stacked_hat_gradients(m))
-    assert_same_bits(m.edge_vectors, stacked_edge_vectors(m))
+    e = m.interface_edges
+    assert_same_bits(m.interface_lengths, edge_lengths(m)[e])
+    assert_same_bits(m.interface_normals, m.interface_signs[:, None] * edge_normals(m)[e])
 
 
 def test_clockwise_copy_geometry_computes_with_negative_areas():

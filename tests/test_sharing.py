@@ -19,8 +19,8 @@ from twodarcy.mesh import build_cartesian_mesh
 from twodarcy.solver import solve
 from twodarcy.spaces import build_dof_layout
 
-GEOMETRY = ("areas", "centroids", "hat_gradients", "edge_vectors", "edge_lengths", "edge_normals",
-            "tri_edge_signs", "interface_slot", "interface_signs", "interface_normals")
+GEOMETRY = ("areas", "centroids", "hat_gradients", "tri_edge_signs", "interface_slot", "interface_signs",
+            "interface_lengths", "interface_normals")
 
 
 def test_a_held_level_is_shared():
@@ -86,6 +86,19 @@ def test_kept_arrays_and_tuples_of_arrays_are_read_only():
     for kept in (array, *pair):
         with pytest.raises(ValueError, match="read-only"):
             kept[0] = 1.0
+
+
+def test_kept_region2_interior_is_read_only():
+    # Every field of the kept elimination is an array, the Cholesky factor of the psi solve too.
+    m = build_cartesian_mesh(4)
+    solve(assemble_system(m, build_dof_layout(m), example4()))
+    interior = vars(m)["_kept"]["region-2 interior"]
+    arrays = [getattr(interior, f.name) for f in dataclasses.fields(interior)]
+    assert all(isinstance(array, np.ndarray) for array in arrays)
+    assert interior.factor.shape == (2, 8, 8)
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0
 
 
 def _fields(m, case):

@@ -16,9 +16,9 @@ from twodarcy.mesh import EdgeKind, _region2_grids, build_cartesian_mesh
 from twodarcy.solver import (
     SolverError,
     _axis_schur,
-    _cosine_laplacian,
     _factor,
     _hybrid_factorization,
+    _interior_square,
     _local_saddle_inverse,
     check_wellposedness,
     solve,
@@ -166,15 +166,19 @@ def _vertex_at(m, point):
     (level, pin) for level in (1, 2, 3, 8, 32)
     for pin in [None, (0.0, 0.0), (-1.0, 1.0), (1.0, 0.0)] + [(0.25, -0.5), (-0.5, 0.25)] * (level in (8, 32))
 ])
-def test_cosine_laplacian_matches_splu(level, pin):
-    # The default pin is (0, -1).
+def test_psi_solve_matches_splu(level, pin):
+    # The default pin is (0, -1).  With only a potential load, phi = (psi0 + p2[pin] - p2[phi]) / a2.
     m = build_cartesian_mesh(level)
     lo = build_dof_layout(m, None if pin is None else _vertex_at(m, pin))
-    k = assemble_system(m, lo, example4()).K
+    system = assemble_system(m, lo, example4())
     phi, p2_pin = lo.phi_to_p2, lo.vert_to_p2[lo.pinned_vertex]
     f_phi = np.random.default_rng(level).standard_normal(lo.n_phi)
-    got = _cosine_laplacian(lo.vert_to_p2[_region2_grids(m)], phi, p2_pin)(f_phi)
-    expected = _factor(k[phi][:, phi]).solve(f_phi)
+    b = np.zeros(lo.size)
+    b[lo.offset_phi:lo.offset_p1] = f_phi
+    x = _hybrid_factorization(system)(b)
+    p2 = x[lo.offset_p2:lo.offset_phi]
+    got = system.coeffs.a2 * x[lo.offset_phi:lo.offset_p1] + p2[phi] - p2[p2_pin]
+    expected = _factor(system.K[phi][:, phi]).solve(f_phi)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
@@ -235,7 +239,7 @@ def test_axis_schur_matches_splu(k):
         interior, axes = grid[1:, 1:].ravel(), np.concatenate([grid[1:, 0], grid[0, 1:]])
         coupling = stiffness[interior][:, axes].toarray()
         expected = coupling.T @ _factor(stiffness[interior][:, interior]).solve(coupling)
-        assert np.abs(_axis_schur(k) - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert np.abs(_axis_schur(*_interior_square(k)) - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 def _check_interior_rows(system, monkeypatch):
@@ -526,7 +530,7 @@ def test_interface_balance(coeffs, moved):
                 check_moved_system(system, case)
             sol = solve(system)
             flux = m.interface_signs * sol.u1[layout.edge_to_u1[e]]
-            storage = coeffs.beta * m.edge_lengths[e] * sol.p2[layout.vert_to_p2[m.edges[e]]].sum(axis=1) / 2
+            storage = coeffs.beta * m.interface_lengths * sol.p2[layout.vert_to_p2[m.edges[e]]].sum(axis=1) / 2
             load = system.F1[layout.offset_p2:]
             scale = max(np.abs(terms).max() for terms in (flux, storage, load))
             assert abs(flux.sum() - (storage.sum() - load.sum())) <= 1e-10 * scale
