@@ -99,15 +99,15 @@ _QUADRANT_CORNERS = {
 NORM_DEGREE = 10
 
 
-def exact_norms(case: ManufacturedCase, degree: int = NORM_DEGREE) -> dict:
+def exact_norms(case: ManufacturedCase) -> dict:
     """Continuous exact-solution norms of ``case``, keyed like ``COLUMNS``.
 
     Each field is integrated over the quadrants of its region, one by one,
-    with a tensor Gauss rule exact for per-direction degree ``2 * degree``
-    (the square of a degree ``degree`` field), evaluating the closed forms
-    of that quadrant.
+    with a tensor Gauss rule exact for per-direction degree
+    ``2 * NORM_DEGREE`` (the square of a degree ``NORM_DEGREE`` field),
+    evaluating the closed forms of that quadrant.
     """
-    rule = segment_rule(2 * degree)
+    rule = segment_rule(2 * NORM_DEGREE)
     tx, ty = (t.ravel() for t in np.meshgrid(rule.points, rule.points, indexing="ij"))
     w = np.outer(rule.weights, rule.weights).ravel()
 

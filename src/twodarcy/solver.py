@@ -11,14 +11,13 @@ holds, that Laplacian is the 5-point stencil on two unit squares, and off
 the interface cross p2 meets only the same stencil, so the unknowns of
 both off the cross are eliminated in closed form with quarter-wave sines
 (the capacitance-matrix method of Buzbee, Dorr, George and Golub, SIAM J.
-Numer. Anal. 8, 1971): psi is left with a dense Cholesky solve on the
-cross, p2 with its cross unknowns in SuperLU.  On any other mesh SuperLU
-factors the Laplacian and keeps every p2 unknown.  SuperLU factors the
-condensed system of the multipliers and the kept p2, with a zero-free
-diagonal (negative on the multipliers, positive on p2), with a
-symmetric-mode minimum-degree ordering instead of COLAMD with partial
-pivoting.  At level 96 that is 55,297 unknowns with a fill of 1.19M,
-against 14.0M for the full saddle matrix.
+Numer. Anal. 8, 1971); on any other mesh every p2 unknown is kept.
+SuperLU factors psi's Laplacian on the kept p2 unknowns, fixed at the
+first, and the condensed system of the multipliers and the kept p2, with
+a zero-free diagonal (negative on the multipliers, positive on p2), both
+with a symmetric-mode minimum-degree ordering instead of COLAMD with
+partial pivoting.  At level 96 the latter has 55,297 unknowns with a fill
+of 1.19M, against 14.0M for the full saddle matrix.
 """
 
 from __future__ import annotations
@@ -186,9 +185,8 @@ class _Region2Interior:
     square is removed by its Schur complement from both: the cross keeps the
     Steklov-Poincare stiffness K_GG - K_GI K_II^-1 K_IG, and y_I is
     recovered from y_G with a closed-form interior solve (``_interior_square``).
-    SuperLU factors the p2 one; psi, fixed to 0 at the origin, splits into
-    the two squares' axes, whose blocks ``factor`` holds as Cholesky factors.
-    Each method takes a stack of loads or values along its leading axes.
+    SuperLU factors the cross stiffness for both.  Each method takes a stack
+    of loads or values along its leading axes.
     """
 
     cross: np.ndarray     # (4k+1,) p2 indices on the cross, ascending: the p2 unknowns SuperLU keeps
@@ -198,7 +196,6 @@ class _Region2Interior:
     rows: np.ndarray      # the unit stiffness of region 2 on ``cross``, interior eliminated,
     cols: np.ndarray      # as (rows, cols, vals) on ``cross`` indices
     vals: np.ndarray
-    factor: np.ndarray    # (2, 2k, 2k) lower Cholesky factors of its blocks on ``axes`` of Q2 and Q4
     vectors: np.ndarray   # (k, k) V, and the ``scale`` and E_D diagonal ``edge`` of ``_interior_square``
     scale: np.ndarray
     edge: np.ndarray
@@ -224,10 +221,8 @@ class _Region2Interior:
              np.concatenate([stiffness.col, np.tile(gamma, 2 * k).ravel()])),
         ), shape=(len(cross), len(cross)))
         stiffness.sum_duplicates()
-        factor = np.linalg.cholesky(stiffness.toarray()[gamma[:, :, None], gamma[:, None, :]])
         return cls(cross=cross, to_cross=to_cross, interior=interior, axes=axes, rows=stiffness.row,
-                   cols=stiffness.col, vals=stiffness.data, factor=factor, vectors=vectors, scale=scale,
-                   edge=edge)
+                   cols=stiffness.col, vals=stiffness.data, vectors=vectors, scale=scale, edge=edge)
 
     def _solve(self, f: np.ndarray) -> np.ndarray:
         """K_II^-1 on a (..., 2, k, k) load."""
@@ -238,16 +233,6 @@ class _Region2Interior:
         x = self._solve(g[..., self.interior])
         g[..., self.axes[:, 0]] += self.edge * x[..., :, 0]
         g[..., self.axes[:, 1]] += self.edge * x[..., 0, :]
-
-    def potential(self, f: np.ndarray) -> np.ndarray:
-        """psi on the cross, 0 at the origin and off the cross, from the condensed load ``f`` of K psi = f.
-
-        LAPACK's potrs on the upper factor L^T: unlike ``cho_solve``, it adds no finiteness check or wrapper cost.
-        """
-        axes = self.axes.reshape(2, -1)
-        psi = np.zeros(len(f))
-        psi[axes] = [la.lapack.dpotrs(factor.T, load)[0] for factor, load in zip(self.factor, f[axes])]
-        return psi
 
     def recover(self, y: np.ndarray, g: np.ndarray) -> None:
         """Fill the interior of each field in ``y`` from its cross: y_I = K_II^-1 (g_I - K_IG y_G), in place."""
@@ -279,19 +264,21 @@ def _hybrid_factorization(system: SaddleSystem):
     p2 rows turns their potential coupling into K p2 / a2 and moves
     K[:, phi] psi0 / a2 to the load; as the columns of K sum to zero too,
     that is f / a2 with f the load F_phi extended by -sum(F_phi) on the pin
-    row, so psi0 only recovers phi.  On any mesh but those that
-    ``build_cartesian_mesh`` holds, SuperLU factors K_phiphi.
+    row, so psi0 only recovers phi.  K psi = f fixes psi up to a constant,
+    and any solution gives psi0 = psi[phi] - psi[pin]: psi is fixed to 0 at
+    the first kept p2 unknown, whatever the pin.
 
-    On such a mesh, a p2 row off the interface cross holds K / a2 alone, and
-    K psi = f holds there too (K_phiphi psi0 = F_phi with psi0 = psi_phi -
-    psi[pin]), so the interior of each region-2 square is eliminated in
-    closed form from both (``_Region2Interior``): the two loads are condensed
-    onto the axes together, the cross carries the Steklov-Poincare stiffness
-    (K_GG - K_GI K_II^-1 K_IG) / a2 for p2 and its unit form, fixed at the
-    origin, for psi, and the interior values of both are recovered together
-    after the solves.  SuperLU then factors [multipliers | cross p2], 4k + 1
-    p2 unknowns at level k; on any other mesh it factors [multipliers | p2].
-    Either has a zero-free diagonal: with N the flux block of a local saddle
+    On a mesh that ``build_cartesian_mesh`` holds, a p2 row off the
+    interface cross holds K / a2 alone, and K psi = f holds there too, so
+    the interior of each region-2 square is eliminated in closed form from
+    both (``_Region2Interior``): the two loads are condensed onto the axes
+    together, the cross carries the Steklov-Poincare stiffness
+    (K_GG - K_GI K_II^-1 K_IG) / a2 for p2 and its unit form for psi, and
+    the interior values of both are recovered together after the solves.
+    So the kept p2 unknowns are the 4k + 1 on the cross at level k, and on
+    any other mesh all of them.  SuperLU factors [multipliers | kept p2]
+    and, for psi, the unit stiffness on the kept p2 but the first.  The
+    former has a zero-free diagonal: with N the flux block of a local saddle
     inverse, a multiplier's diagonal is a sum of -N_ii, negative, and that
     of p2 adds the condensed S N S^T to M_beta plus the stiffness over a2,
     positive.
@@ -313,7 +300,8 @@ def _hybrid_factorization(system: SaddleSystem):
     # The p2 unknowns SuperLU keeps, and their region-2 stiffness as (rows, cols, vals).
     grids = _region2_grids(m)
     if grids is None:
-        interior, kept, to_kept = None, slice(None), np.arange(n_p2)
+        interior, kept = None, np.arange(n_p2)
+        to_kept = kept
         stiffness = system.K.tocoo()
         stiffness = stiffness.row, stiffness.col, stiffness.data
     else:
@@ -324,7 +312,7 @@ def _hybrid_factorization(system: SaddleSystem):
     # Hybrid dofs: the multipliers, in u1 order, then the kept p2.
     multiplied = m.edge_kind[lo.u1_edges] == EdgeKind.INTERIOR_1
     n_h = int(multiplied.sum())
-    n = n_h + (n_p2 if interior is None else len(interior.cross))
+    n = n_h + len(kept)
     u1_to_h = np.full(n_u1, -1, dtype=np.int64)
     u1_to_h[multiplied] = np.arange(n_h)
 
@@ -368,7 +356,11 @@ def _hybrid_factorization(system: SaddleSystem):
     ), shape=(n, n))
     hybrid.eliminate_zeros()
     lu = _factor(hybrid)
-    laplacian = _factor(system.K[phi][:, phi]).solve if grids is None else None
+    # psi's Laplacian: the unit stiffness on the kept p2 unknowns but the first, where psi is 0.
+    free =(stiffness[0] > 0) & (stiffness[1] > 0)
+    laplacian = _factor(sp.csc_matrix(
+        (stiffness[2][free], (stiffness[0][free] - 1, stiffness[1][free] - 1)), shape=(len(kept) - 1,) * 2,
+    ))
     # Index arrays of every solve, made after the factorizations so as not to raise their peak memory.
     valid_cols, owned_u1 = cols[valid], u1_dofs[own]
 
@@ -395,13 +387,12 @@ def _hybrid_factorization(system: SaddleSystem):
         u1[owned_u1] = z[:, :3][own]
         p2 = np.empty(n_p2)
         p2[kept] = y[n_h:]
-        if interior is None:
-            psi0 = laplacian(f_phi)
-        else:
-            p2, psi = fields = np.stack([p2, interior.potential(loads[1])])
+        psi = np.zeros(n_p2)
+        psi[kept[1:]] = laplacian.solve(loads[1, kept[1:]])
+        if interior is not None:
+            p2, psi = fields = np.stack([p2, psi])
             interior.recover(fields, loads * np.array([[a2], [1.0]]))
-            psi0 = psi[phi] - psi[pin]
-        return np.concatenate([u1, p2, (psi0 + p2[pin] - p2[phi]) / a2, z[:, 3]])
+        return np.concatenate([u1, p2, (psi[phi] - psi[pin] + p2[pin] - p2[phi]) / a2, z[:, 3]])
 
     return solve_full
 
@@ -413,14 +404,14 @@ def solve(system: SaddleSystem) -> SolutionFields:
     potential is decoupled through psi = p2 + a2 phi (see
     ``_hybrid_factorization``).  On a mesh that ``build_cartesian_mesh``
     holds, the psi and p2 unknowns off the interface cross are eliminated in
-    closed form, psi on the cross is a dense Cholesky solve, and SuperLU
-    factors the condensed [multipliers | cross p2] system; on any
-    other mesh it factors the Laplacian and [multipliers | p2].  The
-    condensed system has a zero-free diagonal (negative on the multipliers,
-    positive on p2) and a symmetric-mode minimum-degree ordering.  One
-    step of iterative refinement against the residual of the full saddle
-    system, applied block by block, follows, and the guard checks that
-    residual relative to the largest load entry.
+    closed form; on any other mesh every p2 unknown is kept.  SuperLU
+    factors psi's Laplacian on the kept p2, fixed at the first, and the
+    condensed [multipliers | kept p2] system, which has a zero-free
+    diagonal (negative on the multipliers, positive on p2), both with a
+    symmetric-mode minimum-degree ordering.  One step of iterative
+    refinement against the residual of the full saddle system, applied
+    block by block, follows, and the guard checks that residual relative to
+    the largest load entry.
     """
     n_x = system.layout.n_x
     A, B, Bt, C = system.A, system.B, system.Bt, system.C

@@ -264,12 +264,13 @@ def reflected_copy(level: int) -> BipartiteMesh:
     return dataclasses.replace(m, vertices=m.vertices[:, ::-1].copy())
 
 
-# Moved copies of the level-4 mesh, seeded, moved by up to a quarter of h.
+# Moved copies of the level-4 mesh, seeded, moved by up to 0.45 h.  From about
+# 0.35 h some draws fold a triangle; the solver refuses those (see test_mesh).
 moved_meshes = st.builds(
     lambda seed, amplitude: moved_copy(build_cartesian_mesh(4), seed, amplitude),
     st.integers(min_value=0, max_value=2**32 - 1),
-    st.floats(min_value=0.0, max_value=0.25),
-)
+    st.floats(min_value=0.0, max_value=0.45),
+).filter(lambda m: m.areas.min() > 0.0)
 
 
 def check_moved_system(system, case) -> None:

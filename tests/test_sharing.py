@@ -89,13 +89,13 @@ def test_kept_arrays_and_tuples_of_arrays_are_read_only():
 
 
 def test_kept_region2_interior_is_read_only():
-    # Every field of the kept elimination is an array, the Cholesky factor of the psi solve too.
+    # Every field of the kept elimination is an array; no factor is kept, as psi is factored per solve.
     m = build_cartesian_mesh(4)
     solve(assemble_system(m, build_dof_layout(m), example4()))
     interior = vars(m)["_kept"]["region-2 interior"]
     arrays = [getattr(interior, f.name) for f in dataclasses.fields(interior)]
     assert all(isinstance(array, np.ndarray) for array in arrays)
-    assert interior.factor.shape == (2, 8, 8)
+    assert interior.cross.shape == (4 * 4 + 1,)
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 0

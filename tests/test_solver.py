@@ -162,17 +162,19 @@ def _vertex_at(m, point):
     return int(np.flatnonzero((m.vertices == point).all(axis=1))[0])
 
 
-@pytest.mark.parametrize("level, pin", [
+@pytest.mark.parametrize("mesh, pin", [
     (level, pin) for level in (1, 2, 3, 8, 32)
     for pin in [None, (0.0, 0.0), (-1.0, 1.0), (1.0, 0.0)] + [(0.25, -0.5), (-0.5, 0.25)] * (level in (8, 32))
-])
-def test_psi_solve_matches_splu(level, pin):
+] + [pytest.param(lambda: moved_copy(build_cartesian_mesh(8)), pin, id=f"moved8-{name}")
+     for name, pin in (("None", None), ("interior", (0.25, -0.5)))])
+def test_psi_solve_matches_splu(mesh, pin):
     # The default pin is (0, -1).  With only a potential load, phi = (psi0 + p2[pin] - p2[phi]) / a2.
-    m = build_cartesian_mesh(level)
-    lo = build_dof_layout(m, None if pin is None else _vertex_at(m, pin))
+    # A moved copy numbers its vertices like the registry mesh of its level, which names its pin.
+    m = mesh() if callable(mesh) else build_cartesian_mesh(mesh)
+    lo = build_dof_layout(m, None if pin is None else _vertex_at(build_cartesian_mesh(m.level_inv), pin))
     system = assemble_system(m, lo, example4())
     phi, p2_pin = lo.phi_to_p2, lo.vert_to_p2[lo.pinned_vertex]
-    f_phi = np.random.default_rng(level).standard_normal(lo.n_phi)
+    f_phi = np.random.default_rng(m.level_inv).standard_normal(lo.n_phi)
     b = np.zeros(lo.size)
     b[lo.offset_phi:lo.offset_p1] = f_phi
     x = _hybrid_factorization(system)(b)
@@ -212,8 +214,9 @@ def _n_multipliers(m):
 
 def test_laplacian_path_follows_mesh_identity(monkeypatch):
     # Only the registry mesh is known to be the uniform grid: SuperLU factors
-    # [multipliers | cross p2] once.  Any copy, even one with the same vertex
-    # values, factors [multipliers | p2] and its Laplacian.
+    # [multipliers | cross p2] and psi's Laplacian on the cross but its first
+    # unknown.  Any copy, even one with the same vertex values, factors
+    # [multipliers | p2] and the Laplacian on every p2 unknown but the first.
     calls = []
     splu = solver.spla.splu
     monkeypatch.setattr(solver.spla, "splu", lambda matrix, *args, **kwargs: calls.append(matrix.shape[0])
@@ -221,8 +224,8 @@ def test_laplacian_path_follows_mesh_identity(monkeypatch):
     m = build_cartesian_mesh(4)
     lo = build_dof_layout(m)
     n_h = _n_multipliers(m)
-    for mesh, sizes in ((m, [n_h + lo.n_p2 - 2 * 4**2]), (moved_copy(m), [n_h + lo.n_p2, lo.n_phi]),
-                        (dataclasses.replace(m, vertices=m.vertices.copy()), [n_h + lo.n_p2, lo.n_phi])):
+    for mesh, sizes in ((m, [n_h + lo.n_p2 - 2 * 4**2, 4 * 4]), (moved_copy(m), [n_h + lo.n_p2, lo.n_p2 - 1]),
+                        (dataclasses.replace(m, vertices=m.vertices.copy()), [n_h + lo.n_p2, lo.n_p2 - 1])):
         calls.clear()
         assert solve(assemble_system(mesh, build_dof_layout(mesh), example4())).residual <= solver.RESIDUAL_TOL
         assert calls == sizes
@@ -276,9 +279,10 @@ def test_interior_p2_rows_hold_only_the_stiffness_over_coefficients(coeffs):
 
 @pytest.mark.parametrize("level", [4, 8, 16])
 def test_reduced_pattern_is_independent_of_the_values(level, monkeypatch):
-    # A kept fill-reducing ordering needs one pattern per level and pin: the
-    # dense Steklov-Poincare blocks must not let eliminate_zeros or the
-    # rounding drop depend on the coefficients.
+    # A kept fill-reducing ordering needs one pattern per level and pin for
+    # each matrix SuperLU factors, the hybrid one and psi's: the dense
+    # Steklov-Poincare blocks must not let eliminate_zeros or the rounding
+    # drop depend on the coefficients.
     recorded = _recorded_factorizations(monkeypatch)
     m = build_cartesian_mesh(level)
     layout = build_dof_layout(m)
@@ -287,8 +291,11 @@ def test_reduced_pattern_is_independent_of_the_values(level, monkeypatch):
         for a1, a2, beta in draws:
             case = with_coefficients(make(), CoefficientSet(a1, a2, beta))
             _hybrid_factorization(assemble_system(m, layout, case))
-    assert recorded[0].shape[0] == _n_multipliers(m) + layout.n_p2 - 2 * level**2
-    assert len({(r.indptr.tobytes(), r.indices.tobytes()) for r in recorded}) == 1
+    hybrid, psi = recorded[::2], recorded[1::2]
+    assert hybrid[0].shape[0] == _n_multipliers(m) + layout.n_p2 - 2 * level**2
+    assert psi[0].shape[0] == 4 * level
+    for matrices in (hybrid, psi):
+        assert len({(r.indptr.tobytes(), r.indices.tobytes()) for r in matrices}) == 1
 
 
 def test_assembly_and_diagnostics_scatter_every_block(monkeypatch):
