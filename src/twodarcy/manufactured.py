@@ -83,7 +83,11 @@ class ManufacturedCase:
         return self.p(x, y, quadrants_of(x, y))
 
 
-def _classify_interface(x, y, tol=1e-12):
+# A point this close to an axis lies on it, and so on the interface cross.
+_AXIS_TOL = 1e-12
+
+
+def _classify_interface(x, y):
     """Sub-edge data for interface points: region-1/-2 quadrants and normal.
 
     The normal n points from region 1 into region 2, so the region-1 and
@@ -91,8 +95,8 @@ def _classify_interface(x, y, tol=1e-12):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    on_h = np.abs(y) <= tol
-    on_v = np.abs(x) <= tol
+    on_h = np.abs(y) <= _AXIS_TOL
+    on_v = np.abs(x) <= _AXIS_TOL
     if not np.all(on_h | on_v):
         raise ValueError("point is not on the interface cross")
     nx = np.where(on_h, 0.0, np.where(y > 0, -1.0, 1.0))
@@ -197,21 +201,23 @@ def example2(interface_mode: str = "derived", beta: float = 1.0) -> Manufactured
     if interface_mode == "derived":
         return _with_derived_interface(case)
 
+    def q4_sides(x, y):
+        """Masks of the interface points on the horizontal and on the vertical side of Q4."""
+        _, q2, _ = _classify_interface(x, y)
+        on_h = (q2 == 4) & (np.abs(np.asarray(y)) <= _AXIS_TOL)
+        return on_h, (q2 == 4) & ~on_h
+
     def f_stress(x, y):
-        q1, q2, _ = _classify_interface(x, y)
-        on_q4_h = (q2 == 4) & (np.abs(np.asarray(y)) <= 1e-12)
-        on_q4_v = (q2 == 4) & ~on_q4_h
+        on_h, on_v = q4_sides(x, y)
         return (
-            np.where(on_q4_h, ((np.asarray(x) - 1.0) ** 2 - 1.0) / 20.0, 0.0)
-            + np.where(on_q4_v, (1.0 - (np.asarray(y) + 1.0) ** 2) / 20.0, 0.0)
+            np.where(on_h, ((np.asarray(x) - 1.0) ** 2 - 1.0) / 20.0, 0.0)
+            + np.where(on_v, (1.0 - (np.asarray(y) + 1.0) ** 2) / 20.0, 0.0)
         )
 
     def f_n(x, y):
-        q1, q2, _ = _classify_interface(x, y)
-        on_q4_h = (q2 == 4) & (np.abs(np.asarray(y)) <= 1e-12)
-        on_q4_v = (q2 == 4) & ~on_q4_h
-        return np.where(on_q4_h, (np.asarray(x) - 4.0) / 20.0, 0.0) + np.where(
-            on_q4_v, (4.0 - np.asarray(y)) / 20.0, 0.0
+        on_h, on_v = q4_sides(x, y)
+        return np.where(on_h, (np.asarray(x) - 4.0) / 20.0, 0.0) + np.where(
+            on_v, (4.0 - np.asarray(y)) / 20.0, 0.0
         )
 
     return dataclasses.replace(case, f_stress=f_stress, f_n=f_n)

@@ -9,15 +9,17 @@ is decoupled: as a2 is a region constant, psi = p2 + a2 phi solves a
 region-2 Laplacian on its own.  On a mesh that ``build_cartesian_mesh``
 holds, that Laplacian is the 5-point stencil on two unit squares, and off
 the interface cross p2 meets only the same stencil, so the unknowns of
-both off the cross are eliminated in closed form with quarter-wave sines
-(the capacitance-matrix method of Buzbee, Dorr, George and Golub, SIAM J.
-Numer. Anal. 8, 1971); on any other mesh every p2 unknown is kept.
-SuperLU factors psi's Laplacian on the kept p2 unknowns, fixed at the
-first, and the condensed system of the multipliers and the kept p2, with
-a zero-free diagonal (negative on the multipliers, positive on p2), both
-with a symmetric-mode minimum-degree ordering instead of COLAMD with
-partial pivoting.  At level 96 the latter has 55,297 unknowns with a fill
-of 1.19M, against 14.0M for the full saddle matrix.
+both off the cross are eliminated in closed form with quarter-wave sines,
+one field at a time (the capacitance-matrix method of Buzbee, Dorr, George
+and Golub, SIAM J. Numer. Anal. 8, 1971); on any other mesh every p2
+unknown is kept.  Region 2 has one unit stiffness on the kept p2 unknowns.
+SuperLU factors its slice without the first row and column for psi,
+fixed at the first, and the condensed system of the multipliers and the
+kept p2, which reads it too, with a zero-free diagonal (negative on the
+multipliers, positive on p2), both with a symmetric-mode minimum-degree
+ordering instead of COLAMD with partial pivoting.  At level 96 the latter
+has 55,297 unknowns with a fill of 1.19M, against 14.0M for the full
+saddle matrix.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import scipy.sparse.linalg as spla
 from .assembly import (
     SaddleSystem, _interface_coupling, _p1_local_stiffness, _scatter, _scatter_entries, rt0_local_mass,
 )
-from .mesh import EdgeKind, _kept, _region2_grids
+from .mesh import EdgeKind, _freeze, _kept, _region2_grids
 from .spaces import potential_to_velocity
 
 __all__ = [
@@ -185,17 +187,15 @@ class _Region2Interior:
     square is removed by its Schur complement from both: the cross keeps the
     Steklov-Poincare stiffness K_GG - K_GI K_II^-1 K_IG, and y_I is
     recovered from y_G with a closed-form interior solve (``_interior_square``).
-    SuperLU factors the cross stiffness for both.  Each method takes a stack
-    of loads or values along its leading axes.
+    SuperLU factors the cross stiffness for both.  ``condense`` and
+    ``recover`` act on one field over all p2 unknowns at a time.
     """
 
     cross: np.ndarray     # (4k+1,) p2 indices on the cross, ascending: the p2 unknowns SuperLU keeps
     to_cross: np.ndarray  # (n_p2,) index of each p2 unknown in ``cross``, -1 off the cross
     interior: np.ndarray  # (2, k, k) p2 indices of the vertices (a, b), a, b = 1..k, of Q2 and Q4
     axes: np.ndarray      # (2, 2, k) p2 indices of (a, 0) and of (0, b), a, b = 1..k
-    rows: np.ndarray      # the unit stiffness of region 2 on ``cross``, interior eliminated,
-    cols: np.ndarray      # as (rows, cols, vals) on ``cross`` indices
-    vals: np.ndarray
+    stiffness: sp.csr_matrix  # the unit stiffness of region 2 on ``cross``, interior eliminated, read-only
     vectors: np.ndarray   # (k, k) V, and the ``scale`` and E_D diagonal ``edge`` of ``_interior_square``
     scale: np.ndarray
     edge: np.ndarray
@@ -214,32 +214,31 @@ class _Region2Interior:
         k = interior.shape[-1]
         gamma = to_cross[axes.reshape(2, 2 * k)]
         vectors, scale, edge = _interior_square(k)
-        stiffness = k_unit[cross][:, cross].tocoo()
-        stiffness = sp.coo_matrix((
-            np.concatenate([stiffness.data, -np.tile(_axis_schur(vectors, scale, edge).ravel(), 2)]),
-            (np.concatenate([stiffness.row, np.repeat(gamma, 2 * k, axis=1).ravel()]),
-             np.concatenate([stiffness.col, np.tile(gamma, 2 * k).ravel()])),
+        k_gg = k_unit[cross][:, cross].tocoo()
+        stiffness = sp.csr_matrix((
+            np.concatenate([k_gg.data, -np.tile(_axis_schur(vectors, scale, edge).ravel(), 2)]),
+            (np.concatenate([k_gg.row, np.repeat(gamma, 2 * k, axis=1).ravel()]),
+             np.concatenate([k_gg.col, np.tile(gamma, 2 * k).ravel()])),
         ), shape=(len(cross), len(cross)))
-        stiffness.sum_duplicates()
-        return cls(cross=cross, to_cross=to_cross, interior=interior, axes=axes, rows=stiffness.row,
-                   cols=stiffness.col, vals=stiffness.data, vectors=vectors, scale=scale, edge=edge)
+        return cls(cross=cross, to_cross=to_cross, interior=interior, axes=axes, stiffness=_freeze(stiffness),
+                   vectors=vectors, scale=scale, edge=edge)
 
     def _solve(self, f: np.ndarray) -> np.ndarray:
-        """K_II^-1 on a (..., 2, k, k) load."""
+        """K_II^-1 on a (2, k, k) load."""
         return self.vectors @ (self.vectors.T @ f @ self.vectors / self.scale) @ self.vectors.T
 
     def condense(self, g: np.ndarray) -> None:
-        """Move the interior part of each load in ``g`` onto the axes: g_G -= K_GI K_II^-1 g_I, in place."""
-        x = self._solve(g[..., self.interior])
-        g[..., self.axes[:, 0]] += self.edge * x[..., :, 0]
-        g[..., self.axes[:, 1]] += self.edge * x[..., 0, :]
+        """Move the interior part of the load ``g`` onto the axes: g_G -= K_GI K_II^-1 g_I, in place."""
+        x = self._solve(g[self.interior])
+        g[self.axes[:, 0]] += self.edge * x[:, :, 0]
+        g[self.axes[:, 1]] += self.edge * x[:, 0, :]
 
     def recover(self, y: np.ndarray, g: np.ndarray) -> None:
-        """Fill the interior of each field in ``y`` from its cross: y_I = K_II^-1 (g_I - K_IG y_G), in place."""
-        load = g[..., self.interior]
-        load[..., :, 0] += self.edge * y[..., self.axes[:, 0]]
-        load[..., 0, :] += self.edge * y[..., self.axes[:, 1]]
-        y[..., self.interior] = self._solve(load)
+        """Fill the interior of the field ``y`` from its cross: y_I = K_II^-1 (g_I - K_IG y_G), in place."""
+        load = g[self.interior]
+        load[:, :, 0] += self.edge * y[self.axes[:, 0]]
+        load[:, 0, :] += self.edge * y[self.axes[:, 1]]
+        y[self.interior] = self._solve(load)
 
 
 def _hybrid_factorization(system: SaddleSystem):
@@ -271,17 +270,18 @@ def _hybrid_factorization(system: SaddleSystem):
     On a mesh that ``build_cartesian_mesh`` holds, a p2 row off the
     interface cross holds K / a2 alone, and K psi = f holds there too, so
     the interior of each region-2 square is eliminated in closed form from
-    both (``_Region2Interior``): the two loads are condensed onto the axes
-    together, the cross carries the Steklov-Poincare stiffness
+    both (``_Region2Interior``): the p2 load and f are each condensed onto
+    the axes, the cross carries the Steklov-Poincare stiffness
     (K_GG - K_GI K_II^-1 K_IG) / a2 for p2 and its unit form for psi, and
-    the interior values of both are recovered together after the solves.
-    So the kept p2 unknowns are the 4k + 1 on the cross at level k, and on
-    any other mesh all of them.  SuperLU factors [multipliers | kept p2]
-    and, for psi, the unit stiffness on the kept p2 but the first.  The
-    former has a zero-free diagonal: with N the flux block of a local saddle
-    inverse, a multiplier's diagonal is a sum of -N_ii, negative, and that
-    of p2 adds the condensed S N S^T to M_beta plus the stiffness over a2,
-    positive.
+    the interior values of p2 and of psi are each recovered after the
+    solves.  So the kept p2 unknowns are the 4k + 1 on the cross at level
+    k, and on any other mesh all of them, with the unit stiffness K itself.
+    SuperLU factors [multipliers | kept p2], which reads that one unit
+    stiffness on the kept p2, and, for psi, its slice without the first row
+    and column.  The former has a zero-free diagonal: with N the flux block
+    of a local saddle inverse, a multiplier's diagonal is a sum of -N_ii,
+    negative, and that of p2 adds the condensed S N S^T to M_beta plus the
+    stiffness over a2, positive.
     """
     m, lo = system.mesh, system.layout
     n_u1, n_p2 = lo.n_u1, lo.n_p2
@@ -297,17 +297,14 @@ def _hybrid_factorization(system: SaddleSystem):
     own = (m.edge_tris[edges, 0] == tris[:, None]) | iface
     u1_dofs = lo.edge_to_u1[edges]
 
-    # The p2 unknowns SuperLU keeps, and their region-2 stiffness as (rows, cols, vals).
+    # The p2 unknowns SuperLU keeps, and their unit region-2 stiffness.
     grids = _region2_grids(m)
     if grids is None:
-        interior, kept = None, np.arange(n_p2)
+        interior, kept, stiffness = None, np.arange(n_p2), system.K
         to_kept = kept
-        stiffness = system.K.tocoo()
-        stiffness = stiffness.row, stiffness.col, stiffness.data
     else:
         interior = _kept(m, "region-2 interior", lambda: _Region2Interior.of(lo, grids, system.K))
-        kept, to_kept = interior.cross, interior.to_cross
-        stiffness = interior.rows, interior.cols, interior.vals
+        kept, to_kept, stiffness = interior.cross, interior.to_cross, interior.stiffness
 
     # Hybrid dofs: the multipliers, in u1 order, then the kept p2.
     multiplied = m.edge_kind[lo.u1_edges] == EdgeKind.INTERIOR_1
@@ -349,18 +346,16 @@ def _hybrid_factorization(system: SaddleSystem):
     a_rows = np.repeat(np.arange(n_p2), np.diff(a.indptr[n_u1:]))
     a_cols = a.indices[start:] - n_u1
     on_p2 = a_cols >= 0
+    k_entries = stiffness.tocoo()
     hybrid = sp.csc_matrix((
-        np.concatenate([a.data[start:][on_p2], stiffness[2] / a2, vals]),
-        (np.concatenate([n_h + to_kept[a_rows[on_p2]], n_h + stiffness[0], rows]),
-         np.concatenate([n_h + to_kept[a_cols[on_p2]], n_h + stiffness[1], h_cols])),
+        np.concatenate([a.data[start:][on_p2], k_entries.data / a2, vals]),
+        (np.concatenate([n_h + to_kept[a_rows[on_p2]], n_h + k_entries.row, rows]),
+         np.concatenate([n_h + to_kept[a_cols[on_p2]], n_h + k_entries.col, h_cols])),
     ), shape=(n, n))
     hybrid.eliminate_zeros()
     lu = _factor(hybrid)
     # psi's Laplacian: the unit stiffness on the kept p2 unknowns but the first, where psi is 0.
-    free =(stiffness[0] > 0) & (stiffness[1] > 0)
-    laplacian = _factor(sp.csc_matrix(
-        (stiffness[2][free], (stiffness[0][free] - 1, stiffness[1][free] - 1)), shape=(len(kept) - 1,) * 2,
-    ))
+    laplacian = _factor(stiffness[1:, 1:])
     # Index arrays of every solve, made after the factorizations so as not to raise their peak memory.
     valid_cols, owned_u1 = cols[valid], u1_dofs[own]
 
@@ -370,15 +365,16 @@ def _hybrid_factorization(system: SaddleSystem):
         load[:, :3] = np.where(own, b[u1_dofs], 0.0)
         load[:, 3] = b[lo.offset_p1:]
         z = np.einsum("tij,tj->ti", inverse, load)
-        # The psi load f, extended to the pin row, and the p2 load, stacked for the interior elimination.
-        loads = np.zeros((2, n_p2))
-        loads[1, phi] = f_phi
-        loads[1, pin] = -f_phi.sum()
-        loads[0] = b[n_u1:lo.offset_phi] + loads[1] / a2
+        # The psi load f, extended to the pin row, and the p2 load.
+        f = np.zeros(n_p2)
+        f[phi] = f_phi
+        f[pin] = -f_phi.sum()
+        load_p2 = b[n_u1:lo.offset_phi] + f / a2
         if interior is not None:
-            interior.condense(loads)
+            interior.condense(load_p2)
+            interior.condense(f)
         g = np.zeros(n)
-        g[n_h:] = loads[0, kept]
+        g[n_h:] = load_p2[kept]
         g -= np.bincount(valid_cols, (reads * z[:, :3, None])[valid], minlength=n)
         y = lu.solve(g)
         z -= np.einsum("tij,tj->ti", inverse[:, :, :3],
@@ -388,10 +384,10 @@ def _hybrid_factorization(system: SaddleSystem):
         p2 = np.empty(n_p2)
         p2[kept] = y[n_h:]
         psi = np.zeros(n_p2)
-        psi[kept[1:]] = laplacian.solve(loads[1, kept[1:]])
+        psi[kept[1:]] = laplacian.solve(f[kept[1:]])
         if interior is not None:
-            p2, psi = fields = np.stack([p2, psi])
-            interior.recover(fields, loads * np.array([[a2], [1.0]]))
+            interior.recover(p2, a2 * load_p2)
+            interior.recover(psi, f)
         return np.concatenate([u1, p2, (psi[phi] - psi[pin] + p2[pin] - p2[phi]) / a2, z[:, 3]])
 
     return solve_full

@@ -11,9 +11,10 @@ such copies), the copy reflected across y = x, a mesh with two interface
 edges on one triangle, an exactly representable patch case with the
 volume load that balances its pressure gradient, a finite-difference
 check of the closed-form calculus of a manufactured case, the exact-field
-interpolant with its residual in the discrete dual norm, the flux mass
-matrix on its own, the whole unhybridized saddle matrix with its sparse
-LU, and a reader of the binary legacy-VTK files the field dumps write.
+interpolant with its residual in the discrete dual norm, the seven case
+variants the parametrized tests run, the flux mass matrix on its own, the
+whole unhybridized saddle matrix with its sparse LU, and a reader of the
+binary legacy-VTK files the field dumps write.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import strategies as st
 
 from twodarcy.assembly import LINE_RULE, _edge_points, _scatter, assemble_system
-from twodarcy.manufactured import ManufacturedCase, derive_interface_data
+from twodarcy.manufactured import EXAMPLES, ManufacturedCase, derive_interface_data
 from twodarcy.mesh import BipartiteMesh, _finish_mesh, build_cartesian_mesh, quadrants_of
 from twodarcy.quadrature import QuadRule, _frozen, _gauss01
 from twodarcy.solver import x_norm_gram, y_norm_gram
@@ -371,6 +372,23 @@ def assemble_patch_system(m: BipartiteMesh, layout: DofLayout, case: StillCase):
 def patch_potential(x, y, q):
     """Velocity potential of ``linear_patch_case``: its velocity vanishes."""
     return np.zeros_like(np.asarray(x, dtype=float))
+
+
+# The seven case variants, as (example, interface mode) pairs.
+CASE_VARIANTS = (
+    (1, "derived"), (2, "derived"), (2, "paper_literal"), (3, "derived"),
+    (3, "paper_literal"), (4, "derived"), (4, "constant_projection"),
+)
+
+
+def variant_cases() -> list[ManufacturedCase]:
+    """A new case of each of ``CASE_VARIANTS``, in order."""
+    return [EXAMPLES[example](mode) for example, mode in CASE_VARIANTS]
+
+
+def case_id(case: ManufacturedCase) -> str:
+    """The test id of a case variant, e.g. ``example2-paper_literal``."""
+    return f"{case.name}-{case.interface_mode}"
 
 
 def with_coefficients(case: ManufacturedCase, coeffs) -> ManufacturedCase:

@@ -15,12 +15,14 @@ from twodarcy.analysis import (
 )
 from twodarcy.assembly import assemble_system
 from twodarcy.cli import main
-from twodarcy.manufactured import example1, example2, example3, example4
+from twodarcy.manufactured import example1, example2, example4
 from twodarcy.mesh import build_cartesian_mesh, quadrants_of
 from twodarcy.solver import SolutionFields, solve
 from twodarcy.spaces import build_dof_layout
 
-from oracles import dual_residual_norm, interpolate_exact, patch_potential, triangle_rule
+from oracles import (
+    case_id, dual_residual_norm, interpolate_exact, patch_potential, triangle_rule, variant_cases,
+)
 
 
 def _fields_from_vector(x, system):
@@ -224,15 +226,7 @@ def _triangle_rule_norms(case, m):
     }
 
 
-@pytest.mark.parametrize("case", [
-    example1(),
-    example2("derived"),
-    example2("paper_literal"),
-    example3("derived"),
-    example3("paper_literal"),
-    example4("derived"),
-    example4("constant_projection"),
-], ids=lambda c: f"{c.name}-{c.interface_mode}")
+@pytest.mark.parametrize("case", variant_cases(), ids=case_id)
 def test_exact_norms_match_triangle_rule_level8(case):
     norms = analysis.exact_norms(case)
     assert set(norms) == set(analysis.COLUMNS)

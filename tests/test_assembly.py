@@ -17,13 +17,14 @@ from twodarcy.assembly import (
     p1_stiffness_omega2,
     rt0_local_mass,
 )
-from twodarcy.manufactured import example1, example2, example3, example4
+from twodarcy.manufactured import example1, example3, example4
 from twodarcy.mesh import EdgeKind, build_cartesian_mesh
 from twodarcy.solver import solve
 from twodarcy.spaces import build_dof_layout, rt0_basis
 
 from oracles import (
     assemble_patch_system,
+    case_id,
     check_moved_system,
     flux_scatter,
     full_matrix,
@@ -33,6 +34,7 @@ from oracles import (
     moved_meshes,
     patch_potential,
     triangle_rule,
+    variant_cases,
     with_coefficients,
 )
 from test_coefficients import coefficients, derandomized
@@ -297,16 +299,8 @@ def test_example3_weighted_stiffness():
 # ---------------------------------------------------------------------------
 # Stored pattern: the blocks keep no zeros.
 
-CASES = [
-    example1(),
-    example2("derived"),
-    example2("paper_literal"),
-    example3("derived"),
-    example3("paper_literal"),
-    example4("derived"),
-    example4("constant_projection"),
-]
-CASE_IDS = [f"{c.name}-{c.interface_mode}" for c in CASES]
+CASES = variant_cases()
+CASE_IDS = [case_id(c) for c in CASES]
 
 
 def _reference_scatter(parts, shape):

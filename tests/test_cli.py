@@ -11,7 +11,7 @@ import twodarcy.cli
 import twodarcy.manufactured
 from twodarcy.cli import main
 
-from oracles import read_vtk
+from oracles import CASE_VARIANTS, read_vtk
 
 
 BETA_RULE = "beta must be positive and finite"
@@ -180,13 +180,9 @@ def test_solver_failure_names_failing_level(monkeypatch, capsys):
 # `--diagnostics` stdout of example 2 paper_literal up to level 4; a change to
 # them is a change of published results.
 GOLDEN = Path(__file__).parent / "data"
-VARIANTS = [
-    (1, "derived"), (2, "derived"), (2, "paper_literal"), (3, "derived"),
-    (3, "paper_literal"), (4, "derived"), (4, "constant_projection"),
-]
 
 
-@pytest.mark.parametrize("example, mode", VARIANTS)
+@pytest.mark.parametrize("example, mode", CASE_VARIANTS)
 def test_csv_matches_committed_reference(example, mode, tmp_path):
     path = tmp_path / "out.csv"
     assert main(["--example", str(example), "--interface-mode", mode,
@@ -194,7 +190,7 @@ def test_csv_matches_committed_reference(example, mode, tmp_path):
     assert path.read_bytes() == (GOLDEN / f"example{example}_{mode}_8.csv").read_bytes()
 
 
-@pytest.mark.parametrize("example, mode", VARIANTS)
+@pytest.mark.parametrize("example, mode", CASE_VARIANTS)
 def test_stdout_matches_committed_reference(example, mode, capsys):
     assert main(["--example", str(example), "--interface-mode", mode, "--max-level", "8"]) == 0
     out = capsys.readouterr().out.encode("ascii")

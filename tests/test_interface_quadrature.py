@@ -21,24 +21,15 @@ from twodarcy.assembly import (
     assemble_system,
     rt0_local_mass,
 )
-from twodarcy.manufactured import example1, example2, example3, example4
 from twodarcy.mesh import build_cartesian_mesh
 from twodarcy.quadrature import segment_rule
 from twodarcy.solver import solve
 from twodarcy.spaces import build_dof_layout
 
-from oracles import flux_scatter
+from oracles import case_id, flux_scatter, variant_cases
 
-CASES = [
-    example1(),
-    example2("derived"),
-    example2("paper_literal"),
-    example3("derived"),
-    example3("paper_literal"),
-    example4("derived"),
-    example4("constant_projection"),
-]
-CASE_IDS = [f"{c.name}-{c.interface_mode}" for c in CASES]
+CASES = variant_cases()
+CASE_IDS = [case_id(c) for c in CASES]
 RTOL = 1e-13
 TRACE_RULE = segment_rule(2)  # exact for the P1 trace mass
 

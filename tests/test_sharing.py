@@ -11,6 +11,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from twodarcy import mesh as mesh_module
 from twodarcy.assembly import assemble_B, assemble_system, p1_stiffness_omega2
@@ -89,14 +90,18 @@ def test_kept_arrays_and_tuples_of_arrays_are_read_only():
 
 
 def test_kept_region2_interior_is_read_only():
-    # Every field of the kept elimination is an array; no factor is kept, as psi is factored per solve.
+    # Every field of the kept elimination is an array but the cross stiffness; no factor is kept, as psi
+    # is factored per solve.  The stiffness's arrays are read-only too.
     m = build_cartesian_mesh(4)
     solve(assemble_system(m, build_dof_layout(m), example4()))
     interior = vars(m)["_kept"]["region-2 interior"]
-    arrays = [getattr(interior, f.name) for f in dataclasses.fields(interior)]
+    fields = [getattr(interior, f.name) for f in dataclasses.fields(interior)]
+    stiffness = interior.stiffness
+    arrays = [field for field in fields if field is not stiffness]
     assert all(isinstance(array, np.ndarray) for array in arrays)
-    assert interior.cross.shape == (4 * 4 + 1,)
-    for array in arrays:
+    assert sp.isspmatrix_csr(stiffness)
+    assert interior.cross.shape == (4 * 4 + 1,) and stiffness.shape == (4 * 4 + 1,) * 2
+    for array in arrays + [stiffness.data, stiffness.indices, stiffness.indptr]:
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 0
 

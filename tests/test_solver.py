@@ -1,9 +1,11 @@
 import dataclasses
+import functools
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import example, given
 
 from twodarcy import solver
@@ -11,10 +13,11 @@ from twodarcy.analysis import convergence_study, error_norms
 from twodarcy.assembly import (
     CoefficientSet, assemble_A, assemble_system, p1_stiffness_omega2,
 )
-from twodarcy.manufactured import example1, example2, example3, example4
+from twodarcy.manufactured import EXAMPLES, example1, example2, example3, example4
 from twodarcy.mesh import EdgeKind, _region2_grids, build_cartesian_mesh
 from twodarcy.solver import (
     SolverError,
+    _Region2Interior,
     _axis_schur,
     _factor,
     _hybrid_factorization,
@@ -26,20 +29,16 @@ from twodarcy.solver import (
 from twodarcy.spaces import build_dof_layout
 
 from oracles import (
-    check_moved_system, full_lu_solve, full_matrix, moved_copy, moved_meshes, two_interface_edge_mesh,
-    with_coefficients,
+    CASE_VARIANTS, check_moved_system, full_lu_solve, full_matrix, moved_copy, moved_meshes,
+    two_interface_edge_mesh, with_coefficients,
 )
 from test_coefficients import coefficients, derandomized
 
 
-CASE_VARIANTS = {
-    "example1": example1,
-    "example2": example2,
-    "example2_paper_literal": lambda: example2("paper_literal"),
-    "example3": example3,
-    "example3_paper_literal": lambda: example3("paper_literal"),
-    "example4": example4,
-    "example4_constant_projection": lambda: example4("constant_projection"),
+# The case factories of CASE_VARIANTS by name: "example2" is the derived mode.
+NAMED_VARIANTS = {
+    f"example{example}" + ("" if mode == "derived" else f"_{mode}"):
+        functools.partial(EXAMPLES[example], mode) for example, mode in CASE_VARIANTS
 }
 
 
@@ -245,6 +244,32 @@ def test_axis_schur_matches_splu(k):
         assert np.abs(_axis_schur(*_interior_square(k)) - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
+@pytest.mark.parametrize("k", [1, 2, 4, 16])
+def test_region2_elimination_matches_splu(k):
+    # condense and recover against a sparse LU of the interior block, I the
+    # interiors of both squares and G the cross, on standard-normal loads.
+    m = build_cartesian_mesh(k)
+    lo = build_dof_layout(m)
+    stiffness = p1_stiffness_omega2(m, lo)
+    elimination = _Region2Interior.of(lo, _region2_grids(m), stiffness)
+    inner, cross = elimination.interior.ravel(), elimination.cross
+    lu = spla.splu(stiffness[inner][:, inner].tocsc())
+    rng = np.random.default_rng(k)
+    g, y = rng.standard_normal((2, lo.n_p2))
+
+    condensed = g.copy()
+    elimination.condense(condensed)
+    expected = g.copy()
+    expected[cross] -= stiffness[cross][:, inner] @ lu.solve(g[inner])
+    assert np.abs(condensed - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    recovered = y.copy()
+    elimination.recover(recovered, g)
+    expected = y.copy()
+    expected[inner] = lu.solve(g[inner] - stiffness[inner][:, cross] @ y[cross])
+    assert np.abs(recovered - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
 def _check_interior_rows(system, monkeypatch):
     """In the unreduced hybrid matrix, each off-axis p2 row of a region-2 square is K / a2 exactly."""
     recorded = _recorded_factorizations(monkeypatch)
@@ -260,12 +285,12 @@ def _check_interior_rows(system, monkeypatch):
 
 
 @pytest.mark.parametrize("level", [1, 2, 8])
-@pytest.mark.parametrize("variant", sorted(CASE_VARIANTS))
+@pytest.mark.parametrize("variant", sorted(NAMED_VARIANTS))
 def test_interior_p2_rows_hold_only_the_stiffness(variant, level, monkeypatch):
     # The reduction rests on this: off the cross, M_beta and the condensed
     # interface terms are zero, and no multiplier is reached.
     m = build_cartesian_mesh(level)
-    _check_interior_rows(assemble_system(m, build_dof_layout(m), CASE_VARIANTS[variant]()), monkeypatch)
+    _check_interior_rows(assemble_system(m, build_dof_layout(m), NAMED_VARIANTS[variant]()), monkeypatch)
 
 
 @derandomized
@@ -318,7 +343,7 @@ def _assert_matches_full_lu(system):
 
 
 @pytest.mark.parametrize("level", [1, 2, 4, 8, 32])
-@pytest.mark.parametrize("variant", sorted(CASE_VARIANTS))
+@pytest.mark.parametrize("variant", sorted(NAMED_VARIANTS))
 def test_solve_matches_full_matrix_lu(variant, level):
     # Both paths: the registry mesh eliminates the region-2 interior in
     # closed form, a copy keeps it.  No element matrix of a moved copy has an
@@ -326,7 +351,7 @@ def test_solve_matches_full_matrix_lu(variant, level):
     # copy moves no vertex: all of them are on the axes or the boundary.
     uniform = build_cartesian_mesh(level)
     for m in (uniform, moved_copy(uniform)) if level in (1, 2, 4, 8) else (uniform,):
-        _assert_matches_full_lu(assemble_system(m, build_dof_layout(m), CASE_VARIANTS[variant]()))
+        _assert_matches_full_lu(assemble_system(m, build_dof_layout(m), NAMED_VARIANTS[variant]()))
 
 
 def test_multipliers_are_the_pressure_trace(monkeypatch):
@@ -365,16 +390,16 @@ def test_solve_region1_triangle_with_two_interface_edges(variant, level):
     m = two_interface_edge_mesh(level)
     on_interface = (m.edge_kind[m.tri_edges] == EdgeKind.INTERFACE).sum(axis=1)
     assert np.count_nonzero((on_interface == 2) & (m.tri_region == 1)) == 2
-    system = assemble_system(m, build_dof_layout(m), CASE_VARIANTS[variant]())
+    system = assemble_system(m, build_dof_layout(m), NAMED_VARIANTS[variant]())
     assert solve(system).residual <= solver.RESIDUAL_TOL
     _assert_matches_full_lu(system)
 
 
 @pytest.mark.parametrize("level", [8, 32])
-@pytest.mark.parametrize("variant", sorted(CASE_VARIANTS))
+@pytest.mark.parametrize("variant", sorted(NAMED_VARIANTS))
 def test_blockwise_residual_matches_full_matrix(variant, level):
     m = build_cartesian_mesh(level)
-    system = assemble_system(m, build_dof_layout(m), CASE_VARIANTS[variant]())
+    system = assemble_system(m, build_dof_layout(m), NAMED_VARIANTS[variant]())
     sol = solve(system)
     x = np.concatenate([sol.u1, sol.p2, sol.phi, sol.p1])
     rhs = system.rhs()
