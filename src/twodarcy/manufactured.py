@@ -150,17 +150,16 @@ def _quintic_d2(t):
     return 20.0 * t**3 - 12.0 * t
 
 
-def _polynomial_forms():
+def _separable(s, s1, s2):
+    """``p``, ``grad_p`` and ``lap_p`` of p = s(x) s(y), from s and its derivatives ``s1`` and ``s2``."""
     def p(x, y, q):
-        return _quintic(x) * _quintic(y)
+        return s(x) * s(y)
 
     def grad_p(x, y, q):
-        return np.stack(
-            [_quintic_d1(x) * _quintic(y), _quintic(x) * _quintic_d1(y)], axis=-1
-        )
+        return np.stack([s1(x) * s(y), s(x) * s1(y)], axis=-1)
 
     def lap_p(x, y, q):
-        return _quintic_d2(x) * _quintic(y) + _quintic(x) * _quintic_d2(y)
+        return s2(x) * s(y) + s(x) * s2(y)
 
     return p, grad_p, lap_p
 
@@ -168,7 +167,7 @@ def _polynomial_forms():
 def example1(interface_mode: str = "derived", beta: float = 1.0) -> ManufacturedCase:
     """Continuous separable polynomial pressure; unit resistance everywhere."""
     _check_mode(interface_mode, ("derived",), "example1")
-    p, grad_p, lap_p = _polynomial_forms()
+    p, grad_p, lap_p = _separable(_quintic, _quintic_d1, _quintic_d2)
     case = ManufacturedCase(
         name="example1", a1=1.0, a2=1.0, beta=beta, interface_mode="derived",
         p=p, grad_p=grad_p, lap_p=lap_p,
@@ -181,7 +180,7 @@ def example1(interface_mode: str = "derived", beta: float = 1.0) -> Manufactured
 def example2(interface_mode: str = "derived", beta: float = 1.0) -> ManufacturedCase:
     """Pressure of case 1 plus a harmonic perturbation on quadrant Q4."""
     _check_mode(interface_mode, ("derived", "paper_literal"), "example2")
-    p0, grad0, lap0 = _polynomial_forms()
+    p0, grad0, lap0 = _separable(_quintic, _quintic_d1, _quintic_d2)
 
     def p(x, y, q):
         pert = ((np.asarray(x) - 1.0) ** 2 - (np.asarray(y) + 1.0) ** 2) / 20.0
@@ -228,7 +227,7 @@ def example2(interface_mode: str = "derived", beta: float = 1.0) -> Manufactured
 def example3(interface_mode: str = "derived", beta: float = 1.0) -> ManufacturedCase:
     """Pressure of case 1 with resistance 1 on region 1 and 5 on region 2."""
     _check_mode(interface_mode, ("derived", "paper_literal"), "example3")
-    p, grad_p, lap_p = _polynomial_forms()
+    p, grad_p, lap_p = _separable(_quintic, _quintic_d1, _quintic_d2)
     case = ManufacturedCase(
         name="example3", a1=1.0, a2=5.0, beta=beta, interface_mode=interface_mode,
         p=p, grad_p=grad_p, lap_p=lap_p,
@@ -271,15 +270,7 @@ def example4(interface_mode: str = "derived", beta: float = 1.0) -> Manufactured
     def s2(t):
         return 0.5 * np.pi**2 * np.cos(np.pi * (np.asarray(t) - 1.0))
 
-    def p(x, y, q):
-        return s(x) * s(y)
-
-    def grad_p(x, y, q):
-        return np.stack([s1(x) * s(y), s(x) * s1(y)], axis=-1)
-
-    def lap_p(x, y, q):
-        return s2(x) * s(y) + s(x) * s2(y)
-
+    p, grad_p, lap_p = _separable(s, s1, s2)
     case = ManufacturedCase(
         name="example4", a1=1.0, a2=5.0, beta=beta, interface_mode=interface_mode,
         p=p, grad_p=grad_p, lap_p=lap_p,

@@ -44,22 +44,23 @@ def quadrants_of(x, y):
                     np.where(np.asarray(x) > 0, 4, 3))
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
 def _freeze(value):
-    """Make ``value``, or each item of a tuple ``value``, read-only: an array, or an object's array fields."""
-    for item in value if isinstance(value, tuple) else (value,):
-        for attribute in (item,) if isinstance(item, np.ndarray) else getattr(item, "__dict__", {}).values():
-            if isinstance(attribute, np.ndarray):
-                _read_only(attribute)
+    """Make every array that ``value`` reaches read-only, and return ``value``.
+
+    An array is frozen; a tuple's items and an object's ``__dict__`` values
+    are frozen in turn, so the ``data``, ``indices`` and ``indptr`` of a
+    sparse matrix, held alone, in a tuple or as a field, are frozen too.
+    """
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    else:
+        for item in value if isinstance(value, tuple) else getattr(value, "__dict__", {}).values():
+            _freeze(item)
     return value
 
 
 def _kept(m, key, build):
-    """``build()``, built once per ``key`` and kept read-only on ``m``, as a mesh is shared.
+    """``build()``, built once per ``key`` and kept on ``m`` frozen whole, as a mesh is shared (``_freeze``).
 
     What is kept must not refer back to ``m``, so that ``m`` dies with its last holder.
     """
@@ -99,7 +100,7 @@ def _planes(m, vertex_ids) -> tuple[np.ndarray, np.ndarray]:
 
 def _cached_array(method):
     """``cached_property`` of a read-only array: meshes are shared (see ``build_cartesian_mesh``)."""
-    return cached_property(functools.wraps(method)(lambda self: _read_only(method(self))))
+    return cached_property(functools.wraps(method)(lambda self: _freeze(method(self))))
 
 
 class EdgeKind(IntEnum):

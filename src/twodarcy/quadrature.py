@@ -7,6 +7,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .mesh import _freeze
+
 MAX_SEGMENT_DEGREE = 61
 
 __all__ = [
@@ -29,14 +31,6 @@ class QuadRule:
     weights: np.ndarray
 
 
-def _frozen(points, weights):
-    points = np.ascontiguousarray(points, dtype=float)
-    weights = np.ascontiguousarray(weights, dtype=float)
-    points.flags.writeable = False
-    weights.flags.writeable = False
-    return QuadRule(points, weights)
-
-
 def _gauss01(n):
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
@@ -47,6 +41,4 @@ def segment_rule(min_degree: int) -> QuadRule:
     """Gauss-Legendre rule on [0, 1] with 2n - 1 >= ``min_degree``."""
     if not 1 <= min_degree <= MAX_SEGMENT_DEGREE:
         raise ValueError(f"unsupported segment rule degree: {min_degree}")
-    n = (min_degree + 2) // 2
-    t, w = _gauss01(n)
-    return _frozen(t, w)
+    return _freeze(QuadRule(*_gauss01((min_degree + 2) // 2)))

@@ -34,8 +34,8 @@ import scipy.sparse.linalg as spla
 from .assembly import (
     SaddleSystem, _interface_coupling, _p1_local_stiffness, _scatter, _scatter_entries, rt0_local_mass,
 )
-from .mesh import EdgeKind, _freeze, _kept, _region2_grids
-from .spaces import potential_to_velocity
+from .mesh import EdgeKind, _kept, _region2_grids
+from .spaces import _numbering, potential_to_velocity
 
 __all__ = [
     "SolverError",
@@ -195,7 +195,7 @@ class _Region2Interior:
     to_cross: np.ndarray  # (n_p2,) index of each p2 unknown in ``cross``, -1 off the cross
     interior: np.ndarray  # (2, k, k) p2 indices of the vertices (a, b), a, b = 1..k, of Q2 and Q4
     axes: np.ndarray      # (2, 2, k) p2 indices of (a, 0) and of (0, b), a, b = 1..k
-    stiffness: sp.csr_matrix  # the unit stiffness of region 2 on ``cross``, interior eliminated, read-only
+    stiffness: sp.csr_matrix  # the unit stiffness of region 2 on ``cross``, interior eliminated
     vectors: np.ndarray   # (k, k) V, and the ``scale`` and E_D diagonal ``edge`` of ``_interior_square``
     scale: np.ndarray
     edge: np.ndarray
@@ -208,9 +208,7 @@ class _Region2Interior:
         axes = np.stack([p2[:, 1:, 0], p2[:, 0, 1:]], axis=1)
         on_cross = np.ones(layout.n_p2, dtype=bool)
         on_cross[interior] = False
-        cross = np.flatnonzero(on_cross)
-        to_cross = np.full(layout.n_p2, -1, dtype=np.int64)
-        to_cross[cross] = np.arange(len(cross))
+        cross, to_cross = _numbering(on_cross)
         k = interior.shape[-1]
         gamma = to_cross[axes.reshape(2, 2 * k)]
         vectors, scale, edge = _interior_square(k)
@@ -220,7 +218,7 @@ class _Region2Interior:
             (np.concatenate([k_gg.row, np.repeat(gamma, 2 * k, axis=1).ravel()]),
              np.concatenate([k_gg.col, np.tile(gamma, 2 * k).ravel()])),
         ), shape=(len(cross), len(cross)))
-        return cls(cross=cross, to_cross=to_cross, interior=interior, axes=axes, stiffness=_freeze(stiffness),
+        return cls(cross=cross, to_cross=to_cross, interior=interior, axes=axes, stiffness=stiffness,
                    vectors=vectors, scale=scale, edge=edge)
 
     def _solve(self, f: np.ndarray) -> np.ndarray:
@@ -307,11 +305,9 @@ def _hybrid_factorization(system: SaddleSystem):
         kept, to_kept, stiffness = interior.cross, interior.to_cross, interior.stiffness
 
     # Hybrid dofs: the multipliers, in u1 order, then the kept p2.
-    multiplied = m.edge_kind[lo.u1_edges] == EdgeKind.INTERIOR_1
-    n_h = int(multiplied.sum())
+    multipliers, u1_to_h = _numbering(m.edge_kind[lo.u1_edges] == EdgeKind.INTERIOR_1)
+    n_h = len(multipliers)
     n = n_h + len(kept)
-    u1_to_h = np.full(n_u1, -1, dtype=np.int64)
-    u1_to_h[multiplied] = np.arange(n_h)
 
     # The two global columns of each flux slot, (t, 3, 2) with -1 for none,
     # and its couplings to them: the triangle's outward sign of the edge to

@@ -19,11 +19,10 @@ natural in this formulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .mesh import BipartiteMesh, EdgeKind, _is_integer, _kept, _planes, _read_only
+from .mesh import BipartiteMesh, EdgeKind, _is_integer, _kept, _planes
 
 __all__ = [
     "DofLayout",
@@ -35,7 +34,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DofLayout:
-    """Block index maps for the four unknown fields of one mesh; immutable, its arrays read-only."""
+    """Block index maps for the four unknown fields of one mesh; kept on the mesh, so frozen whole."""
 
     u1_edges: np.ndarray      # edge ids carrying flux dofs, ascending
     edge_to_u1: np.ndarray    # (ne,) block-local index or -1
@@ -43,6 +42,7 @@ class DofLayout:
     vert_to_p2: np.ndarray    # (nv,) block-local index or -1
     pinned_vertex: int        # region-2 vertex whose potential value is 0
     vert_to_phi: np.ndarray   # (nv,) block-local index or -1
+    phi_to_p2: np.ndarray     # (n_phi,) p2-block index of each potential dof: every p2 dof but the pin
     p1_triangles: np.ndarray  # region-1 triangle ids, ascending
     tri_to_p1: np.ndarray     # (nt,) block-local index or -1
     u2_triangles: np.ndarray  # region-2 triangle ids, ascending
@@ -59,11 +59,6 @@ class DofLayout:
     @property
     def n_phi(self) -> int:
         return self.n_p2 - 1
-
-    @cached_property
-    def phi_to_p2(self) -> np.ndarray:
-        """(n_phi,) p2-block index of each potential dof: every p2 dof but the pinned one."""
-        return _read_only(np.flatnonzero(self.p2_vertices != self.pinned_vertex))
 
     @property
     def n_p1(self) -> int:
@@ -109,30 +104,29 @@ def build_dof_layout(m: BipartiteMesh, pin_vertex: int | None = None) -> DofLayo
     return _kept(m, ("layout", pin), lambda: _new_dof_layout(m, pin))
 
 
+def _numbering(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ids where ``mask`` holds, ascending, and the (len(mask),) index of each among them, else -1."""
+    ids = np.flatnonzero(mask)
+    index = np.full(len(mask), -1, dtype=np.int64)
+    index[ids] = np.arange(len(ids))
+    return ids, index
+
+
 def _new_dof_layout(m: BipartiteMesh, pin_vertex: int | None) -> DofLayout:
     u1_kinds = (EdgeKind.INTERIOR_1, EdgeKind.BOUNDARY_1, EdgeKind.INTERFACE)
-    u1_edges = np.flatnonzero(np.isin(m.edge_kind, u1_kinds))
-    edge_to_u1 = np.full(m.n_edges, -1, dtype=np.int64)
-    edge_to_u1[u1_edges] = np.arange(len(u1_edges))
-
-    p2_vertices = np.unique(m.triangles[m.tri_region == 2])
-    vert_to_p2 = np.full(m.n_vertices, -1, dtype=np.int64)
-    vert_to_p2[p2_vertices] = np.arange(len(p2_vertices))
+    u1_edges, edge_to_u1 = _numbering(np.isin(m.edge_kind, u1_kinds))
+    in_region2 = np.zeros(m.n_vertices, dtype=bool)
+    in_region2[m.triangles[m.tri_region == 2]] = True
+    p2_vertices, vert_to_p2 = _numbering(in_region2)
 
     if pin_vertex is None:
         pin_vertex = int(p2_vertices[0])
     elif not (0 <= pin_vertex < m.n_vertices and vert_to_p2[pin_vertex] >= 0):
         raise ValueError(f"pin vertex {pin_vertex} is not a region-2 vertex")
-    phi_vertices = p2_vertices[p2_vertices != pin_vertex]
-    vert_to_phi = np.full(m.n_vertices, -1, dtype=np.int64)
-    vert_to_phi[phi_vertices] = np.arange(len(phi_vertices))
-
-    p1_triangles = np.flatnonzero(m.tri_region == 1)
-    tri_to_p1 = np.full(m.n_triangles, -1, dtype=np.int64)
-    tri_to_p1[p1_triangles] = np.arange(len(p1_triangles))
-    u2_triangles = np.flatnonzero(m.tri_region == 2)
-    tri_to_u2 = np.full(m.n_triangles, -1, dtype=np.int64)
-    tri_to_u2[u2_triangles] = np.arange(len(u2_triangles))
+    in_region2[pin_vertex] = False  # now the potential's vertices: region 2 but the pin
+    phi_vertices, vert_to_phi = _numbering(in_region2)
+    p1_triangles, tri_to_p1 = _numbering(m.tri_region == 1)
+    u2_triangles, tri_to_u2 = _numbering(m.tri_region == 2)
 
     return DofLayout(
         u1_edges=u1_edges,
@@ -141,6 +135,7 @@ def _new_dof_layout(m: BipartiteMesh, pin_vertex: int | None) -> DofLayout:
         vert_to_p2=vert_to_p2,
         pinned_vertex=int(pin_vertex),
         vert_to_phi=vert_to_phi,
+        phi_to_p2=vert_to_p2[phi_vertices],
         p1_triangles=p1_triangles,
         tri_to_p1=tri_to_p1,
         u2_triangles=u2_triangles,

@@ -33,8 +33,8 @@ from hypothesis import strategies as st
 
 from twodarcy.assembly import LINE_RULE, _edge_points, _scatter, assemble_system
 from twodarcy.manufactured import EXAMPLES, ManufacturedCase, derive_interface_data
-from twodarcy.mesh import BipartiteMesh, _finish_mesh, build_cartesian_mesh, quadrants_of
-from twodarcy.quadrature import QuadRule, _frozen, _gauss01
+from twodarcy.mesh import BipartiteMesh, _finish_mesh, _freeze, build_cartesian_mesh, quadrants_of
+from twodarcy.quadrature import QuadRule, _gauss01
 from twodarcy.solver import x_norm_gram, y_norm_gram
 from twodarcy.spaces import DofLayout, build_dof_layout
 
@@ -68,7 +68,7 @@ def triangle_rule(min_degree: int) -> QuadRule:
     perms = list(permutations(range(3)))
     points = np.concatenate([bary[:, p] for p in perms], axis=0)
     weights = np.concatenate([w] * len(perms)) / len(perms)
-    return _frozen(points, weights)
+    return _freeze(QuadRule(points, weights))
 
 
 def integrate_on_triangle(f, tri, rule: QuadRule) -> float:

@@ -79,6 +79,14 @@ def test_segment_rule_weight_sum():
         assert abs(rule.weights.sum() - 1.0) <= 1e-14
 
 
+def test_segment_rule_is_shared_read_only():
+    rule = segment_rule(11)
+    assert segment_rule(11) is rule
+    for array in (rule.points, rule.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
 def test_segment_rule_rejects_unsupported_degree():
     with pytest.raises(ValueError):
         segment_rule(0)

@@ -67,10 +67,9 @@ def test_shared_arrays_are_read_only():
     arrays.update({name: getattr(m, name) for name in GEOMETRY})
     arrays.update({f"layout.{f.name}": getattr(layout, f.name) for f in dataclasses.fields(layout)
                    if isinstance(getattr(layout, f.name), np.ndarray)})
-    arrays["layout.phi_to_p2"] = layout.phi_to_p2
     arrays["K.data"] = system.K.data
     arrays["B.data"] = system.B.data
-    assert len(arrays) == 11 + len(GEOMETRY) + 9 + 1 + 2
+    assert len(arrays) == 11 + len(GEOMETRY) + 10 + 2
     for array in arrays.values():
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 0
@@ -89,9 +88,27 @@ def test_kept_arrays_and_tuples_of_arrays_are_read_only():
             kept[0] = 1.0
 
 
+@dataclasses.dataclass(frozen=True)
+class _Held:
+    array: np.ndarray
+    matrix: sp.csr_matrix
+    pair: tuple
+
+
+def test_kept_objects_are_frozen_whole():
+    # Every array a kept object reaches is read-only, however deep: a field, the arrays of a sparse
+    # field and the items of a tuple field.
+    m = dataclasses.replace(build_cartesian_mesh(2))
+    held = mesh_module._kept(m, "held", lambda: _Held(np.zeros(2), sp.csr_matrix(np.eye(2)), (np.ones(2),)))
+    arrays = [held.array, held.matrix.data, held.matrix.indices, held.matrix.indptr, held.pair[0]]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
 def test_kept_region2_interior_is_read_only():
     # Every field of the kept elimination is an array but the cross stiffness; no factor is kept, as psi
-    # is factored per solve.  The stiffness's arrays are read-only too.
+    # is factored per solve.  ``_kept`` freezes the whole object, the stiffness's arrays included.
     m = build_cartesian_mesh(4)
     solve(assemble_system(m, build_dof_layout(m), example4()))
     interior = vars(m)["_kept"]["region-2 interior"]
