@@ -331,3 +331,24 @@ def _region2_grids(m: BipartiteMesh) -> np.ndarray | None:
     a, b = steps[:, None], steps[None, :]
     origin = k * n + k
     return np.stack([origin - a + b * n, origin + a - b * n])
+
+
+def _region1_grids(m: BipartiteMesh) -> np.ndarray | None:
+    """(3, 2, k, k) edge ids of the cells of the squares Q1 and Q3 of a registry mesh, else None.
+
+    [:, 0, i, j] is the cell of Q1 at (i/k, j/k), and [:, 1, i, j] the cell of
+    Q3 at (-(i+1)/k, -(j+1)/k) turned by half a turn, so that in both frames
+    the interface is at i = 0 and j = 0.  [0] holds each cell's diagonal, [1]
+    its lower leg and [2] its left leg, in the frame of its square.
+    """
+    if _LIVE_MESHES.get(m.level_inv) is not m:
+        return None
+    k = m.level_inv
+    # [ci, cj, lower or upper, slot]: lower (v00, v10, v11) holds the right leg,
+    # the diagonal and the lower leg, upper (v00, v11, v01) the upper and left legs first.
+    cells = m.tri_edges.reshape(2 * k, 2 * k, 2, 3).transpose(1, 0, 2, 3)
+    q1, q3 = cells[k:, k:], cells[k - 1::-1, k - 1::-1]
+    return np.stack([
+        np.stack([q1[..., 0, 1], q1[..., 0, 2], q1[..., 1, 1]]),
+        np.stack([q3[..., 0, 1], q3[..., 1, 0], q3[..., 0, 0]]),
+    ], axis=1)

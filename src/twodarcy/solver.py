@@ -6,24 +6,30 @@ the RT0 fluxes are broken per triangle, a multiplier (the pressure trace)
 on every interior region-1 edge restores their continuity, and each
 triangle's fluxes and cell pressure are eliminated locally.  The potential
 is decoupled: as a2 is a region constant, psi = p2 + a2 phi solves a
-region-2 Laplacian on its own.  On a mesh that ``build_cartesian_mesh``
-holds, that Laplacian is the 5-point stencil on two unit squares, and off
-the interface cross p2 meets only the same stencil, so the unknowns of
-both off the cross are eliminated in closed form with quarter-wave sines,
-one field at a time (the capacitance-matrix method of Buzbee, Dorr, George
-and Golub, SIAM J. Numer. Anal. 8, 1971); on any other mesh every p2
-unknown is kept.  Region 2 has one unit stiffness on the kept p2 unknowns.
-SuperLU factors its slice without the first row and column for psi,
-fixed at the first, and the condensed system of the multipliers and the
-kept p2, which reads it too, with a zero-free diagonal (negative on the
-multipliers, positive on p2), both with a symmetric-mode minimum-degree
-ordering instead of COLAMD with partial pivoting.  At level 96 the latter
-has 55,297 unknowns with a fill of 1.19M, against 14.0M for the full
-saddle matrix.
+region-2 Laplacian on its own.
+
+On a mesh that ``build_cartesian_mesh`` holds, both regions are reduced
+onto the interface cross in closed form, by the capacitance-matrix method
+of Buzbee, Dorr, George and Golub (SIAM J. Numer. Anal. 8, 1971).  Off the
+cross, p2 and psi meet only the 5-point stencil on two unit squares,
+eliminated with quarter-wave sines one field at a time.  The multiplier
+block is -CR / a1, the Crouzeix-Raviart stiffness of the region-1
+triangles: each cell's diagonal drops out, and the legs are eliminated with
+sine modes.  The 4k + 1 cross p2 values at level k are left with one dense
+Steklov-Poincare matrix, which ``scipy.linalg.lu_factor`` factors: 385
+unknowns at level 96.  On any other mesh every unknown is kept, and
+SuperLU factors the condensed system of the multipliers and p2 (73,729
+unknowns with a fill of 2.1M at level 96, against 14.0M for the full
+saddle matrix), with a zero-free diagonal (negative on the multipliers,
+positive on p2) and a symmetric-mode minimum-degree ordering instead of
+COLAMD with partial pivoting.  Region 2 has one unit stiffness on the kept
+p2 unknowns, and on every mesh SuperLU factors its slice without the first
+row and column for psi, fixed at the first, with the same ordering.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +40,7 @@ import scipy.sparse.linalg as spla
 from .assembly import (
     SaddleSystem, _interface_coupling, _p1_local_stiffness, _scatter, _scatter_entries, rt0_local_mass,
 )
-from .mesh import EdgeKind, _kept, _region2_grids
+from .mesh import EdgeKind, _kept, _region1_grids, _region2_grids
 from .spaces import _numbering, potential_to_velocity
 
 __all__ = [
@@ -103,6 +109,18 @@ def _factor(matrix: sp.spmatrix):
         # "malloc fails ...", "Not enough memory to perform factorization.".
         if any(word in str(err).lower() for word in ("malloc", "memory")):
             raise SolverError(f"factorization ran out of memory: {err}") from err
+        raise SolverError(f"singular factorization: {err}") from err
+
+
+def _dense_factor(matrix: np.ndarray):
+    """LU of a dense matrix with ``_factor``'s errors: ``lu_factor`` only warns on an exactly singular one."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", la.LinAlgWarning)
+            return la.lu_factor(matrix, overwrite_a=True)
+    except MemoryError as err:
+        raise SolverError(f"factorization ran out of memory: {err}") from err
+    except (ValueError, la.LinAlgWarning) as err:
         raise SolverError(f"singular factorization: {err}") from err
 
 
@@ -187,11 +205,12 @@ class _Region2Interior:
     square is removed by its Schur complement from both: the cross keeps the
     Steklov-Poincare stiffness K_GG - K_GI K_II^-1 K_IG, and y_I is
     recovered from y_G with a closed-form interior solve (``_interior_square``).
-    SuperLU factors the cross stiffness for both.  ``condense`` and
-    ``recover`` act on one field over all p2 unknowns at a time.
+    The cross stiffness enters the dense cross matrix of p2 over a2, and
+    SuperLU factors it for psi.  ``condense`` and ``recover`` act on one
+    field over all p2 unknowns at a time.
     """
 
-    cross: np.ndarray     # (4k+1,) p2 indices on the cross, ascending: the p2 unknowns SuperLU keeps
+    cross: np.ndarray     # (4k+1,) p2 indices on the cross, ascending: the kept p2 unknowns
     to_cross: np.ndarray  # (n_p2,) index of each p2 unknown in ``cross``, -1 off the cross
     interior: np.ndarray  # (2, k, k) p2 indices of the vertices (a, b), a, b = 1..k, of Q2 and Q4
     axes: np.ndarray      # (2, 2, k) p2 indices of (a, 0) and of (0, b), a, b = 1..k
@@ -239,6 +258,183 @@ class _Region2Interior:
         y[self.interior] = self._solve(load)
 
 
+def _leg_modes(k: int):
+    """The sine modes of the legs of one region-1 square at level k, and the inverse of each mode's block.
+
+    On a unit right triangle the Crouzeix-Raviart stiffness is 4 on the
+    diagonal's midpoint, 2 on each leg's and -2 between the diagonal and a
+    leg, so in CR each cell's diagonal couples only to its own four legs and
+    drops out: the legs keep L = CR_ll - CR_ld CR_dd^-1 CR_dl, 3 on the
+    diagonal and -1/2 between any two legs of one cell.  The interior
+    horizontal legs (i+1/2, j) take the modes sin(p pi (i+1/2) / k)
+    sin(q pi j / k), the vertical legs (i, j+1/2) the transpose, and L pairs
+    the two modes (p, q) alone, in the block [[3 - cos q', -2 c_p c_q],
+    [-2 c_p c_q, 3 - cos p']] with p' = p pi / k and c_p = cos(p' / 2), of
+    determinant 4 (2 - cos p' - cos q').  Mode k of a DST-I is zero and c_k
+    = 0, so one (k, k) grid of modes holds both kinds.  Returns the
+    orthonormal DST-I on the vertex lines 0..k (zero on 0 and k), the DST-II
+    on the cell lines 0..k-1, and the entries hh, hv, vv of the inverse
+    blocks, each (k, k) over (p, q).
+    """
+    steps = np.arange(k + 1)
+    modes = np.arange(1, k + 1)
+    norm = np.sqrt(2.0 / k)
+    lines = norm * np.sin(np.pi / k * (np.outer(steps, modes) % (2 * k)))
+    lines[[0, k]] = 0.0
+    lines[:, -1] = 0.0
+    cells = norm * np.sin(np.pi / (2 * k) * (np.outer(2 * steps[:-1] + 1, modes) % (4 * k)))
+    cells[:, -1] /= np.sqrt(2.0)
+    cos = np.cos(np.pi / k * modes)
+    half = np.cos(np.pi / (2 * k) * modes)
+    half[-1] = 0.0
+    det = 4.0 * (2.0 - cos[:, None] - cos[None, :])
+    return lines, cells, (3.0 - cos[:, None]) / det, 2.0 * np.outer(half, half) / det, (3.0 - cos[None, :]) / det
+
+
+def _near_inverse(lines, cells, hh, hv, vv) -> np.ndarray:
+    """CR^-1 of one region-1 square among the multipliers of its interface triangles, in closed form.
+
+    The multipliers are, in order, the diagonals of the cells (i, 0), i =
+    0..k-1, and (0, j), j = 1..k-1, the left legs of the cells (i, 0), i =
+    1..k-1, and the lower legs of the cells (0, j), j = 1..k-1
+    (``_leg_modes``); a last row and column of zeros stands for none.  With
+    the diagonals eliminated, CR^-1 is 1/8 + (sum of L^-1 over the legs of
+    both cells) / 16 between two diagonals, (sum over the diagonal's legs) / 4
+    between a diagonal and a leg, and L^-1 between legs.  The legs of the
+    cells next to the interface lie on four lines, and a leg on a line takes
+    the value along[a, p] fixed[q] in mode (p, q), or the transpose, so
+    L^-1 between two lines is a few dense products over one mode index, as
+    in ``_axis_schur``.
+    """
+    k = len(cells)
+    inverse = {"hh": hh, "hv": hv, "vh": hv, "vv": vv}
+    # (values along the line, the mode row of its fixed coordinate, 0 if it runs along x, leg kind)
+    rows = [(lines, cells[0], 0, "v"),  # left legs of the cells (i, 0), i = 0..k
+            (cells, lines[1], 0, "h"),  # lower legs of the cells (i, 1), i = 0..k-1
+            (lines, cells[0], 1, "h"),  # lower legs of the cells (0, j), j = 0..k
+            (cells, lines[1], 1, "v")]  # left legs of the cells (1, j), j = 0..k-1
+
+    def block(one, two):
+        (a, f, ax, s), (b, g, bx, t) = one, two
+        m = inverse[s + t] if ax == 0 else inverse[s + t].T
+        return (a * (m @ (f * g))) @ b.T if ax == bx else a @ (m * np.outer(g, f)) @ b.T
+
+    # L^-1 is symmetric: the blocks below the diagonal are transposes.
+    blocks = {(i, j): block(rows[i], rows[j]) for i in range(4) for j in range(i, 4)}
+    legs = np.block([[blocks[i, j] if i <= j else blocks[j, i].T for j in range(4)] for i in range(4)])
+
+    def combine(x):
+        """The rows of ``near`` from the rows of the four lines, and a zero row."""
+        a, b, c, d = np.split(x, [k + 1, 2 * k + 1, 3 * k + 2])
+        return np.concatenate([(a[:-1] + a[1:] + b) / 4, (c[1:-1] + c[2:] + d[1:]) / 4, a[1:-1], c[1:-1],
+                               np.zeros((1, x.shape[1]))])
+
+    near = np.ascontiguousarray(combine(combine(legs).T).T)
+    diagonals = np.arange(2 * k - 1)
+    near[diagonals, diagonals] += 0.125
+    return near
+
+
+@dataclass(frozen=True)
+class _Region1Multipliers:
+    """The multipliers of the two region-1 squares of a registry mesh, eliminated in closed form.
+
+    Hybridized RT0 is nonconforming P1 (Arnold and Brezzi, M2AN 19, 1985):
+    the multiplier block of the hybrid system is -CR / a1, with CR the unit
+    Crouzeix-Raviart stiffness of the region-1 triangles on their interior
+    edges, the rows next to the interface too.  The squares Q1 and Q3 share
+    no multiplier, and in the frames of ``_region1_grids`` their CR is the
+    same: ``solve`` applies CR^-1 by the sine modes of ``_leg_modes``, and
+    ``near_inverse`` holds it among the multipliers that reach the cross.
+    """
+
+    diagonals: np.ndarray  # (2, k, k) multiplier of each cell's diagonal, by square
+    lower: np.ndarray      # (2, k, k-1) of the lower legs of the cells (i, j), j = 1..k-1
+    left: np.ndarray       # (2, k-1, k) of the left legs of the cells (i, j), i = 1..k-1
+    lines: np.ndarray      # (k+1, k) and (k, k): the DST-I and DST-II of ``_leg_modes``
+    cells: np.ndarray
+    hh: np.ndarray         # (k, k) each: the inverse mode blocks
+    hv: np.ndarray
+    vv: np.ndarray
+    near: np.ndarray       # (2, 4k-3) multipliers of the interface triangles (``_near_inverse``), by square
+    to_near: np.ndarray    # (n_h,) index of each multiplier in ``near`` of its square, -1 elsewhere
+    near_inverse: np.ndarray  # (4k-2, 4k-2) CR^-1 among ``near`` of one square, zero-padded
+    edges: np.ndarray      # (2, 2k) the interface edges of each square, as indices of ``interface_edges``
+
+    @classmethod
+    def of(cls, grids: np.ndarray, quadrants: np.ndarray) -> "_Region1Multipliers":
+        """The elimination on the multiplier ids ``grids`` of the edges of ``_region1_grids``.
+
+        ``quadrants`` holds the quadrant of the region-1 triangle of each interface edge.
+        """
+        diagonals, lower, left = grids[0], grids[1][:, :, 1:], grids[2][:, 1:]
+        modes = _leg_modes(diagonals.shape[-1])
+        near = np.concatenate([diagonals[:, :, 0], diagonals[:, 0, 1:], left[:, :, 0], lower[:, 0]], axis=1)
+        to_near = np.full(grids[0].size + lower.size + left.size, -1, dtype=np.int64)
+        to_near[near] = np.arange(near.shape[1])
+        edges = np.stack([np.flatnonzero(quadrants == 1), np.flatnonzero(quadrants == 3)])
+        return cls(diagonals, lower, left, *modes, near=near, to_near=to_near,
+                   near_inverse=_near_inverse(*modes), edges=edges)
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """CR^-1 r for a load ``r`` on every multiplier."""
+        d = r[self.diagonals]
+        lower = r[self.lower] + (d[:, :, 1:] + d[:, :, :-1]) / 4
+        left = r[self.left] + (d[:, 1:] + d[:, :-1]) / 4
+        lines = self.lines[1:-1]
+        h = self.cells.T @ lower @ lines
+        v = lines.T @ left @ self.cells
+        lower = self.cells @ (self.hh * h + self.hv * v) @ lines.T
+        left = lines @ (self.hv * h + self.vv * v) @ self.cells.T
+        d[:, :, 1:] += 2 * lower
+        d[:, :, :-1] += 2 * lower
+        d[:, 1:] += 2 * left
+        d[:, :-1] += 2 * left
+        x = np.empty(len(r))
+        x[self.diagonals] = d / 8
+        x[self.lower] = lower
+        x[self.left] = left
+        return x
+
+    def factor(self, a1: float, cross: np.ndarray, ids: np.ndarray, down: np.ndarray, up: np.ndarray,
+               couple: np.ndarray, ends: np.ndarray):
+        """The solve of a hybrid system with the multiplier block -CR / a1, by its Steklov-Poincare matrix on the cross.
+
+        Interface edge e couples to the multipliers ``ids[e]`` of the other
+        two slots of its region-1 triangle (-1 for none, with zero
+        couplings) and to the cross p2 values ``ends[e]``: H_hp[ids[e, b],
+        ends[e, d]] = down[e, b] couple[e, d], H_ph[ends[e, d], ids[e, b]] =
+        couple[e, d] up[e, b], and ``cross`` holds H_pp.  With h the
+        multipliers and p the cross, y_p solves the dense (H_pp + a1 H_ph
+        CR^-1 H_hp) y_p = g_p + a1 H_ph CR^-1 g_h, and y_h = -a1 CR^-1 (g_h
+        - H_hp y_p).  H_hp and H_ph reach only ``near``, so the dense matrix
+        needs ``near_inverse`` alone: per square, Y = up^T CR^-1 down over
+        its 2k edges, spread onto their ends.  ``cross`` is overwritten.
+        """
+        n_h, n_c, n_j = len(self.to_near), len(cross), self.near.shape[1]
+        slots = np.where(ids >= 0, self.to_near[ids], n_j)
+        for edges in self.edges:
+            near, c, p = slots[edges], couple[edges], ends[edges]
+            zd = (self.near_inverse[:, near] * down[edges]).sum(axis=2)
+            y = (zd[near] * up[edges][:, :, None]).sum(axis=1)
+            spread = c[:, :, None, None] * y[:, None, :, None] * c[None, None]
+            flat = p[:, :, None, None] * n_c + p[None, None]
+            cross += a1 * np.bincount(flat.ravel(), spread.ravel(), n_c * n_c).reshape(n_c, n_c)
+        lu = _dense_factor(cross)
+        ids = np.maximum(ids, 0)
+
+        def solve(g):
+            g_h = g[:n_h]
+            reach = (up * self.solve(g_h)[ids]).sum(axis=1)
+            y_p = la.lu_solve(lu, g[n_h:] + a1 * np.bincount(ends.ravel(), (couple * reach[:, None]).ravel(), n_c),
+                              check_finite=False)
+            load = (couple * y_p[ends]).sum(axis=1)
+            g_h = g_h - np.bincount(ids.ravel(), (down * load[:, None]).ravel(), n_h)
+            return np.concatenate([-a1 * self.solve(g_h), y_p])
+
+        return solve
+
+
 def _hybrid_factorization(system: SaddleSystem):
     """Factor the hybridized ``system`` once; return its solve.
 
@@ -274,10 +470,18 @@ def _hybrid_factorization(system: SaddleSystem):
     the interior values of p2 and of psi are each recovered after the
     solves.  So the kept p2 unknowns are the 4k + 1 on the cross at level
     k, and on any other mesh all of them, with the unit stiffness K itself.
-    SuperLU factors [multipliers | kept p2], which reads that one unit
-    stiffness on the kept p2, and, for psi, its slice without the first row
-    and column.  The former has a zero-free diagonal: with N the flux block
-    of a local saddle inverse, a multiplier's diagonal is a sum of -N_ii,
+    SuperLU factors that one unit stiffness on the kept p2 without the first
+    row and column, for psi.
+
+    The hybrid system [multipliers | kept p2] reads that stiffness too.  On
+    a registry mesh its multiplier block is -CR / a1, known in closed form,
+    so only the triangles with an interface slot are condensed, and the
+    multipliers are eliminated onto the cross (``_Region1Multipliers``):
+    ``lu_factor`` factors the dense Steklov-Poincare matrix of the cross p2
+    values, the multiplier load is condensed onto it and the multipliers are
+    recovered after its solve.  On any other mesh SuperLU factors the whole
+    hybrid system, which has a zero-free diagonal: with N the flux block of
+    a local saddle inverse, a multiplier's diagonal is a sum of -N_ii,
     negative, and that of p2 adds the condensed S N S^T to M_beta plus the
     stiffness over a2, positive.
     """
@@ -295,18 +499,20 @@ def _hybrid_factorization(system: SaddleSystem):
     own = (m.edge_tris[edges, 0] == tris[:, None]) | iface
     u1_dofs = lo.edge_to_u1[edges]
 
-    # The p2 unknowns SuperLU keeps, and their unit region-2 stiffness.
-    grids = _region2_grids(m)
-    if grids is None:
-        interior, kept, stiffness = None, np.arange(n_p2), system.K
-        to_kept = kept
-    else:
-        interior = _kept(m, "region-2 interior", lambda: _Region2Interior.of(lo, grids, system.K))
-        kept, to_kept, stiffness = interior.cross, interior.to_cross, interior.stiffness
-
-    # Hybrid dofs: the multipliers, in u1 order, then the kept p2.
+    # Hybrid dofs: the multipliers, in u1 order, then the kept p2 unknowns,
+    # with their unit region-2 stiffness.  A registry mesh keeps the cross alone.
     multipliers, u1_to_h = _numbering(m.edge_kind[lo.u1_edges] == EdgeKind.INTERIOR_1)
     n_h = len(multipliers)
+    grids = _region2_grids(m)
+    if grids is None:
+        interior, region1, kept, stiffness = None, None, np.arange(n_p2), system.K
+        to_kept = kept
+    else:
+        interior, region1 = _kept(m, "cross reduction", lambda: (
+            _Region2Interior.of(lo, grids, system.K),
+            _Region1Multipliers.of(u1_to_h[lo.edge_to_u1[_region1_grids(m)]], m.tri_quadrant[m.interface_tri1]),
+        ))
+        kept, to_kept, stiffness = interior.cross, interior.to_cross, interior.stiffness
     n = n_h + len(kept)
 
     # The two global columns of each flux slot, (t, 3, 2) with -1 for none,
@@ -327,29 +533,50 @@ def _hybrid_factorization(system: SaddleSystem):
 
     inverse = _local_saddle_inverse(system.flux_mass, signs)
     flux_inverse = inverse[:, :3, :3]
-
-    def condensed(t, c, d):
-        """Condensed element matrices of triangles ``t``, slot column ``c`` by slot column ``d``."""
-        local = -(reads[t, :, c, None] * flux_inverse[t] * couple[t, None, :, d])
-        return local, cols[t, :, c], cols[t, :, d]
-
-    # Only the triangles with an interface slot have second columns.
-    side = np.flatnonzero(iface.any(axis=1))
-    parts = [condensed(slice(None), 0, 0)] + [condensed(side, c, d) for c, d in ((0, 1), (1, 0), (1, 1))]
-    vals, rows, h_cols = map(np.concatenate, zip(*(_scatter_entries(*part) for part in parts)))
-    # M_beta, the [p2 | p2] block of A, read off its CSR rows; the stiffness / a2 is added to it.
+    # M_beta, the [p2 | p2] block of A, read off its CSR rows, and the stiffness / a2 on the kept p2.
     a, start = system.A, system.A.indptr[n_u1]
     a_rows = np.repeat(np.arange(n_p2), np.diff(a.indptr[n_u1:]))
     a_cols = a.indices[start:] - n_u1
     on_p2 = a_cols >= 0
     k_entries = stiffness.tocoo()
-    hybrid = sp.csc_matrix((
-        np.concatenate([a.data[start:][on_p2], k_entries.data / a2, vals]),
-        (np.concatenate([n_h + to_kept[a_rows[on_p2]], n_h + k_entries.row, rows]),
-         np.concatenate([n_h + to_kept[a_cols[on_p2]], n_h + k_entries.col, h_cols])),
-    ), shape=(n, n))
-    hybrid.eliminate_zeros()
-    lu = _factor(hybrid)
+    p_vals = [a.data[start:][on_p2], k_entries.data / a2]
+    p_rows = [to_kept[a_rows[on_p2]], k_entries.row]
+    p_cols = [to_kept[a_cols[on_p2]], k_entries.col]
+
+    if region1 is None:
+        def condensed(t, c, d):
+            """Condensed element matrices of triangles ``t``, slot column ``c`` by slot column ``d``."""
+            local = -(reads[t, :, c, None] * flux_inverse[t] * couple[t, None, :, d])
+            return local, cols[t, :, c], cols[t, :, d]
+
+        # Only the triangles with an interface slot have second columns.
+        side = np.flatnonzero(iface.any(axis=1))
+        parts = [condensed(slice(None), 0, 0)] + [condensed(side, c, d) for c, d in ((0, 1), (1, 0), (1, 1))]
+        vals, rows, h_cols = map(np.concatenate, zip(*(_scatter_entries(*part) for part in parts)))
+        hybrid = sp.csc_matrix((
+            np.concatenate(p_vals + [vals]),
+            (np.concatenate([n_h + r for r in p_rows] + [rows]), np.concatenate([n_h + c for c in p_cols] + [h_cols])),
+        ), shape=(n, n))
+        hybrid.eliminate_zeros()
+        solve_hybrid = _factor(hybrid).solve
+    else:
+        # Each interface flux, in slot s of its triangle, couples through N,
+        # the flux block of the local inverse, to the multipliers of the other
+        # slots and, by S, to the p2 values at its ends, which also get S N_ss S^T.
+        s = m.interface_slot
+        other = (s[:, None] + np.array([1, 2])) % 3
+        t, n_c = t1[:, None], len(kept)
+        ids = cols[t, other, 0]
+        sign = np.where(ids >= 0, signs[t, other], 0.0)
+        trace, ends = couple[t1, s], cols[t1, s] - n_h
+        p_vals.append((trace[:, :, None] * flux_inverse[t1, s, s][:, None, None] * trace[:, None]).ravel())
+        p_rows.append(np.repeat(ends, 2, axis=1).ravel())
+        p_cols.append(np.tile(ends, 2).ravel())
+        cross = np.bincount(np.concatenate(p_rows) * n_c + np.concatenate(p_cols), np.concatenate(p_vals), n_c * n_c)
+        solve_hybrid = region1.factor(
+            system.coeffs.a1, cross.reshape(n_c, n_c), ids, -sign * flux_inverse[t, other, s[:, None]],
+            flux_inverse[t, s[:, None], other] * sign, trace, ends,
+        )
     # psi's Laplacian: the unit stiffness on the kept p2 unknowns but the first, where psi is 0.
     laplacian = _factor(stiffness[1:, 1:])
     # Index arrays of every solve, made after the factorizations so as not to raise their peak memory.
@@ -372,7 +599,7 @@ def _hybrid_factorization(system: SaddleSystem):
         g = np.zeros(n)
         g[n_h:] = load_p2[kept]
         g -= np.bincount(valid_cols, (reads * z[:, :3, None])[valid], minlength=n)
-        y = lu.solve(g)
+        y = solve_hybrid(g)
         z -= np.einsum("tij,tj->ti", inverse[:, :, :3],
                        couple[..., 0] * y[cols[..., 0]] + couple[..., 1] * y[cols[..., 1]])
         u1 = np.empty(n_u1)
@@ -395,12 +622,13 @@ def solve(system: SaddleSystem) -> SolutionFields:
     Region 1 is hybridized and condensed element by element, and the
     potential is decoupled through psi = p2 + a2 phi (see
     ``_hybrid_factorization``).  On a mesh that ``build_cartesian_mesh``
-    holds, the psi and p2 unknowns off the interface cross are eliminated in
-    closed form; on any other mesh every p2 unknown is kept.  SuperLU
-    factors psi's Laplacian on the kept p2, fixed at the first, and the
-    condensed [multipliers | kept p2] system, which has a zero-free
-    diagonal (negative on the multipliers, positive on p2), both with a
-    symmetric-mode minimum-degree ordering.  One step of iterative
+    holds, the multipliers and the psi and p2 unknowns off the interface
+    cross are eliminated in closed form, and ``lu_factor`` factors the dense
+    matrix of the cross p2 values; on any other mesh every unknown is kept,
+    and SuperLU factors the condensed [multipliers | p2] system, which has
+    a zero-free diagonal (negative on the multipliers, positive on p2).  On
+    both, SuperLU factors psi's Laplacian on the kept p2, fixed at the
+    first, with a symmetric-mode minimum-degree ordering.  One step of iterative
     refinement against the residual of the full saddle system, applied
     block by block, follows, and the guard checks that residual relative to
     the largest load entry.

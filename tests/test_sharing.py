@@ -107,12 +107,14 @@ def test_kept_objects_are_frozen_whole():
 
 
 def test_kept_region2_interior_is_read_only():
-    # Every field of the kept elimination is an array but the cross stiffness; no factor is kept, as psi
-    # is factored per solve.  ``_kept`` freezes the whole object, the stiffness's arrays included.
+    # One kept object reduces both regions onto the cross: the region-2 interior elimination and the
+    # region-1 multipliers.  Every field of either is an array but the cross stiffness; no factor is
+    # kept, as psi and the cross are factored per solve.  ``_kept`` freezes the whole pair, the
+    # stiffness's arrays included.
     m = build_cartesian_mesh(4)
     solve(assemble_system(m, build_dof_layout(m), example4()))
-    interior = vars(m)["_kept"]["region-2 interior"]
-    fields = [getattr(interior, f.name) for f in dataclasses.fields(interior)]
+    interior, multipliers = vars(m)["_kept"]["cross reduction"]
+    fields = [getattr(part, f.name) for part in (interior, multipliers) for f in dataclasses.fields(part)]
     stiffness = interior.stiffness
     arrays = [field for field in fields if field is not stiffness]
     assert all(isinstance(array, np.ndarray) for array in arrays)

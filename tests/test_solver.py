@@ -6,18 +6,21 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given
+from hypothesis import strategies as st
 
 from twodarcy import solver
 from twodarcy.analysis import convergence_study, error_norms
 from twodarcy.assembly import (
-    CoefficientSet, assemble_A, assemble_system, p1_stiffness_omega2,
+    CoefficientSet, _p1_local_stiffness, assemble_A, assemble_system, p1_stiffness_omega2,
 )
 from twodarcy.manufactured import example1, example2, example3, example4
-from twodarcy.mesh import EdgeKind, _region2_grids, build_cartesian_mesh
+from twodarcy.mesh import EdgeKind, _region1_grids, _region2_grids, build_cartesian_mesh
 from twodarcy.solver import (
     SolverError,
+    _Region1Multipliers,
     _Region2Interior,
     _axis_schur,
+    _dense_factor,
     _factor,
     _hybrid_factorization,
     _interior_square,
@@ -25,7 +28,7 @@ from twodarcy.solver import (
     check_wellposedness,
     solve,
 )
-from twodarcy.spaces import build_dof_layout
+from twodarcy.spaces import _numbering, build_dof_layout
 
 from oracles import (
     check_moved_system, full_lu_solve, full_matrix, moved_copy, moved_meshes, two_interface_edge_mesh,
@@ -113,6 +116,21 @@ def test_factorization_failure_is_named(message, expected, monkeypatch):
     with pytest.raises(SolverError, match=f"^{expected}: ") as info:
         solve(system)
     assert str(info.value).endswith(message)
+
+
+def test_dense_factorization_failure_is_named(monkeypatch):
+    # lu_factor only warns on an exactly singular matrix and raises ValueError on a non-finite one.
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    for matrix in (singular, np.array([[1.0, np.nan], [0.0, 1.0]])):
+        with pytest.raises(SolverError, match="^singular factorization: "):
+            _dense_factor(matrix)
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(solver.la, "lu_factor", out_of_memory)
+    with pytest.raises(SolverError, match="^factorization ran out of memory: Unable to allocate$"):
+        _dense_factor(np.eye(2))
 
 
 def _perturbed_factorization(perturb):
@@ -209,10 +227,11 @@ def _n_multipliers(m):
 
 
 def test_laplacian_path_follows_mesh_identity(monkeypatch):
-    # Only the registry mesh is known to be the uniform grid: SuperLU factors
-    # [multipliers | cross p2] and psi's Laplacian on the cross but its first
-    # unknown.  Any copy, even one with the same vertex values, factors
-    # [multipliers | p2] and the Laplacian on every p2 unknown but the first.
+    # Only the registry mesh is known to be the uniform grid: both regions
+    # are reduced onto the cross in closed form, and SuperLU factors psi's
+    # Laplacian on the cross but its first unknown alone.  Any copy, even one
+    # with the same vertex values, factors [multipliers | p2] and the
+    # Laplacian on every p2 unknown but the first.
     calls = []
     splu = solver.spla.splu
     monkeypatch.setattr(solver.spla, "splu", lambda matrix, *args, **kwargs: calls.append(matrix.shape[0])
@@ -220,12 +239,13 @@ def test_laplacian_path_follows_mesh_identity(monkeypatch):
     m = build_cartesian_mesh(4)
     lo = build_dof_layout(m)
     n_h = _n_multipliers(m)
-    for mesh, sizes in ((m, [n_h + lo.n_p2 - 2 * 4**2, 4 * 4]), (moved_copy(m), [n_h + lo.n_p2, lo.n_p2 - 1]),
+    for mesh, sizes in ((m, [4 * 4]), (moved_copy(m), [n_h + lo.n_p2, lo.n_p2 - 1]),
                         (dataclasses.replace(m, vertices=m.vertices.copy()), [n_h + lo.n_p2, lo.n_p2 - 1])):
         calls.clear()
         assert solve(assemble_system(mesh, build_dof_layout(mesh), example4())).residual <= solver.RESIDUAL_TOL
         assert calls == sizes
     assert _region2_grids(dataclasses.replace(m, tri_region=m.tri_region.copy())) is None
+    assert _region1_grids(dataclasses.replace(m, tri_region=m.tri_region.copy())) is None
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 16])
@@ -302,22 +322,105 @@ def test_interior_p2_rows_hold_only_the_stiffness_over_coefficients(coeffs):
 @pytest.mark.parametrize("level", [4, 8, 16])
 def test_reduced_pattern_is_independent_of_the_values(level, monkeypatch):
     # A kept fill-reducing ordering needs one pattern per level and pin for
-    # each matrix SuperLU factors, the hybrid one and psi's: the dense
-    # Steklov-Poincare blocks must not let eliminate_zeros or the rounding
-    # drop depend on the coefficients.
+    # each matrix SuperLU factors: psi's on the registry mesh, whose dense
+    # Steklov-Poincare blocks must not let the pattern depend on the
+    # coefficients, and on a copy also the hybrid one, where eliminate_zeros
+    # and the rounding drop must not.
     recorded = _recorded_factorizations(monkeypatch)
     m = build_cartesian_mesh(level)
+    copy = dataclasses.replace(m, vertices=m.vertices.copy())
     layout = build_dof_layout(m)
     draws = 10.0 ** np.random.default_rng(level).uniform(-4.0, 4.0, (6, 3))
-    for make in (example1, example2, example3, example4):
-        for a1, a2, beta in draws:
-            case = with_coefficients(make(), CoefficientSet(a1, a2, beta))
-            _hybrid_factorization(assemble_system(m, layout, case))
-    hybrid, psi = recorded[::2], recorded[1::2]
-    assert hybrid[0].shape[0] == _n_multipliers(m) + layout.n_p2 - 2 * level**2
-    assert psi[0].shape[0] == 4 * level
-    for matrices in (hybrid, psi):
-        assert len({(r.indptr.tobytes(), r.indices.tobytes()) for r in matrices}) == 1
+    for mesh, sizes in ((m, [4 * level]), (copy, [_n_multipliers(m) + layout.n_p2, layout.n_p2 - 1])):
+        recorded.clear()
+        for make in (example1, example2, example3, example4):
+            for a1, a2, beta in draws:
+                case = with_coefficients(make(), CoefficientSet(a1, a2, beta))
+                _hybrid_factorization(dataclasses.replace(assemble_system(m, layout, case), mesh=mesh))
+        for first, size in enumerate(sizes):
+            matrices = recorded[first::len(sizes)]
+            assert len(matrices) == 4 * len(draws) and matrices[0].shape[0] == size
+            assert len({(r.indptr.tobytes(), r.indices.tobytes()) for r in matrices}) == 1
+
+
+def _cr_stiffness(m, layout):
+    """The unit Crouzeix-Raviart stiffness of the region-1 triangles on the multipliers, built apart.
+
+    The CR basis function of the edge opposite vertex i is 1 - 2 lambda_i, so its local stiffness is
+    4 times the P1 one, with ``tri_edges[t, i]`` opposite vertex i.
+    """
+    _, u1_to_h = _numbering(m.edge_kind[layout.u1_edges] == EdgeKind.INTERIOR_1)
+    tris = layout.p1_triangles
+    h = np.broadcast_to(u1_to_h[layout.edge_to_u1[m.tri_edges[tris]]][:, :, None], (len(tris), 3, 3))
+    local = 4.0 * _p1_local_stiffness(m, tris)
+    keep = (h >= 0) & (h.transpose(0, 2, 1) >= 0)
+    n_h = _n_multipliers(m)
+    return sp.csc_matrix((local[keep], (h[keep], h.transpose(0, 2, 1)[keep])), shape=(n_h, n_h)), u1_to_h
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 16])
+def test_region1_elimination_matches_splu(k, monkeypatch):
+    # The closed form rests on this: the multiplier block of the hybrid
+    # system, as a copy factors it, is -CR / a1, the rows next to the
+    # interface included.  Then solve is CR^-1 and near_inverse is CR^-1
+    # among the multipliers of the interface triangles, against a sparse LU
+    # of that block, on standard-normal loads.  At k = 1 each square has one
+    # diagonal and no leg.
+    recorded = _recorded_factorizations(monkeypatch)
+    m = build_cartesian_mesh(k)
+    lo = build_dof_layout(m)
+    a1 = 3.7
+    system = assemble_system(m, lo, with_coefficients(example4(), CoefficientSet(a1, 1.3, 0.7)))
+    _hybrid_factorization(dataclasses.replace(system, mesh=dataclasses.replace(m, vertices=m.vertices.copy())))
+    n_h = _n_multipliers(m)
+    block = (-a1 * recorded[0][:n_h, :n_h]).tocsc()
+    cr, u1_to_h = _cr_stiffness(m, lo)
+    assert abs(block - cr).max() <= 1e-14 * abs(cr).max()
+
+    elimination = _Region1Multipliers.of(u1_to_h[lo.edge_to_u1[_region1_grids(m)]],
+                                         m.tri_quadrant[m.interface_tri1])
+    lu = spla.splu(block)
+    r = np.random.default_rng(k).standard_normal(n_h)
+    expected = lu.solve(r)
+    assert np.abs(elimination.solve(r) - expected).max() <= 5e-14 * np.abs(expected).max()
+    for near in elimination.near:
+        unit = np.zeros((n_h, len(near)))
+        unit[near, np.arange(len(near))] = 1.0
+        expected = lu.solve(unit)[near]
+        got = elimination.near_inverse[:-1, :-1]
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+    assert not elimination.near_inverse[-1].any() and not elimination.near_inverse[:, -1].any()
+
+
+def _assert_registry_matches_copy(system, tolerances=(1e-12,) * 5):
+    """Every solution field on the registry mesh against a copy with the same vertex values, which keeps SuperLU."""
+    m = system.mesh
+    copy = dataclasses.replace(m, vertices=m.vertices.copy())
+    registry, reference = solve(system), solve(dataclasses.replace(system, mesh=copy))
+    for field, tol in zip(("u1", "p2", "phi", "u2", "p1"), tolerances):
+        a, b = getattr(registry, field), getattr(reference, field)
+        assert np.abs(a - b).max() <= tol * np.abs(b).max(), field
+
+
+@derandomized
+@given(coefficients, st.sampled_from([1, 2, 4, 8, 16, 32]), st.sampled_from([example1, example2, example3, example4]))
+def test_registry_solve_matches_copies_over_coefficients(coeffs, level, make):
+    # At level 32 the two paths differ by up to 4.6e-12 of u1 over these
+    # draws, as the parent's did (region 2 alone in closed form: 4.9e-12).
+    m = build_cartesian_mesh(level)
+    system = assemble_system(m, build_dof_layout(m), with_coefficients(make(), coeffs))
+    _assert_registry_matches_copy(system, (1e-12 if level <= 16 else 1e-11,) * 5)
+
+
+@pytest.mark.parametrize("level", [1, 2, 4, 8, 16, 32])
+@pytest.mark.parametrize("a1", [1e-12, 1e12])
+def test_registry_solve_matches_copies_at_a1_corners(a1, level):
+    # At a1 = 1e-12 the cross p2 values are ill-conditioned: p2, phi and u2
+    # of the two paths differ by up to 4.3e-9 here, and by 1.5e-8 when only
+    # region 2 was in closed form.  The fluxes and p1 still agree to 1e-12.
+    m = build_cartesian_mesh(level)
+    system = assemble_system(m, build_dof_layout(m), with_coefficients(example4(), CoefficientSet(a1, 1.0, 1.0)))
+    _assert_registry_matches_copy(system, (1e-12, 1e-7, 1e-7, 1e-7, 1e-12) if a1 < 1.0 else (1e-12,) * 5)
 
 
 def test_assembly_and_diagnostics_scatter_every_block(monkeypatch):
@@ -354,20 +457,16 @@ def test_solve_matches_full_matrix_lu(case, level):
 def test_multipliers_are_the_pressure_trace(monkeypatch):
     # Each multiplier enters the flux rows of its two triangles with their
     # outward signs of its edge, so it approximates p there: the gap to p at
-    # the edge midpoints shrinks with h.  The first solve of the hybrid
-    # factor returns [multipliers | p2].
+    # the edge midpoints shrinks with h.  The first solve of the closed-form
+    # cross factor returns [multipliers | cross p2].
     solved = []
-    factor = solver._factor
+    factor = _Region1Multipliers.factor
 
-    class Recording:
-        def __init__(self, matrix):
-            self.lu = factor(matrix)
+    def recording(self, *args):
+        solve_hybrid = factor(self, *args)
+        return lambda g: solved.append(solve_hybrid(g)) or solved[-1]
 
-        def solve(self, b):
-            solved.append(self.lu.solve(b))
-            return solved[-1]
-
-    monkeypatch.setattr(solver, "_factor", Recording)
+    monkeypatch.setattr(_Region1Multipliers, "factor", recording)
     case, gaps = example1(), []
     for level in (8, 16, 32):
         m = build_cartesian_mesh(level)
