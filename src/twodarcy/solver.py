@@ -16,15 +16,16 @@ eliminated with quarter-wave sines one field at a time.  The multiplier
 block is -CR / a1, the Crouzeix-Raviart stiffness of the region-1
 triangles: each cell's diagonal drops out, and the legs are eliminated with
 sine modes.  The 4k + 1 cross p2 values at level k are left with one dense
-Steklov-Poincare matrix, which ``scipy.linalg.lu_factor`` factors: 385
-unknowns at level 96.  On any other mesh every unknown is kept, and
-SuperLU factors the condensed system of the multipliers and p2 (73,729
-unknowns with a fill of 2.1M at level 96, against 14.0M for the full
-saddle matrix), with a zero-free diagonal (negative on the multipliers,
-positive on p2) and a symmetric-mode minimum-degree ordering instead of
-COLAMD with partial pivoting.  Region 2 has one unit stiffness on the kept
-p2 unknowns, and on every mesh SuperLU factors its slice without the first
-row and column for psi, fixed at the first, with the same ordering.
+Steklov-Poincare matrix: 385 unknowns at level 96.  On any other mesh every
+unknown is kept, and the condensed system of the multipliers and p2 is
+sparse (73,729 unknowns with a fill of 2.1M at level 96, against 14.0M for
+the full saddle matrix), with a zero-free diagonal (negative on the
+multipliers, positive on p2).  Region 2 has one unit stiffness on the kept
+p2 unknowns, of the same storage, and its slice without the first row and
+column is psi's Laplacian, fixed at the first.  ``_factor`` factors every
+matrix: a dense one with ``scipy.linalg.lu_factor``, so no registry-mesh
+solve calls SuperLU, and a sparse one with SuperLU and a symmetric-mode
+minimum-degree ordering instead of COLAMD with partial pivoting.
 """
 
 from __future__ import annotations
@@ -95,32 +96,28 @@ class SolutionFields:
         )
 
 
-def _factor(matrix: sp.spmatrix):
-    """SuperLU of a matrix with a zero-free diagonal: symmetric-mode minimum degree."""
-    try:
-        return spla.splu(
-            matrix.tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.1,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as err:
-        # SuperLU's allocation failures: "SUPERLU_MALLOC fails for ...",
-        # "malloc fails ...", "Not enough memory to perform factorization.".
-        if any(word in str(err).lower() for word in ("malloc", "memory")):
-            raise SolverError(f"factorization ran out of memory: {err}") from err
-        raise SolverError(f"singular factorization: {err}") from err
+def _factor(matrix):
+    """The solve of ``matrix``: SuperLU of a sparse one with a zero-free diagonal, LAPACK's LU of a dense one.
 
-
-def _dense_factor(matrix: np.ndarray):
-    """LU of a dense matrix with ``_factor``'s errors: ``lu_factor`` only warns on an exactly singular one."""
+    SuperLU takes a symmetric-mode minimum-degree ordering.  A dense matrix
+    is factored as its transpose, which is Fortran-ordered, so a writeable
+    C-ordered ``matrix`` is overwritten instead of copied; a read-only one
+    is copied.
+    """
     try:
+        if sp.issparse(matrix):
+            return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                             options={"SymmetricMode": True}).solve
+        # lu_factor only warns on an exactly singular matrix.
         with warnings.catch_warnings():
             warnings.simplefilter("error", la.LinAlgWarning)
-            return la.lu_factor(matrix, overwrite_a=True)
-    except MemoryError as err:
-        raise SolverError(f"factorization ran out of memory: {err}") from err
-    except (ValueError, la.LinAlgWarning) as err:
+            lu = la.lu_factor(matrix.T, overwrite_a=matrix.flags.writeable)
+        return lambda b: la.lu_solve(lu, b, trans=1, check_finite=False)
+    except (MemoryError, RuntimeError, ValueError, la.LinAlgWarning) as err:
+        # SuperLU's allocation failures are RuntimeErrors: "SUPERLU_MALLOC fails for ...",
+        # "malloc fails ...", "Not enough memory to perform factorization.".
+        if isinstance(err, MemoryError) or any(word in str(err).lower() for word in ("malloc", "memory")):
+            raise SolverError(f"factorization ran out of memory: {err}") from err
         raise SolverError(f"singular factorization: {err}") from err
 
 
@@ -205,8 +202,8 @@ class _Region2Interior:
     square is removed by its Schur complement from both: the cross keeps the
     Steklov-Poincare stiffness K_GG - K_GI K_II^-1 K_IG, and y_I is
     recovered from y_G with a closed-form interior solve (``_interior_square``).
-    The cross stiffness enters the dense cross matrix of p2 over a2, and
-    SuperLU factors it for psi.  ``condense`` and ``recover`` act on one
+    The dense cross stiffness starts the cross matrix of p2 as stiffness / a2,
+    and its slice is psi's Laplacian.  ``condense`` and ``recover`` act on one
     field over all p2 unknowns at a time.
     """
 
@@ -214,7 +211,7 @@ class _Region2Interior:
     to_cross: np.ndarray  # (n_p2,) index of each p2 unknown in ``cross``, -1 off the cross
     interior: np.ndarray  # (2, k, k) p2 indices of the vertices (a, b), a, b = 1..k, of Q2 and Q4
     axes: np.ndarray      # (2, 2, k) p2 indices of (a, 0) and of (0, b), a, b = 1..k
-    stiffness: sp.csr_matrix  # the unit stiffness of region 2 on ``cross``, interior eliminated
+    stiffness: np.ndarray  # (4k+1, 4k+1) the unit stiffness of region 2 on ``cross``, interior eliminated
     vectors: np.ndarray   # (k, k) V, and the ``scale`` and E_D diagonal ``edge`` of ``_interior_square``
     scale: np.ndarray
     edge: np.ndarray
@@ -231,12 +228,10 @@ class _Region2Interior:
         k = interior.shape[-1]
         gamma = to_cross[axes.reshape(2, 2 * k)]
         vectors, scale, edge = _interior_square(k)
-        k_gg = k_unit[cross][:, cross].tocoo()
-        stiffness = sp.csr_matrix((
-            np.concatenate([k_gg.data, -np.tile(_axis_schur(vectors, scale, edge).ravel(), 2)]),
-            (np.concatenate([k_gg.row, np.repeat(gamma, 2 * k, axis=1).ravel()]),
-             np.concatenate([k_gg.col, np.tile(gamma, 2 * k).ravel()])),
-        ), shape=(len(cross), len(cross)))
+        stiffness = k_unit[cross][:, cross].toarray()
+        schur = _axis_schur(vectors, scale, edge)
+        for axis in gamma:
+            stiffness[np.ix_(axis, axis)] -= schur
         return cls(cross=cross, to_cross=to_cross, interior=interior, axes=axes, stiffness=stiffness,
                    vectors=vectors, scale=scale, edge=edge)
 
@@ -420,14 +415,13 @@ class _Region1Multipliers:
             spread = c[:, :, None, None] * y[:, None, :, None] * c[None, None]
             flat = p[:, :, None, None] * n_c + p[None, None]
             cross += a1 * np.bincount(flat.ravel(), spread.ravel(), n_c * n_c).reshape(n_c, n_c)
-        lu = _dense_factor(cross)
+        solve_cross = _factor(cross)
         ids = np.maximum(ids, 0)
 
         def solve(g):
             g_h = g[:n_h]
             reach = (up * self.solve(g_h)[ids]).sum(axis=1)
-            y_p = la.lu_solve(lu, g[n_h:] + a1 * np.bincount(ends.ravel(), (couple * reach[:, None]).ravel(), n_c),
-                              check_finite=False)
+            y_p = solve_cross(g[n_h:] + a1 * np.bincount(ends.ravel(), (couple * reach[:, None]).ravel(), n_c))
             load = (couple * y_p[ends]).sum(axis=1)
             g_h = g_h - np.bincount(ids.ravel(), (down * load[:, None]).ravel(), n_h)
             return np.concatenate([-a1 * self.solve(g_h), y_p])
@@ -469,19 +463,20 @@ def _hybrid_factorization(system: SaddleSystem):
     (K_GG - K_GI K_II^-1 K_IG) / a2 for p2 and its unit form for psi, and
     the interior values of p2 and of psi are each recovered after the
     solves.  So the kept p2 unknowns are the 4k + 1 on the cross at level
-    k, and on any other mesh all of them, with the unit stiffness K itself.
-    SuperLU factors that one unit stiffness on the kept p2 without the first
-    row and column, for psi.
+    k, with their dense stiffness, and on any other mesh all of them, with
+    the sparse unit stiffness K itself.  ``_factor`` factors that one unit
+    stiffness on the kept p2 without the first row and column, for psi.
 
     The hybrid system [multipliers | kept p2] reads that stiffness too.  On
     a registry mesh its multiplier block is -CR / a1, known in closed form,
     so only the triangles with an interface slot are condensed, and the
     multipliers are eliminated onto the cross (``_Region1Multipliers``):
-    ``lu_factor`` factors the dense Steklov-Poincare matrix of the cross p2
+    ``_factor`` factors the dense Steklov-Poincare matrix of the cross p2
     values, the multiplier load is condensed onto it and the multipliers are
-    recovered after its solve.  On any other mesh SuperLU factors the whole
-    hybrid system, which has a zero-free diagonal: with N the flux block of
-    a local saddle inverse, a multiplier's diagonal is a sum of -N_ii,
+    recovered after its solve.  So every factorization on a registry mesh
+    is dense.  On any other mesh ``_factor`` hands the whole sparse hybrid
+    system to SuperLU.  It has a zero-free diagonal: with N the flux block
+    of a local saddle inverse, a multiplier's diagonal is a sum of -N_ii,
     negative, and that of p2 adds the condensed S N S^T to M_beta plus the
     stiffness over a2, positive.
     """
@@ -533,17 +528,19 @@ def _hybrid_factorization(system: SaddleSystem):
 
     inverse = _local_saddle_inverse(system.flux_mass, signs)
     flux_inverse = inverse[:, :3, :3]
-    # M_beta, the [p2 | p2] block of A, read off its CSR rows, and the stiffness / a2 on the kept p2.
+    # M_beta, the [p2 | p2] block of A, read off its CSR rows, on the kept p2; the stiffness / a2 joins it below.
     a, start = system.A, system.A.indptr[n_u1]
     a_rows = np.repeat(np.arange(n_p2), np.diff(a.indptr[n_u1:]))
     a_cols = a.indices[start:] - n_u1
     on_p2 = a_cols >= 0
-    k_entries = stiffness.tocoo()
-    p_vals = [a.data[start:][on_p2], k_entries.data / a2]
-    p_rows = [to_kept[a_rows[on_p2]], k_entries.row]
-    p_cols = [to_kept[a_cols[on_p2]], k_entries.col]
+    p_vals, p_rows, p_cols = [a.data[start:][on_p2]], [to_kept[a_rows[on_p2]]], [to_kept[a_cols[on_p2]]]
 
     if region1 is None:
+        k_entries = stiffness.tocoo()
+        p_vals.append(k_entries.data / a2)
+        p_rows.append(k_entries.row)
+        p_cols.append(k_entries.col)
+
         def condensed(t, c, d):
             """Condensed element matrices of triangles ``t``, slot column ``c`` by slot column ``d``."""
             local = -(reads[t, :, c, None] * flux_inverse[t] * couple[t, None, :, d])
@@ -558,7 +555,7 @@ def _hybrid_factorization(system: SaddleSystem):
             (np.concatenate([n_h + r for r in p_rows] + [rows]), np.concatenate([n_h + c for c in p_cols] + [h_cols])),
         ), shape=(n, n))
         hybrid.eliminate_zeros()
-        solve_hybrid = _factor(hybrid).solve
+        solve_hybrid = _factor(hybrid)
     else:
         # Each interface flux, in slot s of its triangle, couples through N,
         # the flux block of the local inverse, to the multipliers of the other
@@ -572,13 +569,15 @@ def _hybrid_factorization(system: SaddleSystem):
         p_vals.append((trace[:, :, None] * flux_inverse[t1, s, s][:, None, None] * trace[:, None]).ravel())
         p_rows.append(np.repeat(ends, 2, axis=1).ravel())
         p_cols.append(np.tile(ends, 2).ravel())
-        cross = np.bincount(np.concatenate(p_rows) * n_c + np.concatenate(p_cols), np.concatenate(p_vals), n_c * n_c)
+        cross = stiffness / a2
+        cross += np.bincount(np.concatenate(p_rows) * n_c + np.concatenate(p_cols), np.concatenate(p_vals),
+                             n_c * n_c).reshape(n_c, n_c)
         solve_hybrid = region1.factor(
-            system.coeffs.a1, cross.reshape(n_c, n_c), ids, -sign * flux_inverse[t, other, s[:, None]],
+            system.coeffs.a1, cross, ids, -sign * flux_inverse[t, other, s[:, None]],
             flux_inverse[t, s[:, None], other] * sign, trace, ends,
         )
     # psi's Laplacian: the unit stiffness on the kept p2 unknowns but the first, where psi is 0.
-    laplacian = _factor(stiffness[1:, 1:])
+    solve_laplacian = _factor(stiffness[1:, 1:])
     # Index arrays of every solve, made after the factorizations so as not to raise their peak memory.
     valid_cols, owned_u1 = cols[valid], u1_dofs[own]
 
@@ -607,7 +606,7 @@ def _hybrid_factorization(system: SaddleSystem):
         p2 = np.empty(n_p2)
         p2[kept] = y[n_h:]
         psi = np.zeros(n_p2)
-        psi[kept[1:]] = laplacian.solve(f[kept[1:]])
+        psi[kept[1:]] = solve_laplacian(f[kept[1:]])
         if interior is not None:
             interior.recover(p2, a2 * load_p2)
             interior.recover(psi, f)
@@ -624,14 +623,14 @@ def solve(system: SaddleSystem) -> SolutionFields:
     ``_hybrid_factorization``).  On a mesh that ``build_cartesian_mesh``
     holds, the multipliers and the psi and p2 unknowns off the interface
     cross are eliminated in closed form, and ``lu_factor`` factors the dense
-    matrix of the cross p2 values; on any other mesh every unknown is kept,
-    and SuperLU factors the condensed [multipliers | p2] system, which has
-    a zero-free diagonal (negative on the multipliers, positive on p2).  On
-    both, SuperLU factors psi's Laplacian on the kept p2, fixed at the
-    first, with a symmetric-mode minimum-degree ordering.  One step of iterative
-    refinement against the residual of the full saddle system, applied
-    block by block, follows, and the guard checks that residual relative to
-    the largest load entry.
+    matrix of the cross p2 values and psi's dense Laplacian on the cross,
+    fixed at its first value.  On any other mesh every unknown is kept, and
+    SuperLU factors the condensed [multipliers | p2] system, which has a
+    zero-free diagonal (negative on the multipliers, positive on p2), and
+    psi's Laplacian on every p2 unknown but the first, with a symmetric-mode
+    minimum-degree ordering.  One step of iterative refinement against the
+    residual of the full saddle system, applied block by block, follows,
+    and the guard checks that residual relative to the largest load entry.
     """
     n_x = system.layout.n_x
     A, B, Bt, C = system.A, system.B, system.Bt, system.C

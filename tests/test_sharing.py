@@ -108,19 +108,15 @@ def test_kept_objects_are_frozen_whole():
 
 def test_kept_region2_interior_is_read_only():
     # One kept object reduces both regions onto the cross: the region-2 interior elimination and the
-    # region-1 multipliers.  Every field of either is an array but the cross stiffness; no factor is
-    # kept, as psi and the cross are factored per solve.  ``_kept`` freezes the whole pair, the
-    # stiffness's arrays included.
+    # region-1 multipliers.  Every field of either is an array, the dense cross stiffness too; no factor
+    # is kept, as psi and the cross are factored per solve.  ``_kept`` freezes the whole pair.
     m = build_cartesian_mesh(4)
     solve(assemble_system(m, build_dof_layout(m), example4()))
     interior, multipliers = vars(m)["_kept"]["cross reduction"]
-    fields = [getattr(part, f.name) for part in (interior, multipliers) for f in dataclasses.fields(part)]
-    stiffness = interior.stiffness
-    arrays = [field for field in fields if field is not stiffness]
+    arrays = [getattr(part, f.name) for part in (interior, multipliers) for f in dataclasses.fields(part)]
     assert all(isinstance(array, np.ndarray) for array in arrays)
-    assert sp.isspmatrix_csr(stiffness)
-    assert interior.cross.shape == (4 * 4 + 1,) and stiffness.shape == (4 * 4 + 1,) * 2
-    for array in arrays + [stiffness.data, stiffness.indices, stiffness.indptr]:
+    assert interior.cross.shape == (4 * 4 + 1,) and interior.stiffness.shape == (4 * 4 + 1,) * 2
+    for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 0
 

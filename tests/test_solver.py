@@ -20,7 +20,6 @@ from twodarcy.solver import (
     _Region1Multipliers,
     _Region2Interior,
     _axis_schur,
-    _dense_factor,
     _factor,
     _hybrid_factorization,
     _interior_square,
@@ -100,6 +99,11 @@ def test_inadmissible_potential_resistance_fails_honestly(a2):
         solve(system)
 
 
+def _same_vertex_copy(m):
+    """A copy of the registry mesh ``m`` with equal vertex values, which keeps every unknown and SuperLU."""
+    return dataclasses.replace(m, vertices=m.vertices.copy())
+
+
 @pytest.mark.parametrize("message, expected", [
     ("SUPERLU_MALLOC fails for buf in mxCallocInt()", "factorization ran out of memory"),
     ("cLUWorkInit: malloc fails for local iworkptr[]", "factorization ran out of memory"),
@@ -107,10 +111,11 @@ def test_inadmissible_potential_resistance_fails_honestly(a2):
     ("Factor is exactly singular", "singular factorization"),
 ])
 def test_factorization_failure_is_named(message, expected, monkeypatch):
+    # Only a copy of a mesh calls SuperLU.
     def failing_splu(*args, **kwargs):
         raise RuntimeError(message)
 
-    m = build_cartesian_mesh(1)
+    m = _same_vertex_copy(build_cartesian_mesh(1))
     system = assemble_system(m, build_dof_layout(m), example1())
     monkeypatch.setattr(solver.spla, "splu", failing_splu)
     with pytest.raises(SolverError, match=f"^{expected}: ") as info:
@@ -118,19 +123,45 @@ def test_factorization_failure_is_named(message, expected, monkeypatch):
     assert str(info.value).endswith(message)
 
 
-def test_dense_factorization_failure_is_named(monkeypatch):
-    # lu_factor only warns on an exactly singular matrix and raises ValueError on a non-finite one.
-    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
-    for matrix in (singular, np.array([[1.0, np.nan], [0.0, 1.0]])):
+@pytest.mark.parametrize("storage, module, factorizer", [
+    (sp.csr_matrix, solver.spla, "splu"), (np.array, solver.la, "lu_factor"),
+], ids=["sparse", "dense"])
+def test_factor_solves_and_names_failures(storage, module, factorizer, monkeypatch):
+    # A non-symmetric matrix, so that a solve with its transpose fails.  lu_factor only warns on an
+    # exactly singular matrix and raises ValueError on a non-finite one.
+    rng = np.random.default_rng(6)
+    matrix = rng.standard_normal((8, 8)) + 4.0 * np.eye(8)
+    b = rng.standard_normal(8)
+    expected = np.linalg.solve(matrix, b)
+    assert np.abs(matrix - matrix.T).max() > 1.0
+    assert np.abs(_factor(storage(matrix))(b) - expected).max() <= 1e-13 * np.abs(expected).max()
+    singular = [np.array([[1.0, 2.0], [2.0, 4.0]])]
+    non_finite = [np.array([[1.0, np.nan], [0.0, 1.0]])] if storage is np.array else []
+    for failure in singular + non_finite:
         with pytest.raises(SolverError, match="^singular factorization: "):
-            _dense_factor(matrix)
+            _factor(storage(failure))
 
+    # A MemoryError of either factorizer, as numpy's "Unable to allocate ...", becomes a SolverError,
+    # which the CLI reports as "solver failure at level k: ..." instead of a traceback.
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate")
 
-    monkeypatch.setattr(solver.la, "lu_factor", out_of_memory)
+    monkeypatch.setattr(module, factorizer, out_of_memory)
     with pytest.raises(SolverError, match="^factorization ran out of memory: Unable to allocate$"):
-        _dense_factor(np.eye(2))
+        _factor(storage(np.eye(2)))
+
+
+def test_dense_factor_overwrites_only_a_writeable_matrix():
+    # A C-ordered matrix reaches LAPACK as its Fortran-ordered transpose: factored in place when
+    # writeable, copied when read-only, like the kept cross stiffness psi's Laplacian is sliced from.
+    matrix = np.random.default_rng(7).standard_normal((6, 6)) + 6.0 * np.eye(6)
+    writeable = matrix.copy()
+    _factor(writeable)
+    assert not np.array_equal(writeable, matrix)
+    frozen = matrix.copy()
+    frozen.flags.writeable = False
+    _factor(frozen)
+    assert np.array_equal(frozen, matrix)
 
 
 def _perturbed_factorization(perturb):
@@ -194,7 +225,11 @@ def test_psi_solve_matches_splu(mesh, pin):
     x = _hybrid_factorization(system)(b)
     p2 = x[lo.offset_p2:lo.offset_phi]
     got = system.coeffs.a2 * x[lo.offset_phi:lo.offset_p1] + p2[phi] - p2[p2_pin]
-    expected = _factor(system.K[phi][:, phi]).solve(f_phi)
+    # SuperLU called apart from the solver, with the solver's symmetric-mode ordering.  At level 32 the
+    # default COLAMD ordering is 7.5e-13 off a dense solve and the solver 5.6e-13: they differ by 1.3e-12.
+    lu = spla.splu(system.K[phi][:, phi].tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                   options={"SymmetricMode": True})
+    expected = lu.solve(f_phi)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
@@ -215,10 +250,11 @@ def test_region2_stiffness_is_the_tensor_stencil(level):
 
 
 def _recorded_factorizations(monkeypatch):
-    """The matrices ``solver._factor`` receives from now on, as CSC."""
+    """The matrices ``solver._factor`` receives from now on: a sparse one as CSC, a copy of a dense one."""
     recorded = []
     factor = solver._factor
-    monkeypatch.setattr(solver, "_factor", lambda matrix: recorded.append(matrix.tocsc()) or factor(matrix))
+    monkeypatch.setattr(solver, "_factor", lambda matrix: recorded.append(
+        matrix.tocsc() if sp.issparse(matrix) else matrix.copy()) or factor(matrix))
     return recorded
 
 
@@ -228,19 +264,20 @@ def _n_multipliers(m):
 
 def test_laplacian_path_follows_mesh_identity(monkeypatch):
     # Only the registry mesh is known to be the uniform grid: both regions
-    # are reduced onto the cross in closed form, and SuperLU factors psi's
-    # Laplacian on the cross but its first unknown alone.  Any copy, even one
-    # with the same vertex values, factors [multipliers | p2] and the
-    # Laplacian on every p2 unknown but the first.
+    # are reduced onto the cross in closed form, and LAPACK factors the dense
+    # cross matrix and psi's Laplacian on the cross but its first unknown;
+    # SuperLU is never called.  Any copy, even one with the same vertex
+    # values, has SuperLU factor [multipliers | p2] and the Laplacian on
+    # every p2 unknown but the first, and no dense matrix.
     calls = []
-    splu = solver.spla.splu
-    monkeypatch.setattr(solver.spla, "splu", lambda matrix, *args, **kwargs: calls.append(matrix.shape[0])
-                        or splu(matrix, *args, **kwargs))
+    for module, name in ((solver.spla, "splu"), (solver.la, "lu_factor")):
+        monkeypatch.setattr(module, name, lambda matrix, *args, name=name, factor=getattr(module, name), **kwargs:
+                            calls.append((name, matrix.shape[0])) or factor(matrix, *args, **kwargs))
     m = build_cartesian_mesh(4)
     lo = build_dof_layout(m)
-    n_h = _n_multipliers(m)
-    for mesh, sizes in ((m, [4 * 4]), (moved_copy(m), [n_h + lo.n_p2, lo.n_p2 - 1]),
-                        (dataclasses.replace(m, vertices=m.vertices.copy()), [n_h + lo.n_p2, lo.n_p2 - 1])):
+    copies = [("splu", _n_multipliers(m) + lo.n_p2), ("splu", lo.n_p2 - 1)]
+    for mesh, sizes in ((m, [("lu_factor", 4 * 4 + 1), ("lu_factor", 4 * 4)]), (moved_copy(m), copies),
+                        (_same_vertex_copy(m), copies)):
         calls.clear()
         assert solve(assemble_system(mesh, build_dof_layout(mesh), example4())).residual <= solver.RESIDUAL_TOL
         assert calls == sizes
@@ -257,7 +294,7 @@ def test_axis_schur_matches_splu(k):
     for grid in lo.vert_to_p2[_region2_grids(m)]:
         interior, axes = grid[1:, 1:].ravel(), np.concatenate([grid[1:, 0], grid[0, 1:]])
         coupling = stiffness[interior][:, axes].toarray()
-        expected = coupling.T @ _factor(stiffness[interior][:, interior]).solve(coupling)
+        expected = coupling.T @ _factor(stiffness[interior][:, interior])(coupling)
         assert np.abs(_axis_schur(*_interior_square(k)) - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
@@ -292,8 +329,7 @@ def _check_interior_rows(system, monkeypatch):
     recorded = _recorded_factorizations(monkeypatch)
     # A copy with the registry's vertex values factors [multipliers | p2], the matrix before the reduction.
     m = system.mesh
-    copy = dataclasses.replace(m, vertices=m.vertices.copy())
-    _hybrid_factorization(dataclasses.replace(system, mesh=copy))
+    _hybrid_factorization(dataclasses.replace(system, mesh=_same_vertex_copy(m)))
     hybrid, n_h = recorded[0].tocsr(), _n_multipliers(m)
     interior = system.layout.vert_to_p2[_region2_grids(m)[:, 1:, 1:]].ravel()
     rows = hybrid[n_h + interior]
@@ -322,16 +358,16 @@ def test_interior_p2_rows_hold_only_the_stiffness_over_coefficients(coeffs):
 @pytest.mark.parametrize("level", [4, 8, 16])
 def test_reduced_pattern_is_independent_of_the_values(level, monkeypatch):
     # A kept fill-reducing ordering needs one pattern per level and pin for
-    # each matrix SuperLU factors: psi's on the registry mesh, whose dense
-    # Steklov-Poincare blocks must not let the pattern depend on the
-    # coefficients, and on a copy also the hybrid one, where eliminate_zeros
-    # and the rounding drop must not.
+    # each matrix SuperLU factors, on a copy: the hybrid one, where
+    # eliminate_zeros and the rounding drop must not let the pattern depend
+    # on the coefficients, and psi's.  The registry mesh factors two dense
+    # matrices of fixed shapes.
     recorded = _recorded_factorizations(monkeypatch)
     m = build_cartesian_mesh(level)
-    copy = dataclasses.replace(m, vertices=m.vertices.copy())
+    copy = _same_vertex_copy(m)
     layout = build_dof_layout(m)
     draws = 10.0 ** np.random.default_rng(level).uniform(-4.0, 4.0, (6, 3))
-    for mesh, sizes in ((m, [4 * level]), (copy, [_n_multipliers(m) + layout.n_p2, layout.n_p2 - 1])):
+    for mesh, sizes in ((m, [4 * level + 1, 4 * level]), (copy, [_n_multipliers(m) + layout.n_p2, layout.n_p2 - 1])):
         recorded.clear()
         for make in (example1, example2, example3, example4):
             for a1, a2, beta in draws:
@@ -339,8 +375,11 @@ def test_reduced_pattern_is_independent_of_the_values(level, monkeypatch):
                 _hybrid_factorization(dataclasses.replace(assemble_system(m, layout, case), mesh=mesh))
         for first, size in enumerate(sizes):
             matrices = recorded[first::len(sizes)]
-            assert len(matrices) == 4 * len(draws) and matrices[0].shape[0] == size
-            assert len({(r.indptr.tobytes(), r.indices.tobytes()) for r in matrices}) == 1
+            assert len(matrices) == 4 * len(draws) and {r.shape for r in matrices} == {(size, size)}
+            if mesh is m:
+                assert all(isinstance(r, np.ndarray) for r in matrices)
+            else:
+                assert len({(r.indptr.tobytes(), r.indices.tobytes()) for r in matrices}) == 1
 
 
 def _cr_stiffness(m, layout):
@@ -371,7 +410,7 @@ def test_region1_elimination_matches_splu(k, monkeypatch):
     lo = build_dof_layout(m)
     a1 = 3.7
     system = assemble_system(m, lo, with_coefficients(example4(), CoefficientSet(a1, 1.3, 0.7)))
-    _hybrid_factorization(dataclasses.replace(system, mesh=dataclasses.replace(m, vertices=m.vertices.copy())))
+    _hybrid_factorization(dataclasses.replace(system, mesh=_same_vertex_copy(m)))
     n_h = _n_multipliers(m)
     block = (-a1 * recorded[0][:n_h, :n_h]).tocsc()
     cr, u1_to_h = _cr_stiffness(m, lo)
@@ -395,7 +434,7 @@ def test_region1_elimination_matches_splu(k, monkeypatch):
 def _assert_registry_matches_copy(system, tolerances=(1e-12,) * 5):
     """Every solution field on the registry mesh against a copy with the same vertex values, which keeps SuperLU."""
     m = system.mesh
-    copy = dataclasses.replace(m, vertices=m.vertices.copy())
+    copy = _same_vertex_copy(m)
     registry, reference = solve(system), solve(dataclasses.replace(system, mesh=copy))
     for field, tol in zip(("u1", "p2", "phi", "u2", "p1"), tolerances):
         a, b = getattr(registry, field), getattr(reference, field)
