@@ -151,6 +151,11 @@ def rt0_local_mass(m: BipartiteMesh, tris, a: float = 1.0) -> np.ndarray:
 _P1_TRACE_MASS_REF = (np.full((2, 2), 1.0) + np.eye(2)) / 6.0
 
 
+def _interface_trace_mass(m: BipartiteMesh, beta: float) -> np.ndarray:
+    """(ni, 2, 2) beta-scaled P1 trace mass of each interface edge on its ends, low to high vertex."""
+    return (beta * m.interface_lengths)[:, None, None] * _P1_TRACE_MASS_REF
+
+
 def _p1_local_stiffness(m: BipartiteMesh, tris) -> np.ndarray:
     """(t, 3, 3) unit nodal stiffness matrices of ``tris``."""
     gx, gy = np.take(m.hat_gradients.T, tris, axis=2)                      # (3, t) planes
@@ -198,10 +203,9 @@ def assemble_A(m: BipartiteMesh, layout: DofLayout, coeffs: CoefficientSet,
     e = m.interface_edges
     e_u1 = layout.edge_to_u1[e][:, None]
     p2 = layout.offset_p2 + layout.vert_to_p2[m.edges[e]]   # (ni, 2) rows and columns of A
-    trace = (coeffs.beta * m.interface_lengths)[:, None, None] * _P1_TRACE_MASS_REF
     couple = _interface_coupling(m)
     parts = [(flux_mass, u1, u1), (couple[:, None, :], e_u1, p2), (-couple[:, :, None], p2, e_u1),
-             (trace, p2, p2)]
+             (_interface_trace_mass(m, coeffs.beta), p2, p2)]
     return _scatter(parts, (layout.n_x, layout.n_x))
 
 

@@ -26,6 +26,11 @@ column is psi's Laplacian, fixed at the first.  ``_factor`` factors every
 matrix: a dense one with ``scipy.linalg.lu_factor``, so no registry-mesh
 solve calls SuperLU, and a sparse one with SuperLU and a symmetric-mode
 minimum-degree ordering instead of COLAMD with partial pivoting.
+
+Both hybrid systems are built from element parts alone: the local saddle
+inverses of the flux masses, the interface trace mass and the region-2
+stiffness.  ``solve`` reads the assembled blocks A, B^T, B and C only for
+its residual.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (
-    SaddleSystem, _interface_coupling, _p1_local_stiffness, _scatter, _scatter_entries, rt0_local_mass,
+    SaddleSystem, _interface_coupling, _interface_trace_mass, _p1_local_stiffness, _scatter, rt0_local_mass,
 )
 from .mesh import EdgeKind, _kept, _region1_grids, _region2_grids
 from .spaces import _numbering, potential_to_velocity
@@ -292,14 +297,13 @@ def _near_inverse(lines, cells, hh, hv, vv) -> np.ndarray:
     The multipliers are, in order, the diagonals of the cells (i, 0), i =
     0..k-1, and (0, j), j = 1..k-1, the left legs of the cells (i, 0), i =
     1..k-1, and the lower legs of the cells (0, j), j = 1..k-1
-    (``_leg_modes``); a last row and column of zeros stands for none.  With
-    the diagonals eliminated, CR^-1 is 1/8 + (sum of L^-1 over the legs of
-    both cells) / 16 between two diagonals, (sum over the diagonal's legs) / 4
-    between a diagonal and a leg, and L^-1 between legs.  The legs of the
-    cells next to the interface lie on four lines, and a leg on a line takes
-    the value along[a, p] fixed[q] in mode (p, q), or the transpose, so
-    L^-1 between two lines is a few dense products over one mode index, as
-    in ``_axis_schur``.
+    (``_leg_modes``).  With the diagonals eliminated, CR^-1 is 1/8 + (sum of
+    L^-1 over the legs of both cells) / 16 between two diagonals, (sum over
+    the diagonal's legs) / 4 between a diagonal and a leg, and L^-1 between
+    legs.  The legs of the cells next to the interface lie on four lines,
+    and a leg on a line takes the value along[a, p] fixed[q] in mode (p, q),
+    or the transpose, so L^-1 between two lines is a few dense products over
+    one mode index, as in ``_axis_schur``.
     """
     k = len(cells)
     inverse = {"hh": hh, "hv": hv, "vh": hv, "vv": vv}
@@ -319,10 +323,9 @@ def _near_inverse(lines, cells, hh, hv, vv) -> np.ndarray:
     legs = np.block([[blocks[i, j] if i <= j else blocks[j, i].T for j in range(4)] for i in range(4)])
 
     def combine(x):
-        """The rows of ``near`` from the rows of the four lines, and a zero row."""
+        """The rows of ``near`` from the rows of the four lines."""
         a, b, c, d = np.split(x, [k + 1, 2 * k + 1, 3 * k + 2])
-        return np.concatenate([(a[:-1] + a[1:] + b) / 4, (c[1:-1] + c[2:] + d[1:]) / 4, a[1:-1], c[1:-1],
-                               np.zeros((1, x.shape[1]))])
+        return np.concatenate([(a[:-1] + a[1:] + b) / 4, (c[1:-1] + c[2:] + d[1:]) / 4, a[1:-1], c[1:-1]])
 
     near = np.ascontiguousarray(combine(combine(legs).T).T)
     diagonals = np.arange(2 * k - 1)
@@ -353,7 +356,7 @@ class _Region1Multipliers:
     vv: np.ndarray
     near: np.ndarray       # (2, 4k-3) multipliers of the interface triangles (``_near_inverse``), by square
     to_near: np.ndarray    # (n_h,) index of each multiplier in ``near`` of its square, -1 elsewhere
-    near_inverse: np.ndarray  # (4k-2, 4k-2) CR^-1 among ``near`` of one square, zero-padded
+    near_inverse: np.ndarray  # (4k-3, 4k-3) CR^-1 among ``near`` of one square
     edges: np.ndarray      # (2, 2k) the interface edges of each square, as indices of ``interface_edges``
 
     @classmethod
@@ -404,17 +407,18 @@ class _Region1Multipliers:
         CR^-1 H_hp) y_p = g_p + a1 H_ph CR^-1 g_h, and y_h = -a1 CR^-1 (g_h
         - H_hp y_p).  H_hp and H_ph reach only ``near``, so the dense matrix
         needs ``near_inverse`` alone: per square, Y = up^T CR^-1 down over
-        its 2k edges, spread onto their ends.  ``cross`` is overwritten.
+        its 2k edges, times a1 and the couplings, is added into ``cross`` in
+        place at their ends, and ``cross`` is then factored in place.
         """
-        n_h, n_c, n_j = len(self.to_near), len(cross), self.near.shape[1]
-        slots = np.where(ids >= 0, self.to_near[ids], n_j)
+        n_h, n_c = len(self.to_near), len(cross)
+        # A missing multiplier has zero couplings, so any slot serves it.
+        slots = np.where(ids >= 0, self.to_near[ids], 0)
         for edges in self.edges:
             near, c, p = slots[edges], couple[edges], ends[edges]
             zd = (self.near_inverse[:, near] * down[edges]).sum(axis=2)
             y = (zd[near] * up[edges][:, :, None]).sum(axis=1)
-            spread = c[:, :, None, None] * y[:, None, :, None] * c[None, None]
-            flat = p[:, :, None, None] * n_c + p[None, None]
-            cross += a1 * np.bincount(flat.ravel(), spread.ravel(), n_c * n_c).reshape(n_c, n_c)
+            spread = (a1 * c)[:, :, None, None] * y[:, None, :, None] * c[None, None]
+            np.add.at(cross.reshape(-1), (p[:, :, None, None] * n_c + p[None, None]).ravel(), spread.ravel())
         solve_cross = _factor(cross)
         ids = np.maximum(ids, 0)
 
@@ -473,12 +477,18 @@ def _hybrid_factorization(system: SaddleSystem):
     multipliers are eliminated onto the cross (``_Region1Multipliers``):
     ``_factor`` factors the dense Steklov-Poincare matrix of the cross p2
     values, the multiplier load is condensed onto it and the multipliers are
-    recovered after its solve.  So every factorization on a registry mesh
-    is dense.  On any other mesh ``_factor`` hands the whole sparse hybrid
-    system to SuperLU.  It has a zero-free diagonal: with N the flux block
-    of a local saddle inverse, a multiplier's diagonal is a sum of -N_ii,
-    negative, and that of p2 adds the condensed S N S^T to M_beta plus the
-    stiffness over a2, positive.
+    recovered after its solve.  The cross matrix starts as the stiffness
+    over a2, and M_beta + S N_ss S^T of each interface edge and the
+    multiplier Schur term of each region-1 square are added into it in
+    place.  So every factorization on a registry mesh is dense.  On any
+    other mesh the whole sparse hybrid system is scattered from its element
+    matrices, the condensed ones, the M_beta of each interface edge and each
+    stiffness entry over a2, and ``_factor`` hands it to SuperLU.  It has a
+    zero-free diagonal: with N the flux block of a local saddle inverse, a
+    multiplier's diagonal is a sum of -N_ii, negative, and that of p2 adds
+    the condensed S N S^T to M_beta plus the stiffness over a2, positive.
+    None of the assembled blocks A, B, B^T and C is read: only K, the flux
+    masses, the coefficients, the mesh and the layout.
     """
     m, lo = system.mesh, system.layout
     n_u1, n_p2 = lo.n_u1, lo.n_p2
@@ -519,59 +529,43 @@ def _hybrid_factorization(system: SaddleSystem):
     signs = m.tri_edge_signs[tris].astype(float)
     couple = np.zeros((len(tris), 3, 2))
     couple[..., 0] = np.where(cols[..., 0] >= 0, signs, 0.0)
-    e = m.interface_edges
-    t1 = lo.tri_to_p1[m.interface_tri1]
-    cols[t1, m.interface_slot] = n_h + to_kept[lo.vert_to_p2[m.edges[e]]]
-    couple[t1, m.interface_slot] = _interface_coupling(m)
+    t1, s = lo.tri_to_p1[m.interface_tri1], m.interface_slot
+    ends = to_kept[lo.vert_to_p2[m.edges[m.interface_edges]]]
+    cols[t1, s] = n_h + ends
+    couple[t1, s] = _interface_coupling(m)
     reads = np.where(iface[..., None], -couple, couple)
     valid = cols >= 0
 
     inverse = _local_saddle_inverse(system.flux_mass, signs)
     flux_inverse = inverse[:, :3, :3]
-    # M_beta, the [p2 | p2] block of A, read off its CSR rows, on the kept p2; the stiffness / a2 joins it below.
-    a, start = system.A, system.A.indptr[n_u1]
-    a_rows = np.repeat(np.arange(n_p2), np.diff(a.indptr[n_u1:]))
-    a_cols = a.indices[start:] - n_u1
-    on_p2 = a_cols >= 0
-    p_vals, p_rows, p_cols = [a.data[start:][on_p2]], [to_kept[a_rows[on_p2]]], [to_kept[a_cols[on_p2]]]
+    # M_beta, the [p2 | p2] block of A, on the ends of each interface edge: kept p2 unknowns.
+    trace_mass = _interface_trace_mass(m, system.coeffs.beta)
 
     if region1 is None:
-        k_entries = stiffness.tocoo()
-        p_vals.append(k_entries.data / a2)
-        p_rows.append(k_entries.row)
-        p_cols.append(k_entries.col)
-
         def condensed(t, c, d):
             """Condensed element matrices of triangles ``t``, slot column ``c`` by slot column ``d``."""
             local = -(reads[t, :, c, None] * flux_inverse[t] * couple[t, None, :, d])
             return local, cols[t, :, c], cols[t, :, d]
 
-        # Only the triangles with an interface slot have second columns.
+        # Only the triangles with an interface slot have second columns; each
+        # stiffness entry over a2 is a 1x1 element matrix.
         side = np.flatnonzero(iface.any(axis=1))
-        parts = [condensed(slice(None), 0, 0)] + [condensed(side, c, d) for c, d in ((0, 1), (1, 0), (1, 1))]
-        vals, rows, h_cols = map(np.concatenate, zip(*(_scatter_entries(*part) for part in parts)))
-        hybrid = sp.csc_matrix((
-            np.concatenate(p_vals + [vals]),
-            (np.concatenate([n_h + r for r in p_rows] + [rows]), np.concatenate([n_h + c for c in p_cols] + [h_cols])),
-        ), shape=(n, n))
-        hybrid.eliminate_zeros()
-        solve_hybrid = _factor(hybrid)
+        k = stiffness.tocoo()
+        parts = [condensed(slice(None), 0, 0), *(condensed(side, c, d) for c, d in ((0, 1), (1, 0), (1, 1))),
+                 (trace_mass, n_h + ends, n_h + ends),
+                 (k.data[:, None, None] / a2, n_h + k.row[:, None], n_h + k.col[:, None])]
+        solve_hybrid = _factor(_scatter(parts, (n, n)))
     else:
         # Each interface flux, in slot s of its triangle, couples through N,
         # the flux block of the local inverse, to the multipliers of the other
         # slots and, by S, to the p2 values at its ends, which also get S N_ss S^T.
-        s = m.interface_slot
         other = (s[:, None] + np.array([1, 2])) % 3
         t, n_c = t1[:, None], len(kept)
-        ids = cols[t, other, 0]
-        sign = np.where(ids >= 0, signs[t, other], 0.0)
-        trace, ends = couple[t1, s], cols[t1, s] - n_h
-        p_vals.append((trace[:, :, None] * flux_inverse[t1, s, s][:, None, None] * trace[:, None]).ravel())
-        p_rows.append(np.repeat(ends, 2, axis=1).ravel())
-        p_cols.append(np.tile(ends, 2).ravel())
+        ids, sign, trace = cols[t, other, 0], couple[t, other, 0], couple[t1, s]
+        block = trace_mass + trace[:, :, None] * flux_inverse[t1, s, s][:, None, None] * trace[:, None]
         cross = stiffness / a2
-        cross += np.bincount(np.concatenate(p_rows) * n_c + np.concatenate(p_cols), np.concatenate(p_vals),
-                             n_c * n_c).reshape(n_c, n_c)
+        # Added through the flat view: np.add.at over (rows, cols) is about twice as slow.
+        np.add.at(cross.reshape(-1), (ends[:, :, None] * n_c + ends[:, None]).ravel(), block.ravel())
         solve_hybrid = region1.factor(
             system.coeffs.a1, cross, ids, -sign * flux_inverse[t, other, s[:, None]],
             flux_inverse[t, s[:, None], other] * sign, trace, ends,

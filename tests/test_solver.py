@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from twodarcy import solver
 from twodarcy.analysis import convergence_study, error_norms
 from twodarcy.assembly import (
-    CoefficientSet, _p1_local_stiffness, assemble_A, assemble_system, p1_stiffness_omega2,
+    CoefficientSet, _interface_trace_mass, _p1_local_stiffness, _scatter, assemble_A, assemble_system,
+    p1_stiffness_omega2,
 )
 from twodarcy.manufactured import example1, example2, example3, example4
 from twodarcy.mesh import EdgeKind, _region1_grids, _region2_grids, build_cartesian_mesh
@@ -426,9 +427,53 @@ def test_region1_elimination_matches_splu(k, monkeypatch):
         unit = np.zeros((n_h, len(near)))
         unit[near, np.arange(len(near))] = 1.0
         expected = lu.solve(unit)[near]
-        got = elimination.near_inverse[:-1, :-1]
-        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
-    assert not elimination.near_inverse[-1].any() and not elimination.near_inverse[:, -1].any()
+        assert np.abs(elimination.near_inverse - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("level", [1, 2, 4, 8])
+def test_registry_cross_is_the_schur_complement_of_the_copy(level, monkeypatch):
+    # The cross matrix a registry mesh factors, built from element parts
+    # added in place, is the copy's sparse hybrid matrix with the multipliers
+    # and the interior p2 unknowns eliminated, over the variants' own
+    # coefficients and draws from [1e-3, 1e3].
+    recorded = _recorded_factorizations(monkeypatch)
+    m = build_cartesian_mesh(level)
+    lo = build_dof_layout(m)
+    n_h = _n_multipliers(m)
+    interior = n_h + lo.vert_to_p2[_region2_grids(m)[:, 1:, 1:]].ravel()
+    cross = np.setdiff1d(np.arange(n_h + lo.n_p2), np.concatenate([np.arange(n_h), interior]))
+    other = np.setdiff1d(np.arange(n_h + lo.n_p2), cross)
+    draws = [None] + [CoefficientSet(*row) for row in 10.0 ** np.random.default_rng(level).uniform(-3, 3, (2, 3))]
+    for case in variant_cases():
+        for coeffs in draws:
+            system = assemble_system(m, lo, case if coeffs is None else with_coefficients(case, coeffs))
+            recorded.clear()
+            _hybrid_factorization(system)
+            registry = recorded[0]
+            recorded.clear()
+            _hybrid_factorization(dataclasses.replace(system, mesh=_same_vertex_copy(m)))
+            hybrid = recorded[0].toarray()
+            expected = hybrid[np.ix_(cross, cross)] - hybrid[np.ix_(cross, other)] @ np.linalg.solve(
+                hybrid[np.ix_(other, other)], hybrid[np.ix_(other, cross)])
+            assert np.abs(registry - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["registry", "moved"])
+def test_factorization_reads_no_assembled_block(moved):
+    # Both hybrid systems are built from the element parts: K, the local
+    # masses, the coefficients, the mesh and the layout.  They assume that
+    # A's [p2 | p2] block is the interface trace mass alone.
+    m = build_cartesian_mesh(4)
+    m = moved_copy(m) if moved else m
+    lo = build_dof_layout(m)
+    system = assemble_system(m, lo, example4())
+    b = system.rhs()
+    bare = dataclasses.replace(system, A=None, B=None, Bt=None, C=None)
+    assert np.array_equal(_hybrid_factorization(bare)(b), _hybrid_factorization(system)(b))
+    p2 = lo.offset_p2 + lo.vert_to_p2[m.edges[m.interface_edges]]
+    expected = _scatter([(_interface_trace_mass(m, system.coeffs.beta), p2, p2)], (lo.n_x, lo.n_x))
+    block = system.A[lo.offset_p2:, lo.offset_p2:]
+    assert abs(block - expected[lo.offset_p2:, lo.offset_p2:]).max() <= 1e-15 * abs(block).max()
 
 
 def _assert_registry_matches_copy(system, tolerances=(1e-12,) * 5):
