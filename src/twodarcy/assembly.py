@@ -19,13 +19,13 @@ carries it for the solver.
 The coefficients are three region constants: the flow resistances ``a1``
 and ``a2`` of the two regions and the interface storage ``beta``.  Each
 coefficient block is its constant times one geometric matrix: the RT0 mass
-(in closed form, from the second moments of each triangle), the P1
-stiffness and the P1 trace mass on the interface.  Volume sources are
-integrated with the one-point centroid rule, the verification convention
-for lowest-order elements on structured grids: it makes the discrete flux
-divergence equal the centroid-sampled source exactly, so the cell-sampled
-divergence error vanishes.  Interface line integrals use the 6-point Gauss
-rule.
+(in closed form, from the second moments of each triangle, and kept per
+mesh, as the solver reads it too), the P1 stiffness and the P1 trace mass
+on the interface.  Volume sources are integrated with the one-point
+centroid rule, the verification convention for lowest-order elements on
+structured grids: it makes the discrete flux divergence equal the
+centroid-sampled source exactly, so the cell-sampled divergence error
+vanishes.  Interface line integrals use the 6-point Gauss rule.
 """
 
 from __future__ import annotations
@@ -130,12 +130,12 @@ def _symmetric_local(n: int, entry) -> np.ndarray:
     return out
 
 
-def rt0_local_mass(m: BipartiteMesh, tris, a: float = 1.0) -> np.ndarray:
-    """(t, 3, 3) flux-basis mass matrices of ``tris``, scaled by the resistance ``a``.
+def rt0_local_mass(m: BipartiteMesh, tris) -> np.ndarray:
+    """(t, 3, 3) unit flux-basis mass matrices of ``tris``.
 
     With the basis ``s_i / (2|K|) (x - P_i)`` and ``c`` the centroid, the
     second moments of K give, exactly,
-    ``M_ij = a s_i s_j / (4|K|) [(c - P_i).(c - P_j) + sum_k |P_k - c|^2 / 12]``.
+    ``M_ij = s_i s_j / (4|K|) [(c - P_i).(c - P_j) + sum_k |P_k - c|^2 / 12]``.
     """
     x, y = _planes(m, m.triangles[tris])
     cx, cy = np.take(m.centroids.T, tris, axis=1)
@@ -143,9 +143,14 @@ def rt0_local_mass(m: BipartiteMesh, tris, a: float = 1.0) -> np.ndarray:
     squares = dx * dx + dy * dy
     spread = (squares[0] + squares[1] + squares[2]) / 12.0
     s = np.take(m.tri_edge_signs.T, tris, axis=1).astype(float)
-    scaled = (a / 4.0) / m.areas[tris] * s                                 # a s_i / (4|K|)
+    scaled = 0.25 / m.areas[tris] * s                                      # s_i / (4|K|)
     return _symmetric_local(
         len(spread), lambda i, j: (scaled[i] * s[j]) * ((dx[i] * dx[j] + dy[i] * dy[j]) + spread))
+
+
+def _unit_flux_mass(m: BipartiteMesh, layout: DofLayout) -> np.ndarray:
+    """``rt0_local_mass`` of ``layout.p1_triangles``, kept on ``m``: a1 scales it wherever it is read."""
+    return _kept(m, "unit flux mass", lambda: rt0_local_mass(m, layout.p1_triangles))
 
 
 _P1_TRACE_MASS_REF = (np.full((2, 2), 1.0) + np.eye(2)) / 6.0
@@ -191,21 +196,18 @@ def _interface_coupling(m: BipartiteMesh) -> np.ndarray:
 # Operator blocks.
 
 
-def assemble_A(m: BipartiteMesh, layout: DofLayout, coeffs: CoefficientSet,
-               flux_mass: np.ndarray) -> sp.csr_matrix:
-    """Flux mass, interface trace mass and the skew interface coupling.
+def assemble_A(m: BipartiteMesh, layout: DofLayout, coeffs: CoefficientSet) -> sp.csr_matrix:
+    """a1-scaled flux mass, beta-scaled interface trace mass and the skew interface coupling.
 
-    ``flux_mass`` holds the local masses ``rt0_local_mass(m,
-    layout.p1_triangles, coeffs.a1)``.  The coefficients are not checked
-    here: ``assemble_system`` validates them.
+    The coefficients are not checked here: ``assemble_system`` validates them.
     """
     u1 = layout.edge_to_u1[m.tri_edges[layout.p1_triangles]]
     e = m.interface_edges
     e_u1 = layout.edge_to_u1[e][:, None]
     p2 = layout.offset_p2 + layout.vert_to_p2[m.edges[e]]   # (ni, 2) rows and columns of A
     couple = _interface_coupling(m)
-    parts = [(flux_mass, u1, u1), (couple[:, None, :], e_u1, p2), (-couple[:, :, None], p2, e_u1),
-             (_interface_trace_mass(m, coeffs.beta), p2, p2)]
+    parts = [(coeffs.a1 * _unit_flux_mass(m, layout), u1, u1), (couple[:, None, :], e_u1, p2),
+             (-couple[:, :, None], p2, e_u1), (_interface_trace_mass(m, coeffs.beta), p2, p2)]
     return _scatter(parts, (layout.n_x, layout.n_x))
 
 
@@ -282,8 +284,6 @@ class SaddleSystem:
     ``Bt`` is B's transpose, kept with B and sharing its arrays.  ``K`` is
     the unit P1 stiffness of region 2 on the p2 dofs, the one geometric
     matrix behind the potential rows of B and the stiffness in C.
-    ``flux_mass`` holds the (t, 3, 3) a1-scaled RT0 local masses of
-    ``layout.p1_triangles``, the element matrices of the flux block of A.
     """
 
     A: sp.csr_matrix
@@ -291,7 +291,6 @@ class SaddleSystem:
     Bt: sp.csc_matrix
     C: sp.csr_matrix
     K: sp.csr_matrix
-    flux_mass: np.ndarray
     F1: np.ndarray
     F2: np.ndarray
     mesh: BipartiteMesh
@@ -317,12 +316,10 @@ def assemble_system(m: BipartiteMesh, layout: DofLayout, case) -> SaddleSystem:
     _check_orientation(m)
     coeffs = case.coefficient_set()
     coeffs.validate()
-    flux_mass = rt0_local_mass(m, layout.p1_triangles, coeffs.a1)
-    a = assemble_A(m, layout, coeffs, flux_mass)
+    a = assemble_A(m, layout, coeffs)
     k, b, bt = _kept(m, ("operators", layout.pinned_vertex), lambda: _unit_operators(m, layout))
     c = assemble_C(layout, coeffs, k)
     f1, f2 = assemble_rhs(m, layout, case)
     return SaddleSystem(
-        A=a, B=b, Bt=bt, C=c, K=k, flux_mass=flux_mass, F1=f1, F2=f2,
-        mesh=m, layout=layout, coeffs=coeffs,
+        A=a, B=b, Bt=bt, C=c, K=k, F1=f1, F2=f2, mesh=m, layout=layout, coeffs=coeffs,
     )

@@ -28,9 +28,9 @@ solve calls SuperLU, and a sparse one with SuperLU and a symmetric-mode
 minimum-degree ordering instead of COLAMD with partial pivoting.
 
 Both hybrid systems are built from element parts alone: the local saddle
-inverses of the flux masses, the interface trace mass and the region-2
-stiffness.  ``solve`` reads the assembled blocks A, B^T, B and C only for
-its residual.
+inverses of the kept unit flux masses times a1, the interface trace mass
+and the region-2 stiffness.  ``solve`` reads the assembled blocks A, B^T,
+B and C only for its residual.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (
-    SaddleSystem, _interface_coupling, _interface_trace_mass, _p1_local_stiffness, _scatter, rt0_local_mass,
+    AdmissibilityError, SaddleSystem, _interface_coupling, _interface_trace_mass, _p1_local_stiffness, _scatter,
+    _unit_flux_mass,
 )
 from .mesh import EdgeKind, _kept, _region1_grids, _region2_grids
 from .spaces import _numbering, potential_to_velocity
@@ -126,23 +127,23 @@ def _factor(matrix):
         raise SolverError(f"singular factorization: {err}") from err
 
 
-def _local_saddle_inverse(mass: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """(t, 4, 4) inverses of the local saddles [[M, -s], [s^T, 0]] for (t, 3, 3) SPD ``mass``.
+def _local_saddle_inverse(mass: np.ndarray, s: np.ndarray, a: float) -> np.ndarray:
+    """(t, 4, 4) inverses of the local saddles [[a M, -s], [s^T, 0]] for (t, 3, 3) SPD ``mass``.
 
-    With Minv the cofactor inverse of M, w = Minv s and sigma = s^T w, the
-    inverse is [[Minv - w w^T / sigma, w / sigma], [-w^T / sigma, 1 / sigma]].
-    A zero determinant or sigma, or a non-finite M, leaves a non-finite entry.
+    With Minv = cof(M) / (a det M), w = Minv s and sigma = s^T w, the inverse
+    is [[Minv - w w^T / sigma, w / sigma], [-w^T / sigma, 1 / sigma]].  Zero
+    or non-finite det M, sigma or ``a`` leaves a non-finite entry.
     """
     # Entry planes (3, 3, t) and (3, t): elementwise arithmetic on contiguous rows.
-    (a, b, c), (_, d, e), (_, _, f) = np.ascontiguousarray(mass.transpose(1, 2, 0))
+    (m11, m12, m13), (_, m22, m23), (_, _, m33) = np.ascontiguousarray(mass.transpose(1, 2, 0))
     s = np.ascontiguousarray(s.T)
     with np.errstate(all="ignore"):
         minv = np.array([
-            [d * f - e * e, c * e - b * f, b * e - c * d],
-            [c * e - b * f, a * f - c * c, b * c - a * e],
-            [b * e - c * d, b * c - a * e, a * d - b * b],
+            [m22 * m33 - m23 * m23, m13 * m23 - m12 * m33, m12 * m23 - m13 * m22],
+            [m13 * m23 - m12 * m33, m11 * m33 - m13 * m13, m12 * m13 - m11 * m23],
+            [m12 * m23 - m13 * m22, m12 * m13 - m11 * m23, m11 * m22 - m12 * m12],
         ])
-        minv /= a * minv[0, 0] + b * minv[0, 1] + c * minv[0, 2]
+        minv /= a * (m11 * minv[0, 0] + m12 * minv[0, 1] + m13 * minv[0, 2])
         w = (minv * s).sum(axis=1)
         sigma = (s * w).sum(axis=0)
         planes = np.empty((4, 4, len(sigma)))
@@ -487,14 +488,17 @@ def _hybrid_factorization(system: SaddleSystem):
     zero-free diagonal: with N the flux block of a local saddle inverse, a
     multiplier's diagonal is a sum of -N_ii, negative, and that of p2 adds
     the condensed S N S^T to M_beta plus the stiffness over a2, positive.
-    None of the assembled blocks A, B, B^T and C is read: only K, the flux
-    masses, the coefficients, the mesh and the layout.
+    None of the assembled blocks A, B, B^T and C is read: only K, the unit
+    flux masses kept on the mesh, the coefficients, the mesh and the layout.
     """
     m, lo = system.mesh, system.layout
     n_u1, n_p2 = lo.n_u1, lo.n_p2
+    # ``coeffs`` can be replaced after ``assemble_system`` validated them: check them by the same rule.
+    try:
+        system.coeffs.validate()
+    except AdmissibilityError as err:
+        raise SolverError(f"inadmissible coefficients {system.coeffs}: {err}") from err
     a2 = system.coeffs.a2
-    if not 0.0 < a2 < np.inf:
-        raise SolverError(f"flow resistance a2 = {a2} cannot decouple the potential")
     phi = lo.phi_to_p2
     pin = lo.vert_to_p2[lo.pinned_vertex]
     tris = lo.p1_triangles
@@ -536,7 +540,7 @@ def _hybrid_factorization(system: SaddleSystem):
     reads = np.where(iface[..., None], -couple, couple)
     valid = cols >= 0
 
-    inverse = _local_saddle_inverse(system.flux_mass, signs)
+    inverse = _local_saddle_inverse(_unit_flux_mass(m, lo), signs, system.coeffs.a1)
     flux_inverse = inverse[:, :3, :3]
     # M_beta, the [p2 | p2] block of A, on the ends of each interface edge: kept p2 unknowns.
     trace_mass = _interface_trace_mass(m, system.coeffs.beta)
@@ -659,7 +663,7 @@ def x_norm_gram(system: SaddleSystem) -> sp.csr_matrix:
     m, lo = system.mesh, system.layout
     tris1, tris2 = lo.p1_triangles, lo.u2_triangles
     signs = m.tri_edge_signs[tris1].astype(float)
-    g_u1 = rt0_local_mass(m, tris1) + np.einsum("ti,tj->tij", signs, signs) / m.areas[tris1][:, None, None]
+    g_u1 = _unit_flux_mass(m, lo) + np.einsum("ti,tj->tij", signs, signs) / m.areas[tris1][:, None, None]
     g_p2 = m.areas[tris2][:, None, None] * ((1.0 + np.eye(3)) / 12.0) + _p1_local_stiffness(m, tris2)
     u1 = lo.edge_to_u1[m.tri_edges[tris1]]
     p2 = lo.offset_p2 + lo.vert_to_p2[m.triangles[tris2]]

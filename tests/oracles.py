@@ -159,12 +159,12 @@ def stacked_p1_local_stiffness(m: BipartiteMesh, tris) -> np.ndarray:
     return stacked_areas(m)[tris][:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
 
 
-def stacked_rt0_local_mass(m: BipartiteMesh, tris, a: float = 1.0) -> np.ndarray:
+def stacked_rt0_local_mass(m: BipartiteMesh, tris) -> np.ndarray:
     d = stacked_centroids(m)[tris][:, None, :] - m.vertices[m.triangles[tris]]     # (t, 3, 2)
     dx, dy = d[..., 0], d[..., 1]
     spread = (dx * dx + dy * dy).sum(axis=1) / 12.0
     s = m.tri_edge_signs[tris].astype(float)
-    scale = (a / 4.0) / stacked_areas(m)[tris]
+    scale = 0.25 / stacked_areas(m)[tris]
     moments = dx[:, :, None] * dx[:, None, :] + dy[:, :, None] * dy[:, None, :]
     moments += spread[:, None, None]
     return (scale[:, None, None] * s[:, :, None] * s[:, None, :]) * moments

@@ -221,7 +221,7 @@ def test_criterion_7a_wellposedness_diagnostics():
     system = assemble_system(m, layout, td.example1())
     zero_beta = CoefficientSet(1.0, 1.0, 0.0)
     degenerate = dataclasses.replace(
-        system, A=assemble_A(m, layout, zero_beta, system.flux_mass), coeffs=zero_beta
+        system, A=assemble_A(m, layout, zero_beta), coeffs=zero_beta
     )
     diag0 = check_wellposedness(degenerate)
     print(f"[criterion 7a] diagnostics positive at levels 1-4 "

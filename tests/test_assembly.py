@@ -96,7 +96,7 @@ def test_rt0_local_mass_matches_quadrature_of_the_basis():
     phi = rt0_basis(m, tris, pts)
     quad = 2.0 * m.areas[tris][:, None, None] * np.einsum("q,tiqd,tjqd->tij", rule.weights, phi, phi)
     assert len(np.unique(np.round(m.areas[tris], 14))) > len(tris) // 2
-    got = rt0_local_mass(m, tris, 2.5)
+    got = 2.5 * rt0_local_mass(m, tris)
     np.testing.assert_allclose(got, 2.5 * quad, rtol=0.0, atol=1e-13 * abs(quad).max())
 
 
@@ -104,7 +104,7 @@ def test_trace_mass_block_values():
     m = build_cartesian_mesh(2)
     layout = build_dof_layout(m)
     coeffs = CoefficientSet(1.0, 1.0, 1.0)
-    a = assemble_A(m, layout, coeffs, rt0_local_mass(m, layout.p1_triangles, coeffs.a1))
+    a = assemble_A(m, layout, coeffs)
     block = a[layout.n_u1:, layout.n_u1:]
     h = 1 / m.level_inv
     v_end = layout.vert_to_p2[_vertex_index(m, 1.0, 0.0)]
@@ -119,7 +119,7 @@ def test_trace_mass_block_values():
 def test_interface_coupling_entries_are_half():
     m = build_cartesian_mesh(2)
     layout = build_dof_layout(m)
-    a = assemble_A(m, layout, CoefficientSet(1.0, 1.0, 1.0), rt0_local_mass(m, layout.p1_triangles))
+    a = assemble_A(m, layout, CoefficientSet(1.0, 1.0, 1.0))
     s = a[: layout.n_u1, layout.n_u1:].tocoo()
     assert s.nnz == 2 * len(m.interface_edges)
     np.testing.assert_allclose(np.abs(s.data), 0.5)
@@ -136,12 +136,12 @@ def test_interface_coupling_entries_are_half():
 def test_A_skew_pair_and_beta_scaling():
     m = build_cartesian_mesh(2)
     layout = build_dof_layout(m)
-    a = assemble_A(m, layout, CoefficientSet(1.0, 1.0, 1.0), rt0_local_mass(m, layout.p1_triangles))
+    a = assemble_A(m, layout, CoefficientSet(1.0, 1.0, 1.0))
     n_u1 = layout.n_u1
     a12 = a[:n_u1, n_u1:]
     a21 = a[n_u1:, :n_u1]
     assert abs(a12 + a21.T).max() <= 1e-14
-    a_beta = assemble_A(m, layout, CoefficientSet(1.0, 1.0, 2.5), rt0_local_mass(m, layout.p1_triangles))
+    a_beta = assemble_A(m, layout, CoefficientSet(1.0, 1.0, 2.5))
     diff = (a_beta - a)[n_u1:, n_u1:]
     base = a[n_u1:, n_u1:]
     assert abs(diff - 1.5 * base).max() <= 1e-14
@@ -275,7 +275,7 @@ def test_patch_case_residual(coeffs, moved):
 def test_assembly_merge_order_independent():
     m = build_cartesian_mesh(2)
     layout = build_dof_layout(m)
-    a = assemble_A(m, layout, CoefficientSet(1.0, 5.0, 1.0), rt0_local_mass(m, layout.p1_triangles)).tocoo()
+    a = assemble_A(m, layout, CoefficientSet(1.0, 5.0, 1.0)).tocoo()
     rng = np.random.default_rng(11)
     perm = rng.permutation(a.nnz)
     shuffled = sp.coo_matrix(
@@ -374,7 +374,7 @@ def test_scatter_sums_parts_into_one_matrix():
 def test_non_finite_local_entries_are_kept():
     m = build_cartesian_mesh(2)
     layout = build_dof_layout(m)
-    a = assemble_A(m, layout, CoefficientSet(np.nan, 1.0, 1.0), rt0_local_mass(m, layout.p1_triangles, np.nan))
+    a = assemble_A(m, layout, CoefficientSet(np.nan, 1.0, 1.0))
     m_a = a[: layout.n_u1, : layout.n_u1]
     assert m_a.nnz > 0 and np.all(np.isnan(m_a.data))
 

@@ -36,7 +36,7 @@ derandomized = settings(derandomize=True, database=None, max_examples=50, deadli
 def _level4():
     m = build_cartesian_mesh(4)
     layout = build_dof_layout(m)
-    unit_a = assemble_A(m, layout, CoefficientSet(1.0, 1.0, 1.0), rt0_local_mass(m, layout.p1_triangles))
+    unit_a = assemble_A(m, layout, CoefficientSet(1.0, 1.0, 1.0))
     k = p1_stiffness_omega2(m, layout)
     return m, layout, {
         "flux": flux_scatter(m, layout, rt0_local_mass(m, layout.p1_triangles)),
@@ -71,7 +71,7 @@ def test_validate_rejects_any_bad_entry(coeffs):
 def test_blocks_are_coefficients_times_unit_blocks(coeffs):
     m, layout, unit = _level4()
     n_u1, n_phi = layout.n_u1, layout.n_phi
-    a = assemble_A(m, layout, coeffs, rt0_local_mass(m, layout.p1_triangles, coeffs.a1))
+    a = assemble_A(m, layout, coeffs)
     c = assemble_C(layout, coeffs, unit["stiffness"])
     _assert_scaled(a[:n_u1, :n_u1], coeffs.a1, unit["flux"])
     _assert_scaled(a[n_u1:, n_u1:], coeffs.beta, unit["beta"])

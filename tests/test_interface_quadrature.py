@@ -70,7 +70,7 @@ def reference_A(m, layout, coeffs):
             s_vals.append(couple[j])
     m_beta = sp.coo_matrix((vals, (rows, cols)), shape=(layout.n_p2, layout.n_p2))
     s = sp.coo_matrix((s_vals, (s_rows, s_cols)), shape=(layout.n_u1, layout.n_p2))
-    m_a = flux_scatter(m, layout, rt0_local_mass(m, layout.p1_triangles, coeffs.a1))
+    m_a = coeffs.a1 * flux_scatter(m, layout, rt0_local_mass(m, layout.p1_triangles))
     return sp.bmat([[m_a, s], [-s.T, m_beta]], format="csr")
 
 
@@ -118,7 +118,7 @@ def test_assemble_A_matches_per_edge_loop(case, level):
     m = build_cartesian_mesh(level)
     layout = build_dof_layout(m)
     coeffs = dataclasses.replace(case, beta=0.5 + case.a2).coefficient_set()
-    got = assemble_A(m, layout, coeffs, rt0_local_mass(m, layout.p1_triangles, coeffs.a1))
+    got = assemble_A(m, layout, coeffs)
     expected = reference_A(m, layout, coeffs)
     assert abs(got - expected).max() <= RTOL * abs(expected).max()
 

@@ -13,12 +13,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from twodarcy import assembly
 from twodarcy import mesh as mesh_module
-from twodarcy.assembly import assemble_B, assemble_system, p1_stiffness_omega2
+from twodarcy.assembly import assemble_B, assemble_system, p1_stiffness_omega2, rt0_local_mass
 from twodarcy.manufactured import example1, example2, example3, example4
 from twodarcy.mesh import build_cartesian_mesh
 from twodarcy.solver import solve
 from twodarcy.spaces import build_dof_layout
+
+from oracles import flux_scatter
 
 GEOMETRY = ("areas", "centroids", "hat_gradients", "tri_edge_signs", "interface_slot", "interface_signs",
             "interface_lengths", "interface_normals")
@@ -69,7 +72,8 @@ def test_shared_arrays_are_read_only():
                    if isinstance(getattr(layout, f.name), np.ndarray)})
     arrays["K.data"] = system.K.data
     arrays["B.data"] = system.B.data
-    assert len(arrays) == 11 + len(GEOMETRY) + 10 + 2
+    arrays["unit flux mass"] = vars(m)["_kept"]["unit flux mass"]
+    assert len(arrays) == 11 + len(GEOMETRY) + 10 + 3
     for array in arrays.values():
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 0
@@ -121,6 +125,23 @@ def test_kept_region2_interior_is_read_only():
             array[(0,) * array.ndim] = 0
 
 
+@pytest.mark.parametrize("copy", [False, True], ids=["registry", "copy"])
+def test_one_unit_flux_mass_per_mesh(copy, monkeypatch):
+    # a1 scales the mesh's one unit RT0 mass in A and in the solver: a new a1 builds no mass.
+    calls = []
+    local_mass = assembly.rt0_local_mass
+    monkeypatch.setattr(assembly, "rt0_local_mass", lambda *args: calls.append(args) or local_mass(*args))
+    gc.collect()
+    m = build_cartesian_mesh(6)
+    if copy:
+        m = dataclasses.replace(m)
+    assert "unit flux mass" not in vars(m).get("_kept", {})
+    layout = build_dof_layout(m)
+    for a1 in (1.0, 3.7):
+        solve(assemble_system(m, layout, dataclasses.replace(example1(), a1=a1)))
+    assert len(calls) == 1
+
+
 def _fields(m, case):
     sol = solve(assemble_system(m, build_dof_layout(m), case))
     return [sol.u1, sol.p2, sol.phi, sol.u2, sol.p1]
@@ -154,3 +175,7 @@ def test_a_replaced_mesh_gets_fresh_operators():
     assert (system.K != k).nnz == 0
     assert (system.B != assemble_B(moved, layout, k)).nnz == 0
     assert (cached.K != k).nnz > 0
+    n_u1 = layout.n_u1
+    flux = flux_scatter(moved, layout, rt0_local_mass(moved, layout.p1_triangles))
+    assert (system.A[:n_u1, :n_u1] != flux).nnz == 0
+    assert (cached.A[:n_u1, :n_u1] != flux).nnz > 0

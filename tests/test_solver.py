@@ -1,5 +1,4 @@
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -61,16 +60,20 @@ def test_zero_rhs_gives_zero_solution():
         np.testing.assert_allclose(field, 0.0, atol=1e-13)
 
 
-@pytest.mark.parametrize("a1", [0.0, np.nan])
-def test_inadmissible_flux_resistance_fails_honestly(a1):
-    # a1 = 0 makes the local flux masses singular, a1 = nan poisons them.
+@pytest.mark.parametrize("mesh", ["registry", "copy"])
+@pytest.mark.parametrize("bad", ["zero", "negated", "nan", "inf"])
+@pytest.mark.parametrize("field", ["a1", "a2", "beta"])
+def test_inadmissible_coefficients_fail_honestly(field, bad, mesh):
+    # A system's coeffs can be replaced after assemble_system validated them; solve checks them by
+    # the same rule before it factors anything, so it raises by name, with no warning.
     m = build_cartesian_mesh(1)
+    if mesh == "copy":
+        m = _same_vertex_copy(m)
     system = assemble_system(m, build_dof_layout(m), example1())
-    system = dataclasses.replace(system, flux_mass=system.flux_mass * a1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(SolverError):
-            solve(system)
+    value = {"zero": 0.0, "negated": -getattr(system.coeffs, field), "nan": np.nan, "inf": np.inf}[bad]
+    system = dataclasses.replace(system, coeffs=dataclasses.replace(system.coeffs, **{field: value}))
+    with pytest.raises(SolverError, match="inadmissible coefficients"):
+        solve(system)
 
 
 def test_local_saddle_inverse_matches_dense_inverse():
@@ -80,24 +83,15 @@ def test_local_saddle_inverse_matches_dense_inverse():
     mass = g @ g.transpose(0, 2, 1) + 0.1 * np.eye(3)
     s = rng.choice([-1.0, 1.0], size=(60, 3))
     saddle = np.zeros((60, 4, 4))
-    saddle[:, :3, :3] = mass
     saddle[:, :3, 3] = -s
     saddle[:, 3, :3] = s
-    expected = np.linalg.inv(saddle)
-    got = _local_saddle_inverse(mass, s)
-    assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
-    with pytest.raises(SolverError, match="singular local saddle"):
-        _local_saddle_inverse(np.zeros((1, 3, 3)), s[-1:])
-
-
-@pytest.mark.parametrize("a2", [0.0, np.inf, np.nan])
-def test_inadmissible_potential_resistance_fails_honestly(a2):
-    # psi = p2 + a2 phi needs a positive finite a2; the solve raises, with no warning.
-    m = build_cartesian_mesh(1)
-    system = assemble_system(m, build_dof_layout(m), example1())
-    system = dataclasses.replace(system, coeffs=CoefficientSet(1.0, a2, 1.0))
-    with pytest.raises(SolverError):
-        solve(system)
+    for a in (1.0, 2.5, 1e-8, 1e8):
+        saddle[:, :3, :3] = a * mass
+        expected = np.linalg.inv(saddle)
+        got = _local_saddle_inverse(mass, s, a)
+        assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max(), a
+        with pytest.raises(SolverError, match="singular local saddle"):
+            _local_saddle_inverse(np.zeros((1, 3, 3)), s[-1:], a)
 
 
 def _same_vertex_copy(m):
@@ -812,7 +806,7 @@ def test_beta_zero_collapses_kernel_coercivity():
     system = assemble_system(m, layout, example1())
     zero_beta = CoefficientSet(1.0, 1.0, 0.0)
     system = dataclasses.replace(
-        system, A=assemble_A(m, layout, zero_beta, system.flux_mass), coeffs=zero_beta
+        system, A=assemble_A(m, layout, zero_beta), coeffs=zero_beta
     )
     diag = check_wellposedness(system)
     assert abs(diag.kernel_coercivity) <= 1e-10
