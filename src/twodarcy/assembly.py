@@ -71,8 +71,9 @@ class CoefficientSet:
     beta: float
 
     def validate(self) -> None:
-        if not (0.0 < self.a1 < np.inf and 0.0 < self.a2 < np.inf):
-            raise AdmissibilityError("flow resistance a must be positive and finite")
+        for region, a in enumerate((self.a1, self.a2), start=1):
+            if not 0.0 < a < np.inf:
+                raise AdmissibilityError(f"flow resistance a{region} of region {region} must be positive and finite")
         if not 0.0 < self.beta < np.inf:
             raise AdmissibilityError("interface storage beta must be positive and finite")
 

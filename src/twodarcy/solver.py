@@ -30,7 +30,11 @@ minimum-degree ordering instead of COLAMD with partial pivoting.
 Both hybrid systems are built from element parts alone: the local saddle
 inverses of the kept unit flux masses times a1, the interface trace mass
 and the region-2 stiffness.  ``solve`` reads the assembled blocks A, B^T,
-B and C only for its residual.
+B and C only for its residual.  On a registry mesh the local saddles of
+the region-1 triangles fall into two classes, one per orientation, which
+differ within a class only by the rounding of the geometry, so one local
+saddle is inverted per orientation; on any other mesh one is inverted per
+triangle.
 """
 
 from __future__ import annotations
@@ -127,6 +131,21 @@ def _factor(matrix):
         raise SolverError(f"singular factorization: {err}") from err
 
 
+def _cofactor_inverse(mass: np.ndarray, a: float) -> np.ndarray:
+    """(3, 3, t) entry planes of Minv = cof(M) / (a det M) for (t, 3, 3) symmetric ``mass``.
+
+    The entry planes of ``mass`` are contiguous copies, freed on return.
+    """
+    (m11, m12, m13), (_, m22, m23), (_, _, m33) = np.ascontiguousarray(mass.transpose(1, 2, 0))
+    minv = np.array([
+        [m22 * m33 - m23 * m23, m13 * m23 - m12 * m33, m12 * m23 - m13 * m22],
+        [m13 * m23 - m12 * m33, m11 * m33 - m13 * m13, m12 * m13 - m11 * m23],
+        [m12 * m23 - m13 * m22, m12 * m13 - m11 * m23, m11 * m22 - m12 * m12],
+    ])
+    minv /= a * (m11 * minv[0, 0] + m12 * minv[0, 1] + m13 * minv[0, 2])
+    return minv
+
+
 def _local_saddle_inverse(mass: np.ndarray, s: np.ndarray, a: float) -> np.ndarray:
     """(t, 4, 4) inverses of the local saddles [[a M, -s], [s^T, 0]] for (t, 3, 3) SPD ``mass``.
 
@@ -135,23 +154,19 @@ def _local_saddle_inverse(mass: np.ndarray, s: np.ndarray, a: float) -> np.ndarr
     or non-finite det M, sigma or ``a`` leaves a non-finite entry.
     """
     # Entry planes (3, 3, t) and (3, t): elementwise arithmetic on contiguous rows.
-    (m11, m12, m13), (_, m22, m23), (_, _, m33) = np.ascontiguousarray(mass.transpose(1, 2, 0))
     s = np.ascontiguousarray(s.T)
     with np.errstate(all="ignore"):
-        minv = np.array([
-            [m22 * m33 - m23 * m23, m13 * m23 - m12 * m33, m12 * m23 - m13 * m22],
-            [m13 * m23 - m12 * m33, m11 * m33 - m13 * m13, m12 * m13 - m11 * m23],
-            [m12 * m23 - m13 * m22, m12 * m13 - m11 * m23, m11 * m22 - m12 * m12],
-        ])
-        minv /= a * (m11 * minv[0, 0] + m12 * minv[0, 1] + m13 * minv[0, 2])
+        minv = _cofactor_inverse(mass, a)
         w = (minv * s).sum(axis=1)
         sigma = (s * w).sum(axis=0)
-        planes = np.empty((4, 4, len(sigma)))
-        planes[:3, 3] = w / sigma
-        planes[:3, :3] = minv - w[:, None] * planes[None, :3, 3]
-        planes[3, :3] = -planes[:3, 3]
-        planes[3, 3] = 1.0 / sigma
-    inverse = np.ascontiguousarray(planes.transpose(2, 0, 1))
+        # Filled in place, (t, 3) rows at a time: staged (4, 4, t) planes would hold two more copies.
+        inverse = np.empty((len(sigma), 4, 4))
+        ws = w / sigma
+        inverse[:, :3, 3] = ws.T
+        inverse[:, 3, :3] = -ws.T
+        for i in range(3):
+            inverse[:, i, :3] = (minv[i] - w[i] * ws).T
+        inverse[:, 3, 3] = 1.0 / sigma
     if not np.isfinite(inverse).all():
         raise SolverError("singular local saddle: zero or non-finite determinant or Schur complement")
     return inverse
@@ -447,7 +462,13 @@ def _hybrid_factorization(system: SaddleSystem):
     interface fluxes too: the coupling S ties an interface flux to the p2
     values at its edge's ends.  So a flux slot reaches at most two global
     columns, the multiplier of its edge or those two p2 values, and every
-    condensed entry scales like 1/a1.
+    condensed entry scales like 1/a1.  On a registry mesh a triangle's
+    local saddle is that of its orientation, the parity of its p1 index
+    (``build_cartesian_mesh`` numbers the lower triangle of each cell even
+    and the upper one odd), so the local saddles of the first two p1
+    triangles are the only ones inverted, and each inverse acts on its half
+    of the triangles with one matrix product.  On any other mesh every
+    triangle's local saddle is inverted.
 
     The potential is decoupled through psi = p2 + a2 phi (phi = 0 at the
     pin).  The potential rows read K[phi] (p2 + a2 phi) = F_phi with the unit
@@ -540,12 +561,18 @@ def _hybrid_factorization(system: SaddleSystem):
     reads = np.where(iface[..., None], -couple, couple)
     valid = cols >= 0
 
-    inverse = _local_saddle_inverse(_unit_flux_mass(m, lo), signs, system.coeffs.a1)
-    flux_inverse = inverse[:, :3, :3]
+    a1 = system.coeffs.a1
     # M_beta, the [p2 | p2] block of A, on the ends of each interface edge: kept p2 unknowns.
     trace_mass = _interface_trace_mass(m, system.coeffs.beta)
 
     if region1 is None:
+        inverse = _local_saddle_inverse(_unit_flux_mass(m, lo), signs, a1)
+        flux_inverse = inverse[:, :3, :3]
+
+        def apply_local(x):
+            """Each triangle's local saddle inverse, its first ``x.shape[1]`` columns, times its row of ``x``."""
+            return np.einsum("tij,tj->ti", inverse[:, :, :x.shape[1]], x)
+
         def condensed(t, c, d):
             """Condensed element matrices of triangles ``t``, slot column ``c`` by slot column ``d``."""
             local = -(reads[t, :, c, None] * flux_inverse[t] * couple[t, None, :, d])
@@ -560,19 +587,32 @@ def _hybrid_factorization(system: SaddleSystem):
                  (k.data[:, None, None] / a2, n_h + k.row[:, None], n_h + k.col[:, None])]
         solve_hybrid = _factor(_scatter(parts, (n, n)))
     else:
+        # A local saddle is that of its triangle's orientation, the parity of
+        # its p1 index, as both triangles of a cell lie in one region: the
+        # first two p1 triangles stand for the two classes.
+        inverse = _local_saddle_inverse(_unit_flux_mass(m, lo)[:2], signs[:2], a1)
+        flux_inverse = inverse[:, :3, :3]
+
+        def apply_local(x):
+            """``apply_local`` of a copy, by one matrix product per class over the (t/2, 2, n) view of ``x``."""
+            pairs, z = x.reshape(-1, 2, x.shape[1]), np.empty((len(x) // 2, 2, 4))
+            for c in range(2):
+                np.matmul(pairs[:, c], inverse[c, :, :x.shape[1]].T, out=z[:, c])
+            return z.reshape(-1, 4)
+
         # Each interface flux, in slot s of its triangle, couples through N,
         # the flux block of the local inverse, to the multipliers of the other
         # slots and, by S, to the p2 values at its ends, which also get S N_ss S^T.
         other = (s[:, None] + np.array([1, 2])) % 3
-        t, n_c = t1[:, None], len(kept)
+        t, n_c, orient = t1[:, None], len(kept), t1 % 2
         ids, sign, trace = cols[t, other, 0], couple[t, other, 0], couple[t1, s]
-        block = trace_mass + trace[:, :, None] * flux_inverse[t1, s, s][:, None, None] * trace[:, None]
+        block = trace_mass + trace[:, :, None] * flux_inverse[orient, s, s][:, None, None] * trace[:, None]
         cross = stiffness / a2
         # Added through the flat view: np.add.at over (rows, cols) is about twice as slow.
         np.add.at(cross.reshape(-1), (ends[:, :, None] * n_c + ends[:, None]).ravel(), block.ravel())
         solve_hybrid = region1.factor(
-            system.coeffs.a1, cross, ids, -sign * flux_inverse[t, other, s[:, None]],
-            flux_inverse[t, s[:, None], other] * sign, trace, ends,
+            a1, cross, ids, -sign * flux_inverse[orient[:, None], other, s[:, None]],
+            flux_inverse[orient[:, None], s[:, None], other] * sign, trace, ends,
         )
     # psi's Laplacian: the unit stiffness on the kept p2 unknowns but the first, where psi is 0.
     solve_laplacian = _factor(stiffness[1:, 1:])
@@ -584,7 +624,7 @@ def _hybrid_factorization(system: SaddleSystem):
         load = np.zeros((len(tris), 4))
         load[:, :3] = np.where(own, b[u1_dofs], 0.0)
         load[:, 3] = b[lo.offset_p1:]
-        z = np.einsum("tij,tj->ti", inverse, load)
+        z = apply_local(load)
         # The psi load f, extended to the pin row, and the p2 load.
         f = np.zeros(n_p2)
         f[phi] = f_phi
@@ -597,8 +637,7 @@ def _hybrid_factorization(system: SaddleSystem):
         g[n_h:] = load_p2[kept]
         g -= np.bincount(valid_cols, (reads * z[:, :3, None])[valid], minlength=n)
         y = solve_hybrid(g)
-        z -= np.einsum("tij,tj->ti", inverse[:, :, :3],
-                       couple[..., 0] * y[cols[..., 0]] + couple[..., 1] * y[cols[..., 1]])
+        z -= apply_local(couple[..., 0] * y[cols[..., 0]] + couple[..., 1] * y[cols[..., 1]])
         u1 = np.empty(n_u1)
         u1[owned_u1] = z[:, :3][own]
         p2 = np.empty(n_p2)

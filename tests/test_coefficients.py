@@ -30,6 +30,12 @@ ULP = np.finfo(float).eps
 log_uniform = st.floats(min_value=-3.0, max_value=3.0).map(lambda t: 10.0**t)
 coefficients = st.builds(CoefficientSet, log_uniform, log_uniform, log_uniform)
 derandomized = settings(derandomize=True, database=None, max_examples=50, deadline=None)
+# The rule ``CoefficientSet.validate`` names for a bad value of each coefficient.
+RULES = {
+    "a1": "flow resistance a1 of region 1 must be positive and finite",
+    "a2": "flow resistance a2 of region 2 must be positive and finite",
+    "beta": "interface storage beta must be positive and finite",
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -62,7 +68,7 @@ def test_validate_accepts_positive_finite_draws(coeffs):
 def test_validate_rejects_any_bad_entry(coeffs):
     for field in ("a1", "a2", "beta"):
         for bad in (0.0, -getattr(coeffs, field), np.nan, np.inf):
-            with pytest.raises(AdmissibilityError, match="positive and finite"):
+            with pytest.raises(AdmissibilityError, match=f"^{RULES[field]}$"):
                 dataclasses.replace(coeffs, **{field: bad}).validate()
 
 

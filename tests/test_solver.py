@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from twodarcy import solver
 from twodarcy.analysis import convergence_study, error_norms
 from twodarcy.assembly import (
-    CoefficientSet, _interface_trace_mass, _p1_local_stiffness, _scatter, assemble_A, assemble_system,
-    p1_stiffness_omega2,
+    CoefficientSet, _interface_trace_mass, _p1_local_stiffness, _scatter, _unit_flux_mass, assemble_A,
+    assemble_system, p1_stiffness_omega2,
 )
 from twodarcy.manufactured import example1, example2, example3, example4
 from twodarcy.mesh import EdgeKind, _region1_grids, _region2_grids, build_cartesian_mesh
@@ -33,7 +33,7 @@ from oracles import (
     check_moved_system, full_lu_solve, full_matrix, moved_copy, moved_meshes, two_interface_edge_mesh,
     variant_cases, with_coefficients,
 )
-from test_coefficients import coefficients, derandomized
+from test_coefficients import RULES, coefficients, derandomized
 
 
 def variant_id(case):
@@ -65,14 +65,15 @@ def test_zero_rhs_gives_zero_solution():
 @pytest.mark.parametrize("field", ["a1", "a2", "beta"])
 def test_inadmissible_coefficients_fail_honestly(field, bad, mesh):
     # A system's coeffs can be replaced after assemble_system validated them; solve checks them by
-    # the same rule before it factors anything, so it raises by name, with no warning.
+    # the same rule before it factors anything, so it raises by name, with no warning, and names the
+    # coefficient at fault.
     m = build_cartesian_mesh(1)
     if mesh == "copy":
         m = _same_vertex_copy(m)
     system = assemble_system(m, build_dof_layout(m), example1())
     value = {"zero": 0.0, "negated": -getattr(system.coeffs, field), "nan": np.nan, "inf": np.inf}[bad]
     system = dataclasses.replace(system, coeffs=dataclasses.replace(system.coeffs, **{field: value}))
-    with pytest.raises(SolverError, match="inadmissible coefficients"):
+    with pytest.raises(SolverError, match=f"^inadmissible coefficients .*: {RULES[field]}$"):
         solve(system)
 
 
@@ -97,6 +98,35 @@ def test_local_saddle_inverse_matches_dense_inverse():
 def _same_vertex_copy(m):
     """A copy of the registry mesh ``m`` with equal vertex values, which keeps every unknown and SuperLU."""
     return dataclasses.replace(m, vertices=m.vertices.copy())
+
+
+@pytest.mark.parametrize("level", [1, 2, 8, 32, 96])
+def test_registry_local_saddles_are_one_per_orientation(level):
+    # build_cartesian_mesh numbers the lower triangle of each cell even and
+    # the upper one odd, so a region-1 triangle's orientation is the parity of
+    # its p1 index, and its local saddle inverse is that of the first p1
+    # triangle of its parity up to the rounding of the geometry.
+    m = build_cartesian_mesh(level)
+    lo = build_dof_layout(m)
+    parity = np.arange(len(lo.p1_triangles)) % 2
+    np.testing.assert_array_equal(lo.p1_triangles % 2, parity)
+    inverse = _local_saddle_inverse(_unit_flux_mass(m, lo), m.tri_edge_signs[lo.p1_triangles].astype(float), 1.0)
+    for c in range(2):
+        spread = np.abs(inverse[parity == c] - inverse[c]).max()
+        assert spread <= 1e-12 * np.abs(inverse[c]).max(), c
+
+
+def test_registry_solve_inverts_one_local_saddle_per_orientation(monkeypatch):
+    # A copy inverts the local saddle of every region-1 triangle.
+    sizes = []
+    inverse = solver._local_saddle_inverse
+    monkeypatch.setattr(solver, "_local_saddle_inverse",
+                        lambda mass, s, a: sizes.append(len(mass)) or inverse(mass, s, a))
+    m = build_cartesian_mesh(8)
+    system = assemble_system(m, build_dof_layout(m), example4())
+    solve(system)
+    solve(dataclasses.replace(system, mesh=_same_vertex_copy(m)))
+    assert sizes == [2, len(system.layout.p1_triangles)]
 
 
 @pytest.mark.parametrize("message, expected", [
